@@ -415,7 +415,7 @@ def cmd_weights_compare(config: dict, out: Path) -> int:
     rho_grid = _require(config, "rho_grid")
     with RunDirectory(out) as rundir:
         _echo_config(rundir, config)
-        result = weighting_compare(plan, rho_grid)
+        result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
         rundir.write_csv(
             "table.csv",
             ["scheme", "rho", "mse", "stderr", "diff_vs_uniform", "diff_stderr"],

@@ -39,7 +39,7 @@ from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
 from .errors import LabError, NeedsTwoHeads, ReplicateFailure, DensityTooSmall, ShapeMismatch
 from .mha import ProjectionSet, WeightScheme, make_weights
-from .nw_attention import HeadConfig, attend_many
+from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
 from .tensor_core import Matrix, qr_orthonormalize
 
@@ -58,9 +58,6 @@ __all__ = [
     "spearman",
     "bootstrap_stderr",
 ]
-
-#: softmax weight vectors with entropy below this many nats count as degenerate
-DEGENERATE_ENTROPY_NATS = 1e-6
 
 
 def worker_count() -> int:
@@ -178,27 +175,23 @@ class DecompositionReport:
 
 
 def _head_tensor(task, heads, n, R, Q, master_seed):
-    """E[r, h, q] head-estimate tensor plus the degenerate-weight count."""
+    """E[r, h, q] head-estimate tensor plus the degenerate-weight count per head."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     H = len(heads)
     E = np.empty((R, H, Q))
-    degenerate = np.zeros(R, dtype=np.int64)
+    degenerate = np.zeros((R, H), dtype=np.int64)
 
     def run_replicate(r: int) -> None:
         data = sample_dataset(task, n, derive_seed(master_seed, "data", r))
-        bad = 0
         for h, head in enumerate(heads):
-            est, w = attend_many(head, queries, data, return_weights=True)
+            est, degenerate[r, h] = attend_many(head, queries, data)
             if not np.all(np.isfinite(est)):
                 q_bad = int(np.flatnonzero(~np.isfinite(est))[0])
                 raise ReplicateFailure(
                     f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
                     replicate=r, head=h, query=q_bad,
                 )
-            entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
-            bad += int(np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS))
             E[r, h] = est
-        degenerate[r] = bad
 
     workers = worker_count()
     if workers > 1 and R > 1:
@@ -207,7 +200,7 @@ def _head_tensor(task, heads, n, R, Q, master_seed):
     else:
         for r in range(R):
             run_replicate(r)
-    return E, queries, int(degenerate.sum())
+    return E, queries, degenerate.sum(axis=0)
 
 
 def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
@@ -298,15 +291,16 @@ def mc_decompose(plan: ExperimentPlan, proj: ProjectionSet | None = None) -> Dec
     E, queries, degenerate = _head_tensor(
         plan.task, proj.heads, plan.n, plan.R, plan.Q, plan.master_seed
     )
-    if degenerate:
+    if degenerate.any():
         warnings.warn(
-            f"{degenerate} softmax weight vectors were degenerate "
-            f"(entropy < {DEGENERATE_ENTROPY_NATS} nats)",
+            f"{degenerate.sum()} softmax weight vectors were degenerate "
+            f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) at n={plan.n}, "
+            f"H={proj.H}, d_k={proj.d_k}; per head {degenerate.tolist()}",
             RuntimeWarning, stacklevel=2,
         )
     m_q = plan.task.mean(queries)
     return _decompose_tensor(E, m_q, plan.weights.alphas, queries,
-                             degenerate, plan.n, plan.master_seed)
+                             int(degenerate.sum()), plan.n, plan.master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +519,14 @@ class WeightingCompareResult:
     best_margin_sigmas: float
 
 
-def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
+def weighting_compare(plan: ExperimentPlan, rho_grid,
+                      sigma: float = 2.0) -> WeightingCompareResult:
     """Uniform vs Fibonacci vs geometric weighting under shared randomness.
 
     Heads are pre-ordered best first by per-head integrated MSE from a
     pilot run on an independent seed domain; every scheme then reweights
-    the same head-estimate tensor, so scheme contrasts are paired.
+    the same head-estimate tensor, so scheme contrasts are paired; geometric
+    beats uniform by more than ``sigma`` paired standard errors or not.
     """
     rho_grid = [float(r) for r in rho_grid]
     if any(not 0.0 < r <= 1.0 for r in rho_grid):
@@ -592,7 +588,7 @@ def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
     for name, rho, mse, se, diff, diff_se in rows:
         if name != "geometric":
             continue
-        if diff < -max(2.0 * diff_se, floor):
+        if diff < -max(sigma * diff_se, floor):
             beats = True
             margin = max(margin, -diff / diff_se if diff_se > 0.0 else float("inf"))
     return WeightingCompareResult(

@@ -137,6 +137,6 @@ def mha_estimate(proj: ProjectionSet, weights: WeightScheme,
         )
     query_x = np.asarray(query_x, dtype=np.float64).reshape(1, -1)
     head_estimates = np.array(
-        [attend_many(head, query_x, data)[0] for head in proj.heads]
+        [attend_many(head, query_x, data)[0][0] for head in proj.heads]
     )
     return float(weights.alphas @ head_estimates)

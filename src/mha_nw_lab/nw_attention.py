@@ -1,15 +1,17 @@
 """Single-head softmax attention as a Nadaraya-Watson kernel regressor.
 
 A head projects the query and the data points into a d_k-dimensional key
-space and softmax-averages the projected values:
+space and kernel-averages the projected values:
 
     q = wq^T x,   k_i = wk^T x_i,   v_i = wv . x_i
-    estimate = sum_i w_i v_i,   w_i = softmax_i(q . k_i / sqrt(d_k))
+    estimate = sum_i e_i v_i / sum_i e_i,   e_i = exp(q . k_i / sqrt(d_k))
 
-which is the Nadaraya-Watson estimator under the exponential kernel
-exp(q . k / sqrt(d_k)) with bandwidth 1/sqrt(d_k): larger d_k means a
-sharper kernel.  ``nw_reference`` is the unstabilised textbook form and
-exists purely as the identity oracle for ``attend``.
+the Nadaraya-Watson estimator with bandwidth 1/sqrt(d_k): larger d_k, sharper
+kernel.  ``attend_many`` shifts each logit row by its max, exponentiates in
+place and divides e . v by s = sum_i e_i (Milakov & Gimelshein, 2018).  As
+max e = 1, a row's entropy is at least log s, so the degenerate screen sums
+-w log w only over rows with log s below twice DEGENERATE_ENTROPY_NATS.
+``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .synthetic import Dataset
 from .tensor_core import Matrix
 
 __all__ = ["HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference"]
+
+#: softmax weight vectors with entropy below this many nats count as degenerate
+DEGENERATE_ENTROPY_NATS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,21 +79,13 @@ class AttentionOutput:
     weights: np.ndarray
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps exp() in range for |logits| beyond ~700
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
-
-
 def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset,
                 return_weights: bool = False):
-    """Vectorised ``attend`` over a batch of query points.
+    """Estimates of one head at Q query points, fused as in the module doc.
 
-    Returns estimates of shape (Q,), and the Q x n weight matrix when
-    ``return_weights`` is set.  The single-query ``attend`` delegates here,
-    so both paths produce identical floating-point results.
+    Returns ``(estimates, degenerate)``: the (Q,) estimates and the count of
+    rows with entropy below DEGENERATE_ENTROPY_NATS, then the Q x n weights
+    e / s when ``return_weights`` is set (``attend`` reads them from here).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if data.n < 1:
@@ -98,15 +95,22 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset,
             f"attend: head expects R^{head.p}, got query dim {queries.shape[1]} "
             f"and data dim {data.p}"
         )
-    q = queries @ head.wq.a                      # Q x d_k
-    k = data.xs @ head.wk.a                      # n x d_k
-    v = data.xs @ head.wv                        # n
-    logits = (q @ k.T) / np.sqrt(head.d_k)       # Q x n
-    weights = _softmax_rows(logits)
-    estimates = weights @ v
+    q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, bandwidth folded in
+    k = data.xs @ head.wk.a                        # n x d_k
+    v = data.xs @ head.wv                          # n
+    e = q @ k.T                                    # Q x n logits
+    # max-subtraction keeps exp() in range for |logits| beyond ~700
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    s = e.sum(axis=1)
+    estimates = (e @ v) / s
+    sharp = s < np.exp(2.0 * DEGENERATE_ENTROPY_NATS)   # entropy >= log s, see above
+    w = e[sharp] / s[sharp, None]
+    entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
+    degenerate = int(np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS))
     if return_weights:
-        return estimates, weights
-    return estimates
+        return estimates, degenerate, e / s[:, None]
+    return estimates, degenerate
 
 
 def attend(head: HeadConfig, query_x: np.ndarray, data: Dataset) -> AttentionOutput:
@@ -116,7 +120,7 @@ def attend(head: HeadConfig, query_x: np.ndarray, data: Dataset) -> AttentionOut
     combination of the projected values.
     """
     query_x = np.asarray(query_x, dtype=np.float64).reshape(1, -1)
-    estimates, weights = attend_many(head, query_x, data, return_weights=True)
+    estimates, _, weights = attend_many(head, query_x, data, return_weights=True)
     return AttentionOutput(estimate=float(estimates[0]), weights=weights[0])
 
 

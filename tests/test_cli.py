@@ -272,11 +272,27 @@ class TestOtherCommands:
         assert cli.main(["weights-compare", "--config", str(path)]) == 1
         assert "rho_grid" in capsys.readouterr().err
 
+    def test_weights_compare_honours_weighting_sigma(self, tmp_path, capsys):
+        config = json.loads((CONFIG_DIR / "weights_compare_hetero.json").read_text())
+        config["output_dir"] = str(tmp_path / "out")
+        config["gates"] = {"weighting_sigma": 100}
+        path = write_config(tmp_path, config)
+        assert cli.main(["weights-compare", "--config", str(path)]) == 2
+        assert "GATE geometric_beats_uniform: FAIL" in capsys.readouterr().out
+
 
 class TestEntryPoint:
     def test_version_flag(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mha_nw_lab.cli", "--version"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert "mha-nw-lab" in proc.stdout
+
+    def test_package_runs_as_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mha_nw_lab", "--version"],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0

@@ -235,6 +235,17 @@ class TestDegenerateScreen:
         assert report.degenerate_weights > 0
         assert DEGENERATE_ENTROPY_NATS == 1e-6
 
+    def test_degenerate_warning_names_point_and_heads(self):
+        task = lab.make_task("quadratic", 4, 1.0, "gaussian")
+        plan = quick_plan(task, p=4, d_k=1, H=2, n=50, R=10, Q=8, master=3, gain=200.0)
+        with pytest.warns(RuntimeWarning) as record:
+            report = mc_decompose(plan)
+        message = str(record[0].message)
+        assert message.startswith(f"{report.degenerate_weights} softmax weight vectors")
+        assert "at n=50, H=2, d_k=1; per head [" in message
+        per_head = [int(c) for c in message.split("per head [")[1].rstrip("]").split(",")]
+        assert len(per_head) == 2 and sum(per_head) == report.degenerate_weights
+
 
 @pytest.fixture(scope="module")
 def aligned_fixture():

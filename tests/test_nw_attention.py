@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mha_nw_lab.errors import DegenerateKernel, EmptyData, ShapeMismatch
-from mha_nw_lab.nw_attention import HeadConfig, attend, attend_many, nw_reference
+from mha_nw_lab.nw_attention import (
+    DEGENERATE_ENTROPY_NATS, HeadConfig, attend, attend_many, nw_reference,
+)
 from mha_nw_lab.synthetic import Dataset, make_task, sample_dataset
 from mha_nw_lab.tensor_core import Matrix
 
@@ -125,10 +127,77 @@ class TestAttend:
         head = make_head(4, 2, seed=7)
         data = make_data(rng.standard_normal((30, 4)))
         queries = rng.standard_normal((5, 4))
-        batched = attend_many(head, queries, data)
+        batched, _ = attend_many(head, queries, data)
         singles = np.array([attend(head, q, data).estimate for q in queries])
         # gemv vs gemm accumulation can differ in the last bit
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
+
+
+def full_entropy(head, queries, xs):
+    """Row entropies from the full normalised weight matrix, -(w log w).sum()."""
+    logits = (queries @ head.wq.a) @ (xs @ head.wk.a).T / np.sqrt(head.d_k)
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
+
+
+class TestFusedKernel:
+    def test_degenerate_count_matches_full_entropy(self):
+        rng = np.random.default_rng(7)
+        entropies = []
+        for trial in range(300):
+            p = int(rng.integers(2, 6))
+            d_k = int(rng.integers(1, 4))
+            gain = 10.0 ** rng.uniform(0.0, 3.0) if trial % 3 else 1.0
+            head = make_head(p, d_k, seed=trial, query_gain=gain)
+            xs = rng.standard_normal((int(rng.integers(1, 60)), p))
+            queries = rng.standard_normal((16, p))
+            entropy = full_entropy(head, queries, xs)
+            _, degenerate = attend_many(head, queries, make_data(xs))
+            assert degenerate == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+            entropies.append(entropy)
+        entropy = np.concatenate(entropies)
+        # rows on both sides of the threshold, and inside the screen's margin
+        assert np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS) > 100
+        assert np.count_nonzero(entropy > 1.0) > 100
+        near = (entropy >= DEGENERATE_ENTROPY_NATS) & (entropy < 2 * DEGENERATE_ENTROPY_NATS)
+        assert np.count_nonzero(near) > 0
+
+    @pytest.mark.parametrize("shift", [-1000.0, -700.0, 700.0, 1000.0])
+    def test_estimates_match_reference_under_logit_shift(self, shift):
+        # coordinate 0 is a constant 1 that only the shift column sees, so
+        # every logit is shift + the logit of the remaining coordinates
+        rng = np.random.default_rng(int(shift) + 2000)
+        p, d_k, n = 4, 3, 25
+        wq = np.zeros((p, d_k))
+        wk = np.zeros((p, d_k))
+        wq[0, 0] = wk[0, 0] = 1.0
+        wq[1:, 1:] = rng.standard_normal((p - 1, d_k - 1))
+        wk[1:, 1:] = 0.5 * rng.standard_normal((p - 1, d_k - 1))
+        wv = np.concatenate([[3.0], rng.standard_normal(p - 1)])
+        head = HeadConfig(wq=Matrix(wq), wk=Matrix(wk), wv=wv)
+        xs = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+        queries = np.column_stack([np.full(8, shift * np.sqrt(d_k)),
+                                   rng.standard_normal((8, p - 1))])
+        estimates, _ = attend_many(head, queries, make_data(xs))
+        rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
+        # the oracle's raw exp() overflows beyond ~700; there it gets the
+        # unshifted logits, which define the same estimator
+        oracle_shift = shift if abs(shift) <= 700.0 else 0.0
+        for q in range(8):
+            expected = nw_reference(oracle_shift + rest[q], xs @ wv)
+            assert estimates[q] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_attend_weights_are_a_distribution(self):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            p = int(rng.integers(1, 6))
+            head = make_head(p, int(rng.integers(1, 5)), seed=trial,
+                             query_gain=10.0 ** rng.uniform(0.0, 2.0))
+            data = make_data(rng.standard_normal((int(rng.integers(1, 200)), p)))
+            weights = attend(head, rng.standard_normal(p), data).weights
+            assert np.all(weights >= 0.0)
+            assert abs(weights.sum() - 1.0) <= 1e-15
 
 
 class TestBandwidthConcentration:
