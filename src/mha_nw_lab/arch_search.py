@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DecompositionReport, ExperimentPlan, mc_decompose
+from .decomposition import DecompositionReport, ExperimentPlan, _head_tensor, _point_report
 from .errors import EmptySweep, ShapeMismatch
 from .mha import ProjectionSet, make_weights
 from .nw_attention import HeadConfig
@@ -133,14 +133,14 @@ def sweep_architectures(
     """Evaluate every divisor allocation of the budget D under shared seeds.
 
     Each allocation slices H mutually orthogonal d_k-frames from one common
-    p x D orthonormal frame, runs the Monte-Carlo decomposition with uniform
-    weights and common random numbers, and records the integrated MSE row.
+    p x D orthonormal frame and runs the Monte-Carlo decomposition with
+    uniform weights; all allocations share one replicate-engine call, so
+    they see the same datasets.  Each allocation records its MSE row.
     The argmin breaks exact ties toward larger H (many small heads).
     """
     wv = _sweep_value_vector(task)
-    rows: list[ArchRow] = []
+    plans: list[ExperimentPlan] = []
     skipped: list[str] = []
-    reports: dict[int, DecompositionReport] = {}
     frame = None
     if D <= task.p:
         frame = _orthogonal_blocks(task.p, D, seed)
@@ -154,26 +154,29 @@ def sweep_architectures(
         for h in range(H):
             wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
             heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
-        proj = ProjectionSet(heads=tuple(heads))
-        plan = ExperimentPlan(
-            task=task, projection=proj, weights=make_weights("uniform", H),
-            n=n, R=R, Q=Q, master_seed=seed,
+        plans.append(ExperimentPlan(
+            task=task, projection=ProjectionSet(heads=tuple(heads)),
+            weights=make_weights("uniform", H), n=n, R=R, Q=Q, master_seed=seed,
+        ))
+    if not plans:
+        raise EmptySweep(
+            f"no feasible allocation for budget D = {D} with p = {task.p}: "
+            + "; ".join(skipped)
         )
-        report = mc_decompose(plan)
+    tensors = _head_tensor(task, [plan.projection.heads for plan in plans], n, R, Q, seed)
+    rows: list[ArchRow] = []
+    reports: dict[int, DecompositionReport] = {}
+    for plan, tensor in zip(plans, tensors):
+        report = _point_report(plan, plan.projection, *tensor)
         rows.append(ArchRow(
-            H=H, d_k=d_k, mse=report.mse_direct,
+            H=plan.projection.H, d_k=plan.projection.d_k, mse=report.mse_direct,
             stderr=report.stderr["mse_direct"],
             bias_sq=report.ensemble_bias_sq,
             var_term=report.variance_term,
             cov_term=report.covariance_term,
         ))
         if keep_reports:
-            reports[d_k] = report
-    if not rows:
-        raise EmptySweep(
-            f"no feasible allocation for budget D = {D} with p = {task.p}: "
-            + "; ".join(skipped)
-        )
+            reports[plan.projection.d_k] = report
 
     best = rows[0]
     for row in rows[1:]:

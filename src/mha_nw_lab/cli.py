@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 usage or data error, 2 scientific-gate failure.
 
 Concurrent invocations must target distinct output directories; a lock
 file inside the directory enforces this.  ``MHA_NW_LAB_THREADS`` caps the
-replicate-level worker pool (0 = auto).
+replicate-level worker pool (0 = auto) and must be a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .decomposition import (
     hdi_sweep,
     mc_decompose,
     weighting_compare,
+    worker_count,
 )
 from .diversity import load_weight_file, make_diversity_report, optimize_projections
 from .errors import ConfigError, Infeasible, LabError
@@ -596,6 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        worker_count()  # reject a malformed MHA_NW_LAB_THREADS on every subcommand
         if args.command == "hdi":
             out = Path(args.out) if args.out else None
             return cmd_hdi(args.weights, out)

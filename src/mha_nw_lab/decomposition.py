@@ -21,9 +21,12 @@ identity residual is pure floating-point noise.  Standard errors come from
 the replicate-level influence statistics; the residual's standard error is
 propagated conservatively as the quadrature sum of the component errors.
 
-Parallelism: replicates are independent; MHA_NW_LAB_THREADS caps the worker
-pool (0 = auto).  Results are written into preallocated slots by replicate
-index, so the outputs are bit-identical for every thread count.
+Parallelism: ``_head_tensor`` is the one replicate-major engine.  For a list
+of head sets it draws each replicate's dataset once and runs each distinct
+head once, writing the estimates into every slot that holds the head.
+MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only from
+POOL_MIN_LOGITS logits per call; slots are indexed by replicate, so the
+outputs are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import numpy as np
 
 from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
-from .errors import LabError, NeedsTwoHeads, ReplicateFailure, DensityTooSmall, ShapeMismatch
+from .errors import (ConfigError, DensityTooSmall, LabError, NeedsTwoHeads,
+                     ReplicateFailure, ShapeMismatch)
 from .mha import ProjectionSet, WeightScheme, make_weights
 from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
@@ -60,16 +64,19 @@ __all__ = [
 ]
 
 
+#: Q * n logits per attend_many call below which replicates run serially, as
+#: short calls pass the interpreter lock between threads more than they overlap.
+#: 2 threads against 1 on 2 vCPUs, sweep-hdi and sweep-arch head sets, Q = 64:
+#: 0.5-0.6x at 16k logits, 0.9x at 48k, 1.0-1.3x at 64k (break-even), 1.35x at 80k.
+POOL_MIN_LOGITS = 1 << 16
+
+
 def worker_count() -> int:
     """Worker pool size from MHA_NW_LAB_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("MHA_NW_LAB_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return min(8, os.cpu_count() or 1)
-    return value
+    raw = os.environ.get("MHA_NW_LAB_THREADS") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ConfigError(f"MHA_NW_LAB_THREADS must be a nonnegative integer, got {raw!r}")
+    return int(raw) or min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -174,33 +181,41 @@ class DecompositionReport:
         return self.ensemble_bias_sq + self.variance_term + self.covariance_term
 
 
-def _head_tensor(task, heads, n, R, Q, master_seed):
-    """E[r, h, q] head-estimate tensor plus the degenerate-weight count per head."""
+def _head_tensor(task, head_sets, n, R, Q, master_seed):
+    """One (E[r, h, q], queries, degenerate count per head) per head set;
+    heads with equal wq, wk and wv run once per replicate."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
-    H = len(heads)
-    E = np.empty((R, H, Q))
-    degenerate = np.zeros((R, H), dtype=np.int64)
+    slots = {}   # head bytes -> (head, [(set, index in set), ...])
+    for s, heads in enumerate(head_sets):
+        for h, head in enumerate(heads):
+            key = (head.wq.shape, head.wq.a.tobytes(), head.wk.a.tobytes(), head.wv.tobytes())
+            slots.setdefault(key, (head, []))[1].append((s, h))
+    Es = [np.empty((R, len(heads), Q)) for heads in head_sets]
+    degenerate = [np.zeros((R, len(heads)), dtype=np.int64) for heads in head_sets]
 
     def run_replicate(r: int) -> None:
         data = sample_dataset(task, n, derive_seed(master_seed, "data", r))
-        for h, head in enumerate(heads):
-            est, degenerate[r, h] = attend_many(head, queries, data)
+        for head, targets in slots.values():
+            est, count = attend_many(head, queries, data)
             if not np.all(np.isfinite(est)):
                 q_bad = int(np.flatnonzero(~np.isfinite(est))[0])
+                h = targets[0][1]
                 raise ReplicateFailure(
                     f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
                     replicate=r, head=h, query=q_bad,
                 )
-            E[r, h] = est
+            for s, h in targets:
+                Es[s][r, h] = est
+                degenerate[s][r, h] = count
 
     workers = worker_count()
-    if workers > 1 and R > 1:
+    if workers > 1 and R > 1 and Q * n >= POOL_MIN_LOGITS:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_replicate, range(R)))
     else:
         for r in range(R):
             run_replicate(r)
-    return E, queries, degenerate.sum(axis=0)
+    return [(E, queries, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
 
 
 def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
@@ -288,9 +303,13 @@ def mc_decompose(plan: ExperimentPlan, proj: ProjectionSet | None = None) -> Dec
     function, per-head variances and the cross-head covariance matrix.
     """
     proj = plan.resolve_projection() if proj is None else proj
-    E, queries, degenerate = _head_tensor(
-        plan.task, proj.heads, plan.n, plan.R, plan.Q, plan.master_seed
-    )
+    [tensor] = _head_tensor(plan.task, [proj.heads], plan.n, plan.R, plan.Q, plan.master_seed)
+    return _point_report(plan, proj, *tensor)
+
+
+def _point_report(plan: ExperimentPlan, proj: ProjectionSet, E: np.ndarray,
+                  queries: np.ndarray, degenerate: np.ndarray) -> DecompositionReport:
+    """Report of one sweep point from its engine output; warns on degenerate rows."""
     if degenerate.any():
         warnings.warn(
             f"{degenerate.sum()} softmax weight vectors were degenerate "
@@ -486,11 +505,13 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
+    projs = [plan.resolve_projection(mix=mix) for mix in mix_grid]
+    tensors = _head_tensor(plan.task, [proj.heads for proj in projs],
+                           plan.n, plan.R, plan.Q, plan.master_seed)
     rows = []
     reports = {}
-    for mix in mix_grid:
-        proj = plan.resolve_projection(mix=mix)
-        report = mc_decompose(plan, proj=proj)
+    for mix, proj, tensor in zip(mix_grid, projs, tensors):
+        report = _point_report(plan, proj, *tensor)
         literal, normalized = hdi_indices(proj)
         rows.append((mix, literal, normalized, report.mse_direct,
                      report.stderr["mse_direct"]))
@@ -535,16 +556,16 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
     H = proj.H
 
     pilot_R = max(2, plan.R // 2)
-    pilot_E, pilot_queries, _ = _head_tensor(
-        plan.task, proj.heads, plan.n, pilot_R, plan.Q,
+    [(pilot_E, pilot_queries, _)] = _head_tensor(
+        plan.task, [proj.heads], plan.n, pilot_R, plan.Q,
         derive_seed(plan.master_seed, "pilot"),
     )
     pilot_m = plan.task.mean(pilot_queries)
     pilot_mse = ((pilot_E - pilot_m) ** 2).mean(axis=(0, 2))
     order = np.argsort(pilot_mse, kind="stable")
 
-    E, queries, _ = _head_tensor(
-        plan.task, proj.heads, plan.n, plan.R, plan.Q, plan.master_seed
+    [(E, queries, _)] = _head_tensor(
+        plan.task, [proj.heads], plan.n, plan.R, plan.Q, plan.master_seed
     )
     E = E[:, order, :]
     m_q = plan.task.mean(queries)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mha_nw_lab import cli
+from mha_nw_lab import cli, decomposition
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -68,6 +68,18 @@ class TestConfigValidation:
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert "byte offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["abc", "-3", "2.5"])
+    def test_malformed_thread_count_names_variable(self, tmp_path, capsys, monkeypatch,
+                                                   threads):
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", threads)
+        path = write_config(tmp_path, small_decompose_config(tmp_path / "out"))
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        assert "MHA_NW_LAB_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "MANIFEST").exists()
+        hdi = ["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json")]
+        assert cli.main(hdi) == 1
+        assert "MHA_NW_LAB_THREADS" in capsys.readouterr().err
+
     def test_missing_output_dir(self, tmp_path, capsys):
         config = small_decompose_config(tmp_path / "out")
         del config["output_dir"]
@@ -107,6 +119,8 @@ class TestDecomposeCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        # a plan this small runs serially unless the pool threshold is lowered
+        monkeypatch.setattr(decomposition, "POOL_MIN_LOGITS", 0)
         outs = []
         for threads, tag in (("1", "t1"), ("4", "t4")):
             monkeypatch.setenv("MHA_NW_LAB_THREADS", threads)

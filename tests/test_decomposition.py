@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import mha_nw_lab as lab
+from mha_nw_lab import decomposition
 from mha_nw_lab.decomposition import (
     DEGENERATE_ENTROPY_NATS,
     ExperimentPlan,
     FamilySpec,
+    _head_tensor,
     bootstrap_stderr,
     check_cov_bound,
     hdi_sweep,
@@ -16,8 +18,8 @@ from mha_nw_lab.decomposition import (
 )
 from mha_nw_lab.errors import LabError, NeedsTwoHeads, ShapeMismatch
 from mha_nw_lab.mha import make_weights
-from mha_nw_lab.nw_attention import HeadConfig
-from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_queries
+from mha_nw_lab.nw_attention import HeadConfig, attend_many
+from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
 from mha_nw_lab.tensor_core import Matrix
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -96,10 +98,9 @@ class TestAgainstBruteForce:
         plan = quick_plan(quad_task, n=80, R=25, Q=6, master=55)
         report = mc_decompose(plan)
         proj = plan.resolve_projection()
-        from mha_nw_lab.decomposition import _head_tensor
 
-        E, queries, _ = _head_tensor(quad_task, proj.heads, plan.n, plan.R,
-                                     plan.Q, plan.master_seed)
+        [(E, queries, _)] = _head_tensor(quad_task, [proj.heads], plan.n, plan.R,
+                                         plan.Q, plan.master_seed)
         m_q = quad_task.mean(queries)
         R, H, Q = E.shape
         alphas = plan.weights.alphas
@@ -181,6 +182,8 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.mse_replicates, b.mse_replicates)
 
     def test_thread_counts_do_not_change_results(self, quad_task, monkeypatch):
+        # a plan this small runs serially unless the pool threshold is lowered
+        monkeypatch.setattr(decomposition, "POOL_MIN_LOGITS", 0)
         plan = quick_plan(quad_task, n=100, R=40, Q=8, master=98)
         monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
         a = mc_decompose(plan)
@@ -203,6 +206,61 @@ class TestStderrMachinery:
             + report.stderr["covariance_term"]**2 + report.stderr["ensemble_bias_sq"]**2
         )
         assert report.stderr["identity_residual"] == pytest.approx(expected, rel=1e-12)
+
+
+class TestReplicateEngine:
+    @staticmethod
+    def head_sets(task):
+        """Identical heads (mix 0), distinct heads, and sharp heads with degenerate rows."""
+        return [
+            FamilySpec(p=8, d_k=2, H=4, mix=mix, query_gain=gain).resolve(task, seed=5).heads
+            for mix, gain in ((0.0, 4.0), (0.5, 4.0), (1.0, 60.0))
+        ]
+
+    @staticmethod
+    def counting(monkeypatch, name, fn):
+        calls = []
+
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(decomposition, name, wrapper)
+        return calls
+
+    def test_joint_call_equals_one_call_per_set(self, quad_task):
+        sets = self.head_sets(quad_task)
+        joint = _head_tensor(quad_task, sets, 60, 6, 8, 21)
+        assert joint[2][2].sum() > 0   # the sharp set has degenerate counts to compare
+        for heads, (E, queries, degenerate) in zip(sets, joint):
+            [(E1, queries1, degenerate1)] = _head_tensor(quad_task, [heads], 60, 6, 8, 21)
+            np.testing.assert_array_equal(E, E1)
+            np.testing.assert_array_equal(queries, queries1)
+            np.testing.assert_array_equal(degenerate, degenerate1)
+
+    def test_each_dataset_is_drawn_once_per_call(self, quad_task, monkeypatch):
+        draws = self.counting(monkeypatch, "sample_dataset", sample_dataset)
+        _head_tensor(quad_task, self.head_sets(quad_task), 60, 6, 8, 21)
+        assert len(draws) == 6
+        assert len({seed for _, _, seed in draws}) == 6
+
+    def test_identical_heads_run_once_per_replicate(self, quad_task, monkeypatch):
+        heads = self.head_sets(quad_task)[0]
+        evals = self.counting(monkeypatch, "attend_many", attend_many)
+        [(E, _, _)] = _head_tensor(quad_task, [heads], 60, 6, 8, 21)
+        assert len(evals) == 6
+        for h in range(1, 4):
+            np.testing.assert_array_equal(E[:, h], E[:, 0])
+
+    def test_failure_names_the_head_inside_its_set(self, quad_task):
+        from mha_nw_lab.errors import ReplicateFailure
+
+        distinct = self.head_sets(quad_task)[1]
+        bad = HeadConfig(wq=distinct[1].wq, wk=distinct[1].wk, wv=np.full(8, 1e308))
+        with pytest.raises(ReplicateFailure) as excinfo:
+            _head_tensor(quad_task, [distinct, (distinct[0], bad)], 50, 4, 4, 1)
+        assert excinfo.value.replicate == 0
+        assert excinfo.value.head == 1
 
 
 class TestReplicateFailure:
@@ -294,9 +352,8 @@ class TestTheoreticalBiasVariance:
         n, R, Q = 2000, 400, 30
         master = 11
         queries = sample_queries(task, Q, derive_seed(master, "query"))
-        from mha_nw_lab.decomposition import _head_tensor
 
-        E, _, _ = _head_tensor(task, [head], n, R, Q, master)
+        [(E, _, _)] = _head_tensor(task, [[head]], n, R, Q, master)
         mc_bias = E[:, 0, :].mean(axis=0) - task.mean(queries)
         checked = 0
         for i in range(Q):
