@@ -12,7 +12,6 @@ from .arch_search import enumerate_allocations, scaling_trend, sweep_architectur
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
-    check_cov_bound,
     hdi_sweep,
     mc_decompose,
     theoretical_bias_variance,
@@ -27,29 +26,28 @@ from .diversity import (
     optimize_projections,
     principal_angles,
 )
-from .mha import ProjectionSet, WeightScheme, make_weights, mha_estimate
+from .mha import ProjectionSet, WeightScheme, make_weights
 from .nw_attention import AttentionOutput, HeadConfig, attend, attend_many, nw_reference
 from .synthetic import (
     Dataset,
     RegressionTask,
     derive_seed,
-    export_dataset_csv,
     make_task,
     sample_dataset,
     sample_queries,
 )
-from .tensor_core import Matrix, matmul, qr_orthonormalize, singular_values
+from .tensor_core import Matrix, qr_orthonormalize
 
 __all__ = [
     "__version__",
-    "Matrix", "matmul", "qr_orthonormalize", "singular_values",
+    "Matrix", "qr_orthonormalize",
     "RegressionTask", "Dataset", "make_task", "sample_dataset",
-    "sample_queries", "derive_seed", "export_dataset_csv",
+    "sample_queries", "derive_seed",
     "HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference",
-    "ProjectionSet", "WeightScheme", "make_weights", "mha_estimate",
+    "ProjectionSet", "WeightScheme", "make_weights",
     "cross_gram", "principal_angles", "hdi", "make_diversity_report",
     "make_projection_family", "optimize_projections", "load_weight_file",
     "ExperimentPlan", "FamilySpec", "mc_decompose", "theoretical_bias_variance",
-    "check_cov_bound", "hdi_sweep", "weighting_compare",
+    "hdi_sweep", "weighting_compare",
     "enumerate_allocations", "sweep_architectures", "scaling_trend",
 ]

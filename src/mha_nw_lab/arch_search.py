@@ -24,7 +24,7 @@ from .errors import EmptySweep, ShapeMismatch
 from .mha import ProjectionSet, make_weights
 from .nw_attention import HeadConfig
 from .synthetic import RegressionTask, derive_seed
-from .tensor_core import Matrix
+from .tensor_core import Matrix, qr_orthonormalize
 
 __all__ = [
     "ArchRow",
@@ -84,14 +84,6 @@ def _sweep_value_vector(task: RegressionTask) -> np.ndarray:
     return wv / norm
 
 
-def _orthogonal_blocks(task_p: int, D: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(derive_seed(seed, "frame"))
-    q, r = np.linalg.qr(rng.standard_normal((task_p, D)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
-
-
 def _fit_budget_model(dks: np.ndarray, mses: np.ndarray, n: int, D: int):
     """Nonnegative least squares on the two-term budget model."""
     f1 = dks.astype(np.float64) ** -2.0
@@ -143,7 +135,8 @@ def sweep_architectures(
     skipped: list[str] = []
     frame = None
     if D <= task.p:
-        frame = _orthogonal_blocks(task.p, D, seed)
+        rng = np.random.default_rng(derive_seed(seed, "frame"))
+        frame = qr_orthonormalize(rng.standard_normal((task.p, D)))
     for H, d_k in enumerate_allocations(D):
         if H * d_k > task.p:
             skipped.append(

@@ -6,6 +6,8 @@ Every run echoes its effective configuration next to the results, writes a
 flat CSV and a structured JSON report, and finishes with a MANIFEST of
 content hashes, so a run directory is self-describing and reproducible.
 Exit codes: 0 success, 1 usage or data error, 2 scientific-gate failure.
+Numeric config fields and gates are type-checked before anything is
+written; a mistyped or non-finite value exits 1 naming its dotted field.
 
 Concurrent invocations must target distinct output directories; a lock
 file inside the directory enforces this.  ``MHA_NW_LAB_THREADS`` caps the
@@ -18,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,6 +72,45 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+_REQUIRED = object()
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number"}
+
+
+def _checked(value, field: str, kind):
+    """``value`` as ``kind``: bool, int, float (ints accepted, must be finite),
+    or a one-item list such as ``[float]`` for a list of them.  JSON booleans
+    are not numbers; any mismatch raises a ConfigError naming ``field``."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config field {field} must be a list, got {value!r}")
+        return [_checked(v, f"{field}[{i}]", kind[0]) for i, v in enumerate(value)]
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        try:  # also rejects text, null, and integers too large for a float
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            ok = False
+    if not ok:
+        raise ConfigError(f"config field {field} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _read(config: dict, field: str, kind, default=_REQUIRED):
+    """The value at dotted ``field`` (``"task.sigma"``) checked as ``kind``."""
+    *sections, key = field.split(".")
+    section = config
+    for name in sections:
+        section = section.get(name, {})
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing required field: {field}")
+        return default
+    return _checked(section[key], field, kind)
+
+
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
@@ -101,13 +143,14 @@ def load_config(path) -> dict:
 
 def _build_task(config: dict):
     section = _require(config, "task")
-    for key in ("family", "p", "sigma", "input_law"):
+    for key in ("family", "input_law"):
         if key not in section:
             raise ConfigError(f"config missing required field: task.{key}")
     return make_task(
-        family=section["family"], p=int(section["p"]), sigma=float(section["sigma"]),
-        input_law=section["input_law"], param_seed=int(section.get("param_seed", 0)),
-        heteroscedastic=bool(section.get("heteroscedastic", False)),
+        family=section["family"], p=_read(config, "task.p", int),
+        sigma=_read(config, "task.sigma", float), input_law=section["input_law"],
+        param_seed=_read(config, "task.param_seed", int, 0),
+        heteroscedastic=_read(config, "task.heteroscedastic", bool, False),
     )
 
 
@@ -120,25 +163,24 @@ def _build_projection(config: dict, task):
                 f"projection.weight_file excludes other projection keys, got {sorted(extra)}"
             )
         return load_weight_file(section["weight_file"])
-    for key in ("d_k", "H"):
-        if key not in section:
-            raise ConfigError(f"config missing required field: projection.{key}")
-    noise_scales = section.get("noise_scales")
+    noise_scales = _read(config, "projection.noise_scales", [float], None)
     return FamilySpec(
-        p=task.p, d_k=int(section["d_k"]), H=int(section["H"]),
-        mix=float(section.get("mix", 1.0)),
-        query_gain=float(section.get("query_gain", 1.0)),
+        p=task.p, d_k=_read(config, "projection.d_k", int),
+        H=_read(config, "projection.H", int),
+        mix=_read(config, "projection.mix", float, 1.0),
+        query_gain=_read(config, "projection.query_gain", float, 1.0),
         value_mode=section.get("value_mode", "balanced"),
-        noise_scales=tuple(float(s) for s in noise_scales) if noise_scales else None,
+        noise_scales=tuple(noise_scales) if noise_scales else None,
     )
 
 
 def _build_weights(config: dict, H: int):
     section = config.get("weights", {"kind": "uniform"})
     kind = section.get("kind", "uniform")
+    alphas = _read(config, "weights.alphas", [float], None)
     return make_weights(
-        kind, H, rho=section.get("rho"),
-        custom=np.asarray(section["alphas"], dtype=np.float64) if "alphas" in section else None,
+        kind, H, rho=_read(config, "weights.rho", float, None),
+        custom=None if alphas is None else np.asarray(alphas, dtype=np.float64),
     )
 
 
@@ -148,15 +190,15 @@ def _build_plan(config: dict) -> ExperimentPlan:
     weights = _build_weights(config, projection.H)
     return ExperimentPlan(
         task=task, projection=projection, weights=weights,
-        n=int(_require(config, "n")), R=int(_require(config, "R")),
-        Q=int(_require(config, "Q")),
-        master_seed=int(_require(config, "master_seed")),
+        n=_read(config, "n", int), R=_read(config, "R", int), Q=_read(config, "Q", int),
+        master_seed=_read(config, "master_seed", int),
     )
 
 
 def _gates(config: dict) -> dict:
     gates = dict(DEFAULT_GATES)
-    gates.update(config.get("gates", {}))
+    for key in config.get("gates", {}):
+        gates[key] = _read(config, f"gates.{key}", type(DEFAULT_GATES[key]))
     return gates
 
 
@@ -220,8 +262,8 @@ class RunDirectory:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 reprs its scalars as np.float64(...)
     return str(value)
 
 
@@ -375,7 +417,7 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
 def cmd_sweep_hdi(config: dict, out: Path) -> int:
     plan = _build_plan(config)
     gates = _gates(config)
-    mix_grid = _require(config, "mix_grid")
+    mix_grid = _read(config, "mix_grid", [float])
     with RunDirectory(out) as rundir:
         _echo_config(rundir, config)
         result = hdi_sweep(plan, mix_grid)
@@ -413,7 +455,7 @@ def cmd_sweep_hdi(config: dict, out: Path) -> int:
 def cmd_weights_compare(config: dict, out: Path) -> int:
     plan = _build_plan(config)
     gates = _gates(config)
-    rho_grid = _require(config, "rho_grid")
+    rho_grid = _read(config, "rho_grid", [float])
     with RunDirectory(out) as rundir:
         _echo_config(rundir, config)
         result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
@@ -462,18 +504,18 @@ def cmd_weights_compare(config: dict, out: Path) -> int:
 def cmd_sweep_arch(config: dict, out: Path) -> int:
     task = _build_task(config)
     gates = _gates(config)
-    D = int(_require(config, "budget_D"))
-    R = int(_require(config, "R"))
-    Q = int(_require(config, "Q"))
-    seed = int(_require(config, "master_seed"))
-    query_gain = float(config.get("projection", {}).get("query_gain", 9.0))
-    n_grid = config.get("n_grid")
+    D = _read(config, "budget_D", int)
+    R = _read(config, "R", int)
+    Q = _read(config, "Q", int)
+    seed = _read(config, "master_seed", int)
+    query_gain = _read(config, "projection.query_gain", float, 9.0)
+    n_grid = _read(config, "n_grid", [int], None)
+    n = _read(config, "n", int) if n_grid is None else None
     with RunDirectory(out) as rundir:
         _echo_config(rundir, config)
         passed = True
         if n_grid is None:
-            sweep = sweep_architectures(task, D, int(_require(config, "n")), R, Q,
-                                        seed, query_gain=query_gain)
+            sweep = sweep_architectures(task, D, n, R, Q, seed, query_gain=query_gain)
             sweeps = {sweep.n: sweep}
             trend = None
         else:
@@ -531,18 +573,15 @@ def cmd_sweep_arch(config: dict, out: Path) -> int:
 def cmd_optimize_proj(config: dict, out: Path) -> int:
     task = _build_task(config)
     gates = _gates(config)
-    section = config.get("projection", {})
-    for key in ("d_k", "H"):
-        if key not in section:
-            raise ConfigError(f"config missing required field: projection.{key}")
-    opt = config.get("optimizer", {})
-    seed = int(_require(config, "master_seed"))
+    d_k = _read(config, "projection.d_k", int)
+    H = _read(config, "projection.H", int)
+    seed = _read(config, "master_seed", int)
+    steps = _read(config, "optimizer.steps", int, 5000)
+    step_size = _read(config, "optimizer.step_size", float, 1.0)
     with RunDirectory(out) as rundir:
         _echo_config(rundir, config)
         proj, trace = optimize_projections(
-            p=task.p, d_k=int(section["d_k"]), H=int(section["H"]), seed=seed,
-            steps=int(opt.get("steps", 5000)),
-            step_size=float(opt.get("step_size", 1.0)),
+            p=task.p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,
         )
         rundir.write_csv("table.csv", ["step", "objective"],
                          list(enumerate(trace)))

@@ -27,6 +27,11 @@ head once, writing the estimates into every slot that holds the head.
 MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only from
 POOL_MIN_LOGITS logits per call; slots are indexed by replicate, so the
 outputs are bit-identical for every thread count.
+
+Besides the engine and the sweep drivers, the module keeps the
+leading-order ``theoretical_bias_variance`` at one query and
+``bootstrap_stderr``, against which the tests check the influence-function
+standard errors.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .errors import (ConfigError, DensityTooSmall, LabError, NeedsTwoHeads,
 from .mha import ProjectionSet, WeightScheme, make_weights
 from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
-from .tensor_core import Matrix, qr_orthonormalize
+from .tensor_core import Matrix
 
 __all__ = [
     "FamilySpec",
@@ -53,8 +58,6 @@ __all__ = [
     "DecompositionReport",
     "mc_decompose",
     "theoretical_bias_variance",
-    "check_cov_bound",
-    "CovBoundRow",
     "hdi_sweep",
     "HdiSweepResult",
     "weighting_compare",
@@ -384,58 +387,6 @@ def theoretical_bias_variance(task: RegressionTask, head: HeadConfig,
     sigma2 = float(task.noise_sd(query_x)[0] ** 2)
     variance = sigma2 / (n * h**head.d_k * dens)
     return float(bias), float(variance)
-
-
-@dataclass(frozen=True)
-class CovBoundRow:
-    """One pair's covariance against its spectral bound."""
-
-    h: int
-    h2: int
-    abs_cov: float
-    bound: float
-    stderr: float
-    satisfied: bool
-
-
-def check_cov_bound(report: DecompositionReport, proj: ProjectionSet,
-                    task: RegressionTask) -> list[CovBoundRow]:
-    """Per-pair |covariance| against L^2 ||G~||_F^2 / (n h^{d_k} p_K,min).
-
-    Uses the orthonormalized Gram mass (the literal scaled Gram makes the
-    bound's constant depend on the frame normalization) and the minimum
-    projected density over the report's quadrature queries.  A pair is
-    "satisfied" when |C| <= bound + 4 stderr(C); the slack recognises that
-    C is itself a Monte-Carlo estimate.
-    """
-    rows = []
-    h_band = proj.heads[0].bandwidth
-    d_k = proj.d_k
-    for h in range(proj.H):
-        dens_min = np.inf
-        u_h = qr_orthonormalize(proj.heads[h].wk)
-        for q in range(report.Q):
-            dens, _, _ = _projected_density(task, proj.heads[h].wk,
-                                            proj.heads[h].wk.a.T @ report.queries[q])
-            dens_min = min(dens_min, dens)
-        if dens_min < 1e-12:
-            raise DensityTooSmall(
-                f"head {h}: projected density {dens_min:.3e} vanishes on the query set"
-            )
-        for h2 in range(proj.H):
-            if h2 == h:
-                continue
-            u_h2 = qr_orthonormalize(proj.heads[h2].wk)
-            gram = u_h.a.T @ u_h2.a
-            gram_sq = float((gram * gram).sum())
-            bound = float(task.lipschitz_L**2 * gram_sq / (report.n * h_band**d_k * dens_min))
-            abs_cov = float(abs(report.cross_cov[h, h2]))
-            se = float(report.cov_stderr[h, h2])
-            rows.append(CovBoundRow(
-                h=h, h2=h2, abs_cov=abs_cov, bound=bound, stderr=se,
-                satisfied=bool(abs_cov <= bound + 4.0 * se),
-            ))
-    return rows
 
 
 # ---------------------------------------------------------------------------

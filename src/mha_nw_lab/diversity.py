@@ -1,8 +1,10 @@
 """Spectral geometry of head projections.
 
 Pairwise overlap between key-projection subspaces is measured through the
-cross-Gram matrix G = wk_h^T wk_h' / d_k and through principal angles
-computed on orthonormalized bases.  Two diversity indices are exposed:
+cross-Gram matrix G = wk_h^T wk_h' / d_k and through the principal angles
+between Range(wk_h) and Range(wk_h'): the arccos of the singular values of
+U_h^T U_h', with U the sign-fixed QR frame of each wk (Bjorck & Golub, 1973).
+Two diversity indices are exposed:
 
   * ``hdi``            - literal index 1 - mean_pairs ||G||_F^2 (scaled
                          pairwise Gram mass subtracted from one);
@@ -12,7 +14,8 @@ computed on orthonormalized bases.  Two diversity indices are exposed:
 
 The literal index does not reach 0 for identical heads when d_k > 1
 (identical orthonormal frames give ||G||_F^2 = 1/d_k), so reports always
-carry both values.
+carry both values.  ``hdi`` and ``make_diversity_report`` orthonormalize
+each key frame once and form each pair's cross-Gram once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import Infeasible, NeedsTwoHeads, OptimizationStalled, ShapeMismatch, WeightFileError
 from .mha import ProjectionSet
 from .nw_attention import HeadConfig
-from .tensor_core import Matrix, qr_orthonormalize, singular_values
+from .tensor_core import Matrix, qr_orthonormalize
 
 __all__ = [
     "DiversityReport",
@@ -56,42 +59,48 @@ def cross_gram(proj: ProjectionSet, h: int, h2: int) -> Matrix:
     return Matrix((wk_h.T @ wk_h2) / proj.d_k)
 
 
+def _angles(cosine_matrix: np.ndarray) -> np.ndarray:
+    """Ascending principal angles from U_h^T U_h2; clipped, as roundoff can
+    put a singular value just above one."""
+    cosines = np.linalg.svd(cosine_matrix, compute_uv=False)
+    return np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
 def principal_angles(proj: ProjectionSet, h: int, h2: int) -> np.ndarray:
-    """Principal angles between the two key subspaces, ascending, in [0, pi/2].
-
-    Computed as arccos of the singular values of U_h^T U_h2 with U the
-    orthonormalized key frames; raw frames can have singular values above
-    one, which would break arccos.
-    """
+    """Principal angles between the two key subspaces, ascending, in [0, pi/2]."""
     _check_pair(proj, h, h2)
-    u_h = qr_orthonormalize(proj.heads[h].wk)
-    u_h2 = qr_orthonormalize(proj.heads[h2].wk)
-    cosines = singular_values(Matrix(u_h.a.T @ u_h2.a))
-    cosines = np.clip(cosines, -1.0, 1.0)
-    return np.sort(np.arccos(cosines))
+    u_h = qr_orthonormalize(proj.heads[h].wk.a)
+    u_h2 = qr_orthonormalize(proj.heads[h2].wk.a)
+    return _angles(u_h.T @ u_h2)
 
 
-def _orthonormal_gram_sq(proj: ProjectionSet, h: int, h2: int) -> float:
-    u_h = qr_orthonormalize(proj.heads[h].wk).a
-    u_h2 = qr_orthonormalize(proj.heads[h2].wk).a
-    m = u_h.T @ u_h2
-    return float((m * m).sum())
+def _pair_geometry(proj: ProjectionSet, what: str) -> dict:
+    """(h, h2) with h < h2 -> (||G_hh2||_F^2, U_h^T U_h2)."""
+    if proj.H < 2:
+        raise NeedsTwoHeads(f"{what} needs H >= 2 heads, got {proj.H}")
+    frames = [qr_orthonormalize(head.wk.a) for head in proj.heads]
+    pairs = {}
+    for h in range(proj.H):
+        for h2 in range(h + 1, proj.H):
+            g = cross_gram(proj, h, h2).a
+            pairs[(h, h2)] = (float((g * g).sum()), frames[h].T @ frames[h2])
+    return pairs
+
+
+def _indices(pairs: dict, d_k: int) -> tuple[float, float]:
+    literal_mass = 0.0
+    normalized_mass = 0.0
+    for gram_sq, m in pairs.values():
+        literal_mass += gram_sq
+        normalized_mass += float((m * m).sum()) / d_k
+    n_pairs = len(pairs)
+    normalized = min(1.0, max(0.0, 1.0 - normalized_mass / n_pairs))
+    return 1.0 - literal_mass / n_pairs, normalized
 
 
 def hdi(proj: ProjectionSet) -> tuple[float, float]:
     """(literal index, normalized index) for the projection set."""
-    if proj.H < 2:
-        raise NeedsTwoHeads(f"hdi needs H >= 2 heads, got {proj.H}")
-    pairs = [(h, h2) for h in range(proj.H) for h2 in range(h + 1, proj.H)]
-    literal_mass = 0.0
-    normalized_mass = 0.0
-    for h, h2 in pairs:
-        g = cross_gram(proj, h, h2).a
-        literal_mass += float((g * g).sum())
-        normalized_mass += _orthonormal_gram_sq(proj, h, h2) / proj.d_k
-    n_pairs = len(pairs)
-    normalized = min(1.0, max(0.0, 1.0 - normalized_mass / n_pairs))
-    return 1.0 - literal_mass / n_pairs, normalized
+    return _indices(_pair_geometry(proj, "hdi"), proj.d_k)
 
 
 @dataclass(frozen=True)
@@ -105,30 +114,19 @@ class DiversityReport:
 
 
 def make_diversity_report(proj: ProjectionSet) -> DiversityReport:
-    if proj.H < 2:
-        raise NeedsTwoHeads(f"diversity report needs H >= 2 heads, got {proj.H}")
-    H = proj.H
-    gram = np.zeros((H, H))
+    pairs = _pair_geometry(proj, "diversity report")
+    gram = np.zeros((proj.H, proj.H))
     angles = {}
-    for h in range(H):
-        for h2 in range(h + 1, H):
-            g = cross_gram(proj, h, h2).a
-            gram[h, h2] = gram[h2, h] = float((g * g).sum())
-            angles[(h, h2)] = principal_angles(proj, h, h2)
-    literal, normalized = hdi(proj)
+    for (h, h2), (gram_sq, m) in pairs.items():
+        gram[h, h2] = gram[h2, h] = gram_sq
+        angles[(h, h2)] = _angles(m)
+    literal, normalized = _indices(pairs, proj.d_k)
     return DiversityReport(gram_frobsq=gram, principal_angles=angles,
                            hdi=literal, hdi_normalized=normalized)
 
 
 # ---------------------------------------------------------------------------
 # constructive projection families
-
-
-def _random_orthonormal(p: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((p, cols)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
 
 
 def derive_child(seed: int) -> int:
@@ -182,14 +180,14 @@ def make_projection_family(
             )
         if noise_scales is not None:
             raise Infeasible("noise_scales needs spare dimensions, but H*d_k > p")
-        shared = _random_orthonormal(p, d_k, rng)
+        shared = qr_orthonormalize(rng.standard_normal((p, d_k)))
         if wv is None:
             wv = rng.standard_normal(p)
             wv /= np.linalg.norm(wv)
         head = HeadConfig(wq=Matrix(query_gain * shared), wk=Matrix(shared), wv=wv)
         return ProjectionSet(heads=(head,) * H)
 
-    frame = _random_orthonormal(p, H * d_k, rng)
+    frame = qr_orthonormalize(rng.standard_normal((p, H * d_k)))
     blocks = [frame[:, h * d_k:(h + 1) * d_k] for h in range(H)]
     shared = sum(blocks) / np.sqrt(H)
     if wv is None:
@@ -207,20 +205,16 @@ def make_projection_family(
             )
         # spare directions: orthonormal complement of the key frame
         residual = np.eye(p) - frame @ frame.T
-        spare = _random_orthonormal(p, H, np.random.default_rng(derive_child(seed)))
-        spare = residual @ spare
-        q, r = np.linalg.qr(spare)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        spare = q * signs
+        draw = np.random.default_rng(derive_child(seed)).standard_normal((p, H))
+        spare = qr_orthonormalize(residual @ qr_orthonormalize(draw))
         extras = [float(noise_scales[h]) * spare[:, h] for h in range(H)]
 
     heads = []
     for h in range(H):
         blend = (1.0 - mix) * shared + mix * blocks[h]
-        wk = qr_orthonormalize(Matrix(blend))
+        wk = qr_orthonormalize(blend)
         heads.append(
-            HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv + extras[h])
+            HeadConfig(wq=Matrix(query_gain * wk), wk=Matrix(wk), wv=wv + extras[h])
         )
     return ProjectionSet(heads=tuple(heads))
 
@@ -322,7 +316,7 @@ def optimize_projections(
     heads = tuple(
         HeadConfig(wq=Matrix(w), wk=Matrix(w), wv=wv) for w in wks
     )
-    return ProjectionSet(heads=heads, normalized=True), trace
+    return ProjectionSet(heads=heads), trace
 
 
 # ---------------------------------------------------------------------------

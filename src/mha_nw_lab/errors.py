@@ -26,14 +26,6 @@ class RankDeficient(LabError):
         self.detected_rank = detected_rank
 
 
-class NumericalFailure(LabError):
-    """An iterative routine failed to converge; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 class UnsupportedFamily(LabError):
     """Unknown regression-function family name."""
 

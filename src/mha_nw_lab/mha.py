@@ -1,7 +1,8 @@
 """Multi-head attention as a weighted ensemble of single-head regressors.
 
 The ensemble output is sum_h alpha_h m_h(x) with positive weights summing
-to one.  Weight schemes: uniform, geometric alpha_h ~ rho^(h-1), Fibonacci
+to one; ``decomposition`` forms it over the Monte-Carlo head tensor.
+Weight schemes: uniform, geometric alpha_h ~ rho^(h-1), Fibonacci
 alpha_h ~ F_h (F_1 = F_2 = 1), or a validated custom vector.
 """
 
@@ -12,24 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .nw_attention import HeadConfig, attend_many
-from .synthetic import Dataset
+from .nw_attention import HeadConfig
 
-__all__ = ["ProjectionSet", "WeightScheme", "make_weights", "mha_estimate"]
+__all__ = ["ProjectionSet", "WeightScheme", "make_weights"]
 
 _WEIGHT_KINDS = ("uniform", "geometric", "fibonacci", "custom")
 
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Heads of one multi-head ensemble, all sharing (p, d_k).
-
-    With ``normalized`` set, every key projection is checked to have unit
-    Frobenius norm (the constraint used by the projection optimizer).
-    """
+    """Heads of one multi-head ensemble, all sharing (p, d_k)."""
 
     heads: tuple[HeadConfig, ...]
-    normalized: bool = False
 
     def __post_init__(self):
         if len(self.heads) < 1:
@@ -42,13 +37,6 @@ class ProjectionSet:
                     f"ProjectionSet: head {i} has shape {head.p}x{head.d_k}, "
                     f"expected {p}x{d_k}"
                 )
-        if self.normalized:
-            for i, head in enumerate(self.heads):
-                norm = head.wk.frobenius()
-                if abs(norm - 1.0) > 1e-9:
-                    raise ShapeMismatch(
-                        f"ProjectionSet(normalized): head {i} has ||wk||_F = {norm!r}"
-                    )
 
     @property
     def H(self) -> int:
@@ -127,16 +115,3 @@ def make_weights(kind: str, H: int, rho: float | None = None,
     alphas = raw / raw.sum()
     return WeightScheme(kind=kind, alphas=alphas, rho=float(rho) if kind == "geometric" else None)
 
-
-def mha_estimate(proj: ProjectionSet, weights: WeightScheme,
-                 query_x: np.ndarray, data: Dataset) -> float:
-    """Weighted ensemble estimate at one query point."""
-    if weights.H != proj.H:
-        raise ShapeMismatch(
-            f"mha_estimate: {weights.H} weights for {proj.H} heads"
-        )
-    query_x = np.asarray(query_x, dtype=np.float64).reshape(1, -1)
-    head_estimates = np.array(
-        [attend_many(head, query_x, data)[0][0] for head in proj.heads]
-    )
-    return float(weights.alphas @ head_estimates)

@@ -13,7 +13,6 @@ while remaining bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 
@@ -30,7 +29,6 @@ __all__ = [
     "make_task",
     "sample_dataset",
     "sample_queries",
-    "export_dataset_csv",
 ]
 
 FAMILIES = ("linear", "quadratic", "sine_mixture", "radial")
@@ -291,15 +289,3 @@ def sample_queries(task: RegressionTask, q: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(int(seed))
     return _sample_law(task.input_law, q, task.p, rng)
 
-
-def export_dataset_csv(dataset: Dataset, path) -> None:
-    """Write the dataset as CSV with header x_1..x_p, y, epsilon."""
-    header = [f"x_{i + 1}" for i in range(dataset.p)] + ["y", "epsilon"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(v)) for v in dataset.xs[i]]
-                + [repr(float(dataset.ys[i])), repr(float(dataset.eps[i]))]
-            )

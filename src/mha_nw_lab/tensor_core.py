@@ -1,11 +1,10 @@
-"""Minimal dense linear algebra substrate.
+"""The lab's matrix value type and its one QR factorisation.
 
-Conventions:
-  * every matrix is float64, row-major, immutable after construction;
-  * shapes are checked on every public operation so a transposed operand
-    fails loudly instead of silently producing garbage;
-  * sizes are desk scale (p <= 256, d_k <= 64), so the singular value
-    routine favours robustness (one-sided Jacobi) over speed.
+``Matrix`` is a validated float64 2-D array, immutable after construction;
+heads hold their projections as ``Matrix`` so a malformed or non-finite
+frame fails where it is built.  ``qr_orthonormalize`` is the sign-fixed
+QR that every orthonormal frame in the lab comes from: random frames,
+projection families, spare value directions and the principal-angle bases.
 """
 
 from __future__ import annotations
@@ -14,21 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, RankDeficient, ShapeMismatch
+from .errors import RankDeficient, ShapeMismatch
 
-__all__ = [
-    "Matrix",
-    "matmul",
-    "qr_factor",
-    "qr_orthonormalize",
-    "singular_values",
-]
+__all__ = ["Matrix", "qr_orthonormalize"]
 
 #: relative threshold on R's diagonal below which a column is rank deficient
 RANK_TOL = 1e-12
-#: one-sided Jacobi: off-diagonal tolerance and sweep cap
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,114 +50,30 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    @classmethod
-    def from_rows(cls, rows) -> "Matrix":
-        return cls(np.asarray(rows, dtype=np.float64))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.a))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.a.T)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalFailure(f"{op} produced non-finite entries", residual=float("nan"))
-    return arr
+def qr_orthonormalize(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q of Range(a) from the reduced QR a = QR, diag(R) >= 0.
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with explicit conformance checking."""
-    if a.cols != b.rows:
-        raise ShapeMismatch(
-            f"matmul: inner dimensions differ, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    return Matrix(_check_finite(a.a @ b.a, "matmul"))
-
-
-def qr_factor(a: Matrix) -> tuple[Matrix, Matrix]:
-    """Reduced QR factorisation with the positive-diagonal sign convention.
-
-    Returns (Q, R) with Q rows x cols orthonormal-column and R upper
-    triangular, R[i, i] >= 0.  The sign convention makes the factorisation
-    unique for full-rank input, so an already-orthonormal matrix maps to
-    itself (up to roundoff) rather than to a sign-flipped copy.
+    The sign convention makes the factorisation unique for full-rank input,
+    so an already-orthonormal matrix maps to itself (up to roundoff) rather
+    than to a sign-flipped copy.  Raises RankDeficient, carrying the detected
+    rank, when a diagonal entry of R falls below RANK_TOL times the largest.
     """
-    if a.rows < a.cols:
-        raise ShapeMismatch(f"qr_factor requires rows >= cols, got {a.rows}x{a.cols}")
-    q, r = np.linalg.qr(a.a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    q = q * signs
-    r = r * signs[:, None]
-    diag = np.abs(np.diag(r))
-    threshold = RANK_TOL * max(diag.max(), np.finfo(np.float64).tiny)
-    detected = int(np.sum(diag > threshold))
-    if detected < a.cols:
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ShapeMismatch(f"qr_orthonormalize requires rows >= cols, got shape {a.shape}")
+    q, r = np.linalg.qr(a)
+    diag = np.diag(r)
+    magnitude = np.abs(diag)
+    threshold = RANK_TOL * max(magnitude.max(), np.finfo(np.float64).tiny)
+    detected = int(np.sum(magnitude > threshold))
+    if detected < a.shape[1]:
         raise RankDeficient(
-            f"qr_factor: rank {detected} < {a.cols} columns (diagonal floor {threshold:.3e})",
+            f"qr_orthonormalize: rank {detected} < {a.shape[1]} columns "
+            f"(diagonal floor {threshold:.3e})",
             detected_rank=detected,
         )
-    return Matrix(q), Matrix(r)
-
-
-def qr_orthonormalize(a: Matrix) -> Matrix:
-    """Orthonormal basis Q for Range(a); raises RankDeficient if rank < cols."""
-    q, _ = qr_factor(a)
-    return q
-
-
-def _jacobi_singular_values(b: np.ndarray) -> np.ndarray:
-    """One-sided Jacobi on the columns of b (rows >= cols).
-
-    Rotates column pairs until all pairwise inner products are negligible;
-    the singular values are then the column norms.
-    """
-    b = b.copy()
-    m, n = b.shape
-    if n == 1:
-        return np.array([np.linalg.norm(b[:, 0])])
-    off = 0.0
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                alpha = float(b[:, i] @ b[:, i])
-                beta = float(b[:, j] @ b[:, j])
-                gamma = float(b[:, i] @ b[:, j])
-                scale = np.sqrt(alpha * beta)
-                if scale <= 0.0 or abs(gamma) <= JACOBI_TOL * scale:
-                    continue
-                off = max(off, abs(gamma) / scale)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bi = b[:, i].copy()
-                b[:, i] = c * bi - s * b[:, j]
-                b[:, j] = s * bi + c * b[:, j]
-        if off == 0.0:
-            return np.linalg.norm(b, axis=0)
-    raise NumericalFailure(
-        f"singular_values: one-sided Jacobi did not converge in "
-        f"{JACOBI_MAX_SWEEPS} sweeps",
-        residual=off,
-    )
-
-
-def singular_values(a: Matrix) -> np.ndarray:
-    """Singular values of a, descending, length min(rows, cols)."""
-    b = a.a if a.rows >= a.cols else a.a.T
-    sv = _jacobi_singular_values(np.array(b, dtype=np.float64))
-    sv = np.sort(sv)[::-1]
-    return _check_finite(np.maximum(sv, 0.0), "singular_values")
+    return q * np.where(diag < 0.0, -1.0, 1.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -79,6 +80,24 @@ class TestConfigValidation:
         hdi = ["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json")]
         assert cli.main(hdi) == 1
         assert "MHA_NW_LAB_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, edit", [
+        ("n", lambda c: c.update(n="abc")),
+        ("gates.residual_sigma", lambda c: c.update(gates={"residual_sigma": "4"})),
+        ("R", lambda c: c.update(R=2.9)),
+        ("task.sigma", lambda c: c["task"].update(sigma=float("nan"))),
+        ("task.sigma", lambda c: c["task"].update(sigma=10**400)),
+        ("projection.noise_scales[1]",
+         lambda c: c["projection"].update(noise_scales=[0.0, "1", 2.0, 3.0])),
+    ], ids=["n-text", "gate-text", "R-fraction", "sigma-nan", "sigma-huge-int",
+            "noise-scale-text"])
+    def test_mistyped_field_named_before_any_output(self, tmp_path, capsys, field, edit):
+        config = small_decompose_config(tmp_path / "out")
+        edit(config)
+        path = write_config(tmp_path, config)
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        assert f"config field {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_output_dir(self, tmp_path, capsys):
         config = small_decompose_config(tmp_path / "out")
@@ -188,6 +207,23 @@ class TestDecomposeCommand:
         path = write_config(tmp_path, config)
         assert cli.main(["sweep-hdi", "--config", str(path)]) == 2
         assert (out / "report.json").exists()
+
+
+class TestTableCells:
+    def test_numeric_cells_parse_as_floats(self, tmp_path):
+        dec, hdi = tmp_path / "dec", tmp_path / "hdi"
+        assert cli.main(["decompose", "--config",
+                         str(write_config(tmp_path, small_decompose_config(dec)))]) == 0
+        assert cli.main(["hdi", "--weights", str(FIXTURES / "weights_identical.json"),
+                         "--out", str(hdi)]) == 0
+        for table in (dec / "table.csv", hdi / "table.csv"):
+            with open(table, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                for column, cell in row.items():
+                    if column != "record" and cell:
+                        float(cell)
 
 
 class TestHdiCommand:
@@ -311,6 +347,11 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "mha-nw-lab" in proc.stdout
+
+    def test_every_exported_name_resolves(self):
+        import mha_nw_lab
+
+        assert [n for n in mha_nw_lab.__all__ if not hasattr(mha_nw_lab, n)] == []
 
     def test_help_lists_subcommands(self):
         proc = subprocess.run(

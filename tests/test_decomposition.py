@@ -9,7 +9,6 @@ from mha_nw_lab.decomposition import (
     FamilySpec,
     _head_tensor,
     bootstrap_stderr,
-    check_cov_bound,
     hdi_sweep,
     mc_decompose,
     spearman,
@@ -18,7 +17,7 @@ from mha_nw_lab.decomposition import (
 )
 from mha_nw_lab.errors import LabError, NeedsTwoHeads, ShapeMismatch
 from mha_nw_lab.mha import make_weights
-from mha_nw_lab.nw_attention import HeadConfig, attend_many
+from mha_nw_lab.nw_attention import HeadConfig, attend, attend_many
 from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
 from mha_nw_lab.tensor_core import Matrix
 
@@ -252,6 +251,14 @@ class TestReplicateEngine:
         for h in range(1, 4):
             np.testing.assert_array_equal(E[:, h], E[:, 0])
 
+    def test_estimates_equal_single_query_attend(self, quad_task):
+        heads = self.head_sets(quad_task)[1]
+        [(E, queries, _)] = _head_tensor(quad_task, [heads], 60, 3, 4, 21)
+        for r in range(3):
+            data = sample_dataset(quad_task, 60, derive_seed(21, "data", r))
+            single = [[attend(head, x, data).estimate for x in queries] for head in heads]
+            np.testing.assert_allclose(E[r], single, rtol=1e-12, atol=1e-15)
+
     def test_failure_names_the_head_inside_its_set(self, quad_task):
         from mha_nw_lab.errors import ReplicateFailure
 
@@ -384,35 +391,6 @@ class TestTheoreticalBiasVariance:
         head = HeadConfig(wq=Matrix(u), wk=Matrix(u), wv=np.zeros(4))
         with pytest.raises(DensityTooSmall):
             theoretical_bias_variance(task, head, np.full(4, 40.0), 500)
-
-
-class TestCovBound:
-    def test_orthogonal_pair_bound_zero_and_satisfied(self, quad_task, orth_report):
-        plan, report = orth_report
-        proj = plan.resolve_projection()
-        rows = check_cov_bound(report, proj, quad_task)
-        for row in rows:
-            assert row.bound <= 1e-20
-            assert row.satisfied
-
-    def test_bound_monotone_in_gram_mass(self, quad_task):
-        bounds = []
-        for mix in (0.0, 0.5, 1.0):
-            plan = quick_plan(quad_task, H=2, mix=mix, n=200, R=60, Q=12, master=5,
-                              weights=make_weights("uniform", 2))
-            proj = plan.resolve_projection()
-            report = mc_decompose(plan, proj=proj)
-            rows = check_cov_bound(report, proj, quad_task)
-            bounds.append(rows[0].bound)
-        assert bounds[0] > bounds[1] > bounds[2]
-
-    def test_identical_heads_reported_not_asserted(self, quad_task):
-        plan = quick_plan(quad_task, H=2, mix=0.0, n=200, R=60, Q=12, master=5,
-                          weights=make_weights("uniform", 2))
-        proj = plan.resolve_projection()
-        report = mc_decompose(plan, proj=proj)
-        rows = check_cov_bound(report, proj, quad_task)
-        assert all(isinstance(row.satisfied, bool) for row in rows)
 
 
 class TestHdiSweep:

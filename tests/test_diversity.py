@@ -106,6 +106,36 @@ class TestPrincipalAngles:
             mass = float(((u0.T @ u1) ** 2).sum())
             assert np.sum(np.cos(angles) ** 2) == pytest.approx(mass, abs=1e-8)
 
+    @staticmethod
+    def eigvalsh_oracle(w0, w1):
+        # cos(theta_j)^2 are the eigenvalues of M^T M, M = U_h^T U_h' (Bjorck & Golub)
+        m = np.linalg.qr(w0)[0].T @ np.linalg.qr(w1)[0]
+        cos2 = np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, 1.0)
+        return np.sort(np.arccos(np.sqrt(cos2)))
+
+    def test_against_eigvalsh_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            w0, w1 = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+            angles = principal_angles(set_from_wks([w0, w1]), 0, 1)
+            np.testing.assert_allclose(angles, self.eigvalsh_oracle(w0, w1), rtol=0, atol=3e-8)
+
+    def test_hard_conditioning_cases(self):
+        # nearly aligned, badly column-scaled and Hilbert-like frames
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((8, 3))
+        hilbert = np.array([[1.0 / (i + j + 1) for j in range(3)] for i in range(8)])
+        pairs = [
+            (base, base + 1e-6 * rng.standard_normal((8, 3))),
+            (base, base @ np.diag([1e-4, 1.0, 1e4])),
+            (hilbert, base),
+            (hilbert, hilbert + 1e-7 * base),
+        ]
+        for w0, w1 in pairs:
+            angles = principal_angles(set_from_wks([w0, w1]), 0, 1)
+            # angles near 0 are known to ~sqrt(eps) from either cosine route
+            np.testing.assert_allclose(angles, self.eigvalsh_oracle(w0, w1), rtol=0, atol=3e-8)
+
 
 class TestHdi:
     def test_needs_two_heads(self):
@@ -157,6 +187,17 @@ class TestHdi:
         assert report.gram_frobsq[0, 0] == 0.0
         assert (0, 1) in report.principal_angles
         assert report.hdi == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_bit_equal_to_pairwise_functions(self):
+        rng = np.random.default_rng(26)
+        proj = set_from_wks([rng.standard_normal((9, 2)) for _ in range(4)])
+        report = make_diversity_report(proj)
+        assert (report.hdi, report.hdi_normalized) == hdi(proj)
+        for (h, h2), angles in report.principal_angles.items():
+            np.testing.assert_array_equal(angles, principal_angles(proj, h, h2))
+            g = cross_gram(proj, h, h2).a
+            assert report.gram_frobsq[h, h2] == float((g * g).sum())
+        assert len(report.principal_angles) == 6
 
 
 class TestProjectionFamily:
@@ -256,11 +297,20 @@ class TestOptimizer:
         for seed in range(10):
             proj, trace = optimize_projections(8, 2, 4, seed=seed)
             assert trace[-1] <= 1e-8
-            assert proj.normalized
+            for head in proj.heads:
+                assert np.linalg.norm(head.wk.a) == pytest.approx(1.0, abs=1e-12)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
             optimize_projections(4, 2, 4, seed=0)
+
+    def test_unnormalized_start_returns_unit_frobenius_heads(self):
+        rng = np.random.default_rng(2)
+        wks = [scale * rng.standard_normal((8, 2)) for scale in (3.0, 0.2, 1.0, 50.0)]
+        proj, _ = optimize_projections(8, 2, 4, seed=0, initial=set_from_wks(wks))
+        for head in proj.heads:
+            assert np.linalg.norm(head.wk.a) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_array_equal(head.wq.a, head.wk.a)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(99)

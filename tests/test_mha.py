@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mha_nw_lab.errors import ShapeMismatch
-from mha_nw_lab.mha import ProjectionSet, make_weights, mha_estimate
-from mha_nw_lab.nw_attention import HeadConfig, attend
-from mha_nw_lab.synthetic import Dataset
+from mha_nw_lab.mha import ProjectionSet, make_weights
+from mha_nw_lab.nw_attention import HeadConfig
 from mha_nw_lab.tensor_core import Matrix
 
 
@@ -14,24 +13,10 @@ def head(p, d_k, seed):
     return HeadConfig(wq=wk, wk=wk, wv=rng.standard_normal(p))
 
 
-def data_of(xs):
-    xs = np.asarray(xs, dtype=np.float64)
-    return Dataset(xs=xs, ys=np.zeros(len(xs)), eps=np.zeros(len(xs)), seed=0, task_id="t")
-
-
 class TestProjectionSet:
     def test_requires_uniform_shapes(self):
         with pytest.raises(ShapeMismatch):
             ProjectionSet(heads=(head(3, 2, 0), head(3, 1, 1)))
-
-    def test_normalized_flag_checks_frobenius(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal((4, 2))
-        w /= np.linalg.norm(w)
-        good = HeadConfig(wq=Matrix(w), wk=Matrix(w), wv=np.zeros(4))
-        ProjectionSet(heads=(good, good), normalized=True)
-        with pytest.raises(ShapeMismatch):
-            ProjectionSet(heads=(head(4, 2, 3), head(4, 2, 4)), normalized=True)
 
     def test_budget(self):
         proj = ProjectionSet(heads=(head(6, 2, 0), head(6, 2, 1), head(6, 2, 2)))
@@ -80,56 +65,3 @@ class TestMakeWeights:
                 assert np.all(scheme.alphas > 0)
                 assert abs(scheme.alphas.sum() - 1.0) <= 1e-12
 
-
-class TestMhaEstimate:
-    def setup_method(self):
-        rng = np.random.default_rng(42)
-        self.xs = rng.standard_normal((25, 4))
-        self.data = data_of(self.xs)
-        self.x = rng.standard_normal(4)
-
-    def test_single_head_equals_attend(self):
-        h = head(4, 2, 7)
-        proj = ProjectionSet(heads=(h,))
-        for kind in ("uniform", "fibonacci"):
-            est = mha_estimate(proj, make_weights(kind, 1), self.x, self.data)
-            assert est == pytest.approx(attend(h, self.x, self.data).estimate)
-
-    def test_identical_heads_equal_single_head(self):
-        h = head(4, 2, 8)
-        proj = ProjectionSet(heads=(h,) * 4)
-        est = mha_estimate(proj, make_weights("uniform", 4), self.x, self.data)
-        single = attend(h, self.x, self.data).estimate
-        assert est == pytest.approx(single, rel=1e-14)
-
-    def test_two_head_composition_oracle(self):
-        h1, h2 = head(4, 2, 9), head(4, 2, 10)
-        proj = ProjectionSet(heads=(h1, h2))
-        scheme = make_weights("geometric", 2, rho=0.5)
-        est = mha_estimate(proj, scheme, self.x, self.data)
-        by_hand = (scheme.alphas[0] * attend(h1, self.x, self.data).estimate
-                   + scheme.alphas[1] * attend(h2, self.x, self.data).estimate)
-        assert est == pytest.approx(by_hand, rel=1e-14)
-
-    def test_weight_head_count_mismatch(self):
-        proj = ProjectionSet(heads=(head(4, 2, 1), head(4, 2, 2)))
-        with pytest.raises(ShapeMismatch):
-            mha_estimate(proj, make_weights("uniform", 3), self.x, self.data)
-
-    def test_ensemble_within_head_range(self):
-        heads = tuple(head(4, 2, s) for s in range(5))
-        proj = ProjectionSet(heads=heads)
-        ests = [attend(h, self.x, self.data).estimate for h in heads]
-        out = mha_estimate(proj, make_weights("fibonacci", 5), self.x, self.data)
-        assert min(ests) - 1e-12 <= out <= max(ests) + 1e-12
-
-    def test_permutation_consistency(self):
-        heads = [head(4, 2, s) for s in range(4)]
-        alphas = np.array([0.1, 0.2, 0.3, 0.4])
-        est = mha_estimate(ProjectionSet(heads=tuple(heads)),
-                           make_weights("custom", 4, custom=alphas), self.x, self.data)
-        perm = [2, 0, 3, 1]
-        est_p = mha_estimate(ProjectionSet(heads=tuple(heads[i] for i in perm)),
-                             make_weights("custom", 4, custom=alphas[perm]),
-                             self.x, self.data)
-        assert est_p == pytest.approx(est, rel=1e-14)

@@ -60,8 +60,8 @@ class TestAttend:
 
     def test_three_point_hand_instance(self):
         # p = 2, d_k = 1, explicit numbers, verified by a separate softmax
-        wq = Matrix.from_rows([[1.0], [0.0]])
-        wk = Matrix.from_rows([[0.0], [1.0]])
+        wq = Matrix([[1.0], [0.0]])
+        wk = Matrix([[0.0], [1.0]])
         wv = np.array([2.0, -1.0])
         head = HeadConfig(wq=wq, wk=wk, wv=wv)
         xs = np.array([[1.0, 0.5], [0.0, -1.0], [2.0, 2.0]])
@@ -94,8 +94,8 @@ class TestAttend:
             assert values.min() - 1e-12 * span <= out.estimate <= values.max() + 1e-12 * span
 
     def test_extreme_logits_are_stabilized(self):
-        head = HeadConfig(wq=Matrix.from_rows([[1000.0]]),
-                          wk=Matrix.from_rows([[1.0]]), wv=np.array([1.0]))
+        head = HeadConfig(wq=Matrix([[1000.0]]),
+                          wk=Matrix([[1.0]]), wv=np.array([1.0]))
         data = make_data([[-1.0], [0.0], [1.0]])
         out = attend(head, np.array([1.0]), data)
         assert np.all(np.isfinite(out.weights))

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,6 @@ from mha_nw_lab.errors import ShapeMismatch, UnsupportedFamily
 from mha_nw_lab.synthetic import (
     FAMILIES,
     derive_seed,
-    export_dataset_csv,
     make_task,
     sample_dataset,
     sample_queries,
@@ -167,17 +164,3 @@ class TestSkeleton:
         task = make_task("sine_mixture", 3, 1.0, "uniform")
         np.testing.assert_array_equal(task.linear_skeleton(), task.linear_skeleton())
 
-
-def test_csv_export_round_trip(tmp_path):
-    task = make_task("linear", 2, 1.0, "uniform")
-    data = sample_dataset(task, 5, seed=3)
-    path = tmp_path / "data.csv"
-    export_dataset_csv(data, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x_1", "x_2", "y", "epsilon"]
-    assert len(rows) == 6
-    back = np.array([[float(v) for v in row] for row in rows[1:]])
-    np.testing.assert_array_equal(back[:, :2], data.xs)
-    np.testing.assert_array_equal(back[:, 2], data.ys)
-    np.testing.assert_array_equal(back[:, 3], data.eps)
