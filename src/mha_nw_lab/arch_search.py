@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import DecompositionReport, ExperimentPlan, _head_tensor, _point_report
+from .decomposition import ExperimentPlan, _head_tensor, _point_report
 from .errors import EmptySweep, ShapeMismatch
 from .mha import ProjectionSet, make_weights
 from .nw_attention import HeadConfig
@@ -56,8 +56,6 @@ class ArchRow:
 
 @dataclass(frozen=True)
 class ArchSweepResult:
-    budget: int
-    n: int
     rows: list[ArchRow]
     skipped: list[str]
     argmin_H: int
@@ -66,8 +64,6 @@ class ArchSweepResult:
     c2: float
     fit_residual: float
     flat: bool
-    smoothness_annotation: float | None = None
-    reports: dict | None = None
 
 
 def _sweep_value_vector(task: RegressionTask) -> np.ndarray:
@@ -120,7 +116,6 @@ def sweep_architectures(
     Q: int,
     seed: int,
     query_gain: float = 9.0,
-    keep_reports: bool = False,
 ) -> ArchSweepResult:
     """Evaluate every divisor allocation of the budget D under shared seeds.
 
@@ -158,7 +153,6 @@ def sweep_architectures(
         )
     tensors = _head_tensor(task, [plan.projection.heads for plan in plans], n, R, Q, seed)
     rows: list[ArchRow] = []
-    reports: dict[int, DecompositionReport] = {}
     for plan, tensor in zip(plans, tensors):
         report = _point_report(plan, plan.projection, *tensor)
         rows.append(ArchRow(
@@ -168,8 +162,6 @@ def sweep_architectures(
             var_term=report.variance_term,
             cov_term=report.covariance_term,
         ))
-        if keep_reports:
-            reports[plan.projection.d_k] = report
 
     best = rows[0]
     for row in rows[1:]:
@@ -181,16 +173,14 @@ def sweep_architectures(
         np.array([row.d_k for row in rows]), mses, n, D
     )
     return ArchSweepResult(
-        budget=D, n=n, rows=rows, skipped=skipped,
+        rows=rows, skipped=skipped,
         argmin_H=best.H, argmin_dk=best.d_k,
         c1=c1, c2=c2, fit_residual=fit_residual, flat=flat,
-        reports=reports if keep_reports else None,
     )
 
 
 @dataclass(frozen=True)
 class ScalingTrendResult:
-    budget: int
     rows: list[tuple[int, int, int, bool]]   # (n, d_k*, H*, flat)
     nondecreasing: bool
     sublinear: bool
@@ -233,6 +223,6 @@ def scaling_trend(
     design = np.stack([np.ones_like(ns), np.log(ns)], axis=1)
     coef, *_ = np.linalg.lstsq(design, dks, rcond=None)
     return ScalingTrendResult(
-        budget=D, rows=rows, nondecreasing=nondecreasing,
+        rows=rows, nondecreasing=nondecreasing,
         sublinear=sublinear, log_slope=float(coef[1]), sweeps=sweeps,
     )

@@ -2,15 +2,15 @@
 
 Usage: ``mha-nw-lab <subcommand> --config <path> [--seed N] [--out DIR]``.
 
-Every run echoes its effective configuration next to the results, writes a
-flat CSV and a structured JSON report, and finishes with a MANIFEST of
-content hashes, so a run directory is self-describing and reproducible.
-Exit codes: 0 success, 1 usage or data error, 2 scientific-gate failure.
-Numeric config fields and gates are type-checked before anything is
-written; a mistyped or non-finite value exits 1 naming its dotted field.
+Each subcommand reads its config fields, computes, then hands the results
+to ``_publish``, which writes the echoed config, a flat CSV, a JSON report
+and a MANIFEST of content hashes; nothing is written before the results
+exist.  Exit codes: 0 success, 1 usage or data error, 2 scientific-gate
+failure.  The fields a subcommand reads are its schema: each is type-checked,
+and any other field exits 1, named, before any Monte-Carlo work.
 
 Concurrent invocations must target distinct output directories; a lock
-file inside the directory enforces this.  ``MHA_NW_LAB_THREADS`` caps the
+file inside the directory guards the write phase.  ``MHA_NW_LAB_THREADS`` caps the
 replicate-level worker pool (0 = auto) and must be a nonnegative integer.
 """
 
@@ -55,37 +55,20 @@ DEFAULT_GATES = {
 #: float-noise floor used when a gate compares against a vanishing stderr
 RESIDUAL_FLOOR = 1e-12
 
-_TASK_KEYS = {"family", "p", "sigma", "input_law", "param_seed", "heteroscedastic"}
-_PROJ_KEYS = {"d_k", "H", "mix", "query_gain", "value_mode", "noise_scales", "weight_file"}
-_WEIGHT_KEYS = {"kind", "rho", "alphas"}
-_TOP_KEYS = {
-    "version", "task", "projection", "weights", "n", "R", "Q", "master_seed",
-    "output_dir", "mix_grid", "rho_grid", "budget_D", "n_grid", "optimizer",
-    "gates",
-}
-_OPT_KEYS = {"steps", "step_size"}
-
-
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config missing required field: {key}")
-    return config[key]
-
-
 _REQUIRED = object()
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number"}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _checked(value, field: str, kind):
-    """``value`` as ``kind``: bool, int, float (ints accepted, must be finite),
-    or a one-item list such as ``[float]`` for a list of them.  JSON booleans
-    are not numbers; any mismatch raises a ConfigError naming ``field``."""
+    """``value`` as ``kind``: bool, int, str, float (ints accepted, must be
+    finite), or a one-item list such as ``[float]`` for a list of them.  JSON
+    booleans are not numbers; any mismatch raises a ConfigError naming ``field``."""
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"config field {field} must be a list, got {value!r}")
         return [_checked(v, f"{field}[{i}]", kind[0]) for i, v in enumerate(value)]
-    if kind is bool:
-        ok = isinstance(value, bool)
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
@@ -98,26 +81,52 @@ def _checked(value, field: str, kind):
     return kind(value)
 
 
-def _read(config: dict, field: str, kind, default=_REQUIRED):
-    """The value at dotted ``field`` (``"task.sigma"``) checked as ``kind``."""
-    *sections, key = field.split(".")
-    section = config
-    for name in sections:
-        section = section.get(name, {})
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"config missing required field: {field}")
-        return default
-    return _checked(section[key], field, kind)
+class Config(dict):
+    """A parsed config that records each dotted field a subcommand reads.
+
+    The reads are the schema: ``reject_unread`` names every field that no
+    read asked for.  As a ``dict`` it echoes to ``config.json`` unchanged.
+    """
+
+    def __init__(self, data: dict):
+        super().__init__(data)
+        self.fields_read: set[str] = set()
+
+    def read(self, field: str, kind, default=_REQUIRED):
+        """The value at dotted ``field`` (``"task.sigma"``) checked as ``kind``."""
+        *sections, key = field.split(".")
+        section, where = self, ""
+        for name in sections:
+            where = f"{where}.{name}" if where else name
+            section = section.get(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {where} must be an object")
+            self.fields_read.add(where)
+        self.fields_read.add(field)
+        if key in section:
+            return _checked(section[key], field, kind)
+        if default is not _REQUIRED:
+            return default
+        # list what the section does set, such as a key no subcommand reads
+        has = f" ({where} has {sorted(section)})" if where and section else ""
+        raise ConfigError(f"config missing required field: {field}{has}")
+
+    def reject_unread(self) -> None:
+        """Raise a ConfigError naming every field no read asked for."""
+        def unread(section: dict, prefix: str):
+            for key, value in section.items():
+                name = prefix + key
+                if name not in self.fields_read:
+                    yield name
+                elif isinstance(value, dict):
+                    yield from unread(value, name + ".")
+
+        names = sorted(unread(self, ""))
+        if names:
+            raise ConfigError(f"config field(s) not read by this subcommand: {', '.join(names)}")
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
-
-
-def load_config(path) -> dict:
+def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -127,79 +136,58 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path}: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    _check_keys(config, _TOP_KEYS, "top level")
-    version = _require(config, "version")
+    config = Config(config)
+    version = config.read("version", int)
     if version != 1:
         raise ConfigError(f"unsupported config version {version!r}; this build reads version 1")
-    for section, keys in (("task", _TASK_KEYS), ("projection", _PROJ_KEYS),
-                          ("weights", _WEIGHT_KEYS), ("optimizer", _OPT_KEYS),
-                          ("gates", set(DEFAULT_GATES))):
-        if section in config:
-            if not isinstance(config[section], dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            _check_keys(config[section], keys, f"section '{section}'")
     return config
 
 
-def _build_task(config: dict):
-    section = _require(config, "task")
-    for key in ("family", "input_law"):
-        if key not in section:
-            raise ConfigError(f"config missing required field: task.{key}")
+def _build_task(config: Config):
     return make_task(
-        family=section["family"], p=_read(config, "task.p", int),
-        sigma=_read(config, "task.sigma", float), input_law=section["input_law"],
-        param_seed=_read(config, "task.param_seed", int, 0),
-        heteroscedastic=_read(config, "task.heteroscedastic", bool, False),
+        family=config.read("task.family", str), p=config.read("task.p", int),
+        sigma=config.read("task.sigma", float),
+        input_law=config.read("task.input_law", str),
+        param_seed=config.read("task.param_seed", int, 0),
+        heteroscedastic=config.read("task.heteroscedastic", bool, False),
     )
 
 
-def _build_projection(config: dict, task):
-    section = _require(config, "projection")
-    if "weight_file" in section:
-        extra = set(section) - {"weight_file"}
-        if extra:
-            raise ConfigError(
-                f"projection.weight_file excludes other projection keys, got {sorted(extra)}"
-            )
-        return load_weight_file(section["weight_file"])
-    noise_scales = _read(config, "projection.noise_scales", [float], None)
+def _build_projection(config: Config, task) -> FamilySpec:
+    noise_scales = config.read("projection.noise_scales", [float], None)
     return FamilySpec(
-        p=task.p, d_k=_read(config, "projection.d_k", int),
-        H=_read(config, "projection.H", int),
-        mix=_read(config, "projection.mix", float, 1.0),
-        query_gain=_read(config, "projection.query_gain", float, 1.0),
-        value_mode=section.get("value_mode", "balanced"),
+        p=task.p, d_k=config.read("projection.d_k", int),
+        H=config.read("projection.H", int),
+        mix=config.read("projection.mix", float, 1.0),
+        query_gain=config.read("projection.query_gain", float, 1.0),
         noise_scales=tuple(noise_scales) if noise_scales else None,
     )
 
 
-def _build_weights(config: dict, H: int):
-    section = config.get("weights", {"kind": "uniform"})
-    kind = section.get("kind", "uniform")
-    alphas = _read(config, "weights.alphas", [float], None)
+def _build_weights(config: Config, H: int):
+    kind = config.read("weights.kind", str, "uniform")
+    rho = config.read("weights.rho", float) if kind == "geometric" else None
+    alphas = config.read("weights.alphas", [float]) if kind == "custom" else None
     return make_weights(
-        kind, H, rho=_read(config, "weights.rho", float, None),
+        kind, H, rho=rho,
         custom=None if alphas is None else np.asarray(alphas, dtype=np.float64),
     )
 
 
-def _build_plan(config: dict) -> ExperimentPlan:
+def _build_plan(config: Config) -> ExperimentPlan:
     task = _build_task(config)
     projection = _build_projection(config, task)
     weights = _build_weights(config, projection.H)
     return ExperimentPlan(
         task=task, projection=projection, weights=weights,
-        n=_read(config, "n", int), R=_read(config, "R", int), Q=_read(config, "Q", int),
-        master_seed=_read(config, "master_seed", int),
+        n=config.read("n", int), R=config.read("R", int), Q=config.read("Q", int),
+        master_seed=config.read("master_seed", int),
     )
 
 
-def _gates(config: dict) -> dict:
-    gates = dict(DEFAULT_GATES)
-    for key in config.get("gates", {}):
-        gates[key] = _read(config, f"gates.{key}", type(DEFAULT_GATES[key]))
-    return gates
+def _gates(config: Config, *names: str) -> dict:
+    return {name: config.read(f"gates.{name}", type(DEFAULT_GATES[name]), DEFAULT_GATES[name])
+            for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -281,325 +269,285 @@ def _jsonify(obj):
     return obj
 
 
-def _echo_config(rundir: RunDirectory, config: dict) -> None:
-    rundir.write_text(
-        "config.json", json.dumps(_jsonify(config), indent=2, sort_keys=True) + "\n"
-    )
+def _json_text(obj) -> str:
+    return json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
 
 
-def _write_report(rundir: RunDirectory, payload: dict) -> None:
-    payload = dict(payload)
-    payload["code_version"] = __version__
-    rundir.write_text(
-        "report.json", json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
-    )
-
-
-def _gate_line(name: str, passed: bool, detail: str) -> bool:
-    print(f"GATE {name}: {'PASS' if passed else 'FAIL'} ({detail})")
-    return passed
+def _publish(out: Path | None, config: Config | None, header: list[str], rows,
+             payload: dict, verdicts=(), lines=(), files=()) -> int:
+    """Write config.json, table.csv, the ``(name, text)`` files, report.json and
+    MANIFEST into ``out`` (unless None), then print a GATE line per ``(gate, ok,
+    detail)`` verdict and the other ``lines``; 0, or 2 if a gate failed."""
+    if out is not None:
+        with RunDirectory(out) as rundir:
+            if config is not None:
+                rundir.write_text("config.json", _json_text(config))
+            rundir.write_csv("table.csv", header, rows)
+            for name, text in files:
+                rundir.write_text(name, text)
+            rundir.write_text("report.json",
+                              _json_text({**payload, "code_version": __version__}))
+            rundir.finish_manifest()
+    for gate, ok, detail in verdicts:
+        print(f"GATE {gate}: {'PASS' if ok else 'FAIL'} ({detail})")
+    for line in lines:
+        print(line)
+    return 0 if all(ok for _, ok, _ in verdicts) else 2
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_decompose(config: dict, out: Path) -> int:
+def cmd_decompose(config: Config, out: Path) -> int:
     plan = _build_plan(config)
-    gates = _gates(config)
-    with RunDirectory(out) as rundir:
-        _echo_config(rundir, config)
-        report = mc_decompose(plan)
-        residual_limit = max(
-            gates["residual_sigma"] * report.stderr["identity_residual"],
-            RESIDUAL_FLOOR * max(1.0, abs(report.mse_direct)),
-        )
-        ok = report.identity_residual <= residual_limit
+    gates = _gates(config, "residual_sigma", "cov_sigma")
+    config.reject_unread()
+    report = mc_decompose(plan)
+    residual_limit = max(
+        gates["residual_sigma"] * report.stderr["identity_residual"],
+        RESIDUAL_FLOOR * max(1.0, abs(report.mse_direct)),
+    )
+    ok = report.identity_residual <= residual_limit
 
-        rows = []
-        H = report.per_head_bias.shape[0]
-        for h in range(H):
-            rows.append(["head", h, None, report.per_head_bias[h],
-                         report.per_head_var[h], None, report.per_head_mse[h],
-                         None, None, None])
+    rows = []
+    H = report.per_head_bias.shape[0]
+    for h in range(H):
+        rows.append(["head", h, None, report.per_head_bias[h],
+                     report.per_head_var[h], None, report.per_head_mse[h],
+                     None, None, None])
+    for h in range(H):
+        for h2 in range(h + 1, H):
+            rows.append(["pair", h, h2, None, None, report.cross_cov[h, h2],
+                         None, report.cov_stderr[h, h2], None, None])
+    rows.append(["ensemble", None, None, report.ensemble_bias_sq,
+                 report.variance_term, report.covariance_term,
+                 report.mse_direct, report.stderr["mse_direct"],
+                 report.identity_residual, report.degenerate_weights])
+    payload = {
+        "command": "decompose",
+        "master_seed": plan.master_seed,
+        "n": plan.n, "R": plan.R, "Q": plan.Q,
+        "per_head_bias": report.per_head_bias,
+        "per_head_var": report.per_head_var,
+        "per_head_mse": report.per_head_mse,
+        "cross_cov": report.cross_cov,
+        "cov_stderr": report.cov_stderr,
+        "ensemble_bias_sq": report.ensemble_bias_sq,
+        "variance_term": report.variance_term,
+        "covariance_term": report.covariance_term,
+        "mse_direct": report.mse_direct,
+        "identity_residual": report.identity_residual,
+        "stderr": report.stderr,
+        "degenerate_weights": report.degenerate_weights,
+        "gate_identity": ok,
+    }
+    verdicts = [("identity_residual", ok,
+                 f"residual {report.identity_residual:.3e} vs limit {residual_limit:.3e}")]
+    # constructively orthogonal families must show vanishing cross-head
+    # covariance; identical families must show covariance equal to the
+    # per-head variance
+    mix = plan.projection.mix
+    if mix in (0.0, 1.0) and H > 1:
+        worst = 0.0
         for h in range(H):
             for h2 in range(h + 1, H):
-                rows.append(["pair", h, h2, None, None, report.cross_cov[h, h2],
-                             None, report.cov_stderr[h, h2], None, None])
-        rows.append(["ensemble", None, None, report.ensemble_bias_sq,
-                     report.variance_term, report.covariance_term,
-                     report.mse_direct, report.stderr["mse_direct"],
-                     report.identity_residual, report.degenerate_weights])
-        rundir.write_csv(
-            "table.csv",
-            ["record", "h", "h2", "bias", "variance", "covariance", "mse",
-             "stderr", "identity_residual", "degenerate_weights"],
-            rows,
-        )
-        _write_report(rundir, {
-            "command": "decompose",
-            "master_seed": plan.master_seed,
-            "n": plan.n, "R": plan.R, "Q": plan.Q,
-            "per_head_bias": report.per_head_bias,
-            "per_head_var": report.per_head_var,
-            "per_head_mse": report.per_head_mse,
-            "cross_cov": report.cross_cov,
-            "cov_stderr": report.cov_stderr,
-            "ensemble_bias_sq": report.ensemble_bias_sq,
-            "variance_term": report.variance_term,
-            "covariance_term": report.covariance_term,
-            "mse_direct": report.mse_direct,
-            "identity_residual": report.identity_residual,
-            "stderr": report.stderr,
-            "degenerate_weights": report.degenerate_weights,
-            "gate_identity": ok,
-        })
-        rundir.finish_manifest()
-        passed = _gate_line(
-            "identity_residual", ok,
-            f"residual {report.identity_residual:.3e} vs limit {residual_limit:.3e}",
-        )
-        # constructively orthogonal families must show vanishing cross-head
-        # covariance; identical families must show covariance equal to the
-        # per-head variance
-        spec = plan.projection
-        if isinstance(spec, FamilySpec) and spec.mix in (0.0, 1.0) and H > 1:
-            worst = 0.0
-            for h in range(H):
-                for h2 in range(h + 1, H):
-                    target = report.per_head_var[h] if spec.mix == 0.0 else 0.0
-                    gap = abs(report.cross_cov[h, h2] - target)
-                    se = max(report.cov_stderr[h, h2],
-                             RESIDUAL_FLOOR * max(1.0, abs(report.mse_direct)))
-                    worst = max(worst, gap / se)
-            cov_ok = worst <= gates["cov_sigma"]
-            label = "cov_equals_variance" if spec.mix == 0.0 else "cov_vanishes"
-            passed = _gate_line(
-                label, cov_ok,
-                f"worst pair {worst:.2f} sigma vs {gates['cov_sigma']:.1f}",
-            ) and passed
-    return 0 if passed else 2
+                target = report.per_head_var[h] if mix == 0.0 else 0.0
+                gap = abs(report.cross_cov[h, h2] - target)
+                se = max(report.cov_stderr[h, h2],
+                         RESIDUAL_FLOOR * max(1.0, abs(report.mse_direct)))
+                worst = max(worst, gap / se)
+        verdicts.append((
+            "cov_equals_variance" if mix == 0.0 else "cov_vanishes",
+            worst <= gates["cov_sigma"],
+            f"worst pair {worst:.2f} sigma vs {gates['cov_sigma']:.1f}",
+        ))
+    return _publish(
+        out, config,
+        ["record", "h", "h2", "bias", "variance", "covariance", "mse",
+         "stderr", "identity_residual", "degenerate_weights"],
+        rows, payload, verdicts,
+    )
 
 
 def cmd_hdi(weight_file: str, out: Path | None) -> int:
     proj = load_weight_file(weight_file)
     report = make_diversity_report(proj)
-    print(f"heads: {proj.H}  p: {proj.p}  d_k: {proj.d_k}")
-    for (h, h2), angles in sorted(report.principal_angles.items()):
-        print(
+    pairs = sorted(report.principal_angles.items())
+    lines = [f"heads: {proj.H}  p: {proj.p}  d_k: {proj.d_k}"]
+    for (h, h2), angles in pairs:
+        lines.append(
             f"pair ({h},{h2}): ||G||_F^2 = {report.gram_frobsq[h, h2]:.6g}  "
             f"angles [{angles.min():.4f}, {angles.max():.4f}] rad"
         )
-    print(f"hdi = {report.hdi:.6g}")
-    print(f"hdi_normalized = {report.hdi_normalized:.6g}")
-    if out is not None:
-        with RunDirectory(out) as rundir:
-            rows = [
-                [h, h2, report.gram_frobsq[h, h2],
-                 float(a.min()), float(a.max())]
-                for (h, h2), a in sorted(report.principal_angles.items())
-            ]
-            rundir.write_csv(
-                "table.csv", ["h", "h2", "gram_frobsq", "min_angle", "max_angle"], rows
-            )
-            _write_report(rundir, {
-                "command": "hdi",
-                "weight_file": str(weight_file),
-                "H": proj.H, "p": proj.p, "d_k": proj.d_k,
-                "gram_frobsq": report.gram_frobsq,
-                "hdi": report.hdi,
-                "hdi_normalized": report.hdi_normalized,
-            })
-            rundir.finish_manifest()
-    return 0
+    lines.append(f"hdi = {report.hdi:.6g}")
+    lines.append(f"hdi_normalized = {report.hdi_normalized:.6g}")
+    rows = [[h, h2, report.gram_frobsq[h, h2], float(a.min()), float(a.max())]
+            for (h, h2), a in pairs]
+    payload = {
+        "command": "hdi",
+        "weight_file": str(weight_file),
+        "H": proj.H, "p": proj.p, "d_k": proj.d_k,
+        "gram_frobsq": report.gram_frobsq,
+        "hdi": report.hdi,
+        "hdi_normalized": report.hdi_normalized,
+    }
+    return _publish(out, None, ["h", "h2", "gram_frobsq", "min_angle", "max_angle"],
+                    rows, payload, lines=lines)
 
 
-def cmd_sweep_hdi(config: dict, out: Path) -> int:
+def cmd_sweep_hdi(config: Config, out: Path) -> int:
     plan = _build_plan(config)
-    gates = _gates(config)
-    mix_grid = _read(config, "mix_grid", [float])
-    with RunDirectory(out) as rundir:
-        _echo_config(rundir, config)
-        result = hdi_sweep(plan, mix_grid)
-        rundir.write_csv(
-            "table.csv", ["mix", "hdi", "hdi_normalized", "mse", "stderr"],
-            result.rows,
-        )
-        payload = {
-            "command": "sweep-hdi",
-            "master_seed": plan.master_seed,
-            "rows": [list(r) for r in result.rows],
-            "spearman": result.spearman,
-            "endpoint_diff": result.endpoint_diff,
-            "endpoint_diff_stderr": result.endpoint_diff_stderr,
-        }
-        ok_spearman = result.spearman <= gates["spearman_max"]
-        payload["gate_spearman"] = ok_spearman
-        passed = _gate_line(
-            "spearman", ok_spearman,
-            f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}",
-        )
-        if result.endpoint_diff is not None:
-            limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
-            ok_endpoint = result.endpoint_diff > limit
-            payload["gate_endpoint"] = ok_endpoint
-            passed = _gate_line(
-                "endpoint_diff", ok_endpoint,
-                f"diff = {result.endpoint_diff:.4e} vs {limit:.4e}",
-            ) and passed
-        _write_report(rundir, payload)
-        rundir.finish_manifest()
-    return 0 if passed else 2
+    gates = _gates(config, "spearman_max", "endpoint_sigma")
+    mix_grid = config.read("mix_grid", [float])
+    config.reject_unread()
+    result = hdi_sweep(plan, mix_grid)
+    ok_spearman = result.spearman <= gates["spearman_max"]
+    payload = {
+        "command": "sweep-hdi",
+        "master_seed": plan.master_seed,
+        "rows": [list(r) for r in result.rows],
+        "spearman": result.spearman,
+        "endpoint_diff": result.endpoint_diff,
+        "endpoint_diff_stderr": result.endpoint_diff_stderr,
+        "gate_spearman": ok_spearman,
+    }
+    verdicts = [("spearman", ok_spearman,
+                 f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}")]
+    if result.endpoint_diff is not None:
+        limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
+        ok_endpoint = result.endpoint_diff > limit
+        payload["gate_endpoint"] = ok_endpoint
+        verdicts.append(("endpoint_diff", ok_endpoint,
+                         f"diff = {result.endpoint_diff:.4e} vs {limit:.4e}"))
+    return _publish(out, config, ["mix", "hdi", "hdi_normalized", "mse", "stderr"],
+                    result.rows, payload, verdicts)
 
 
-def cmd_weights_compare(config: dict, out: Path) -> int:
+def cmd_weights_compare(config: Config, out: Path) -> int:
     plan = _build_plan(config)
-    gates = _gates(config)
-    rho_grid = _read(config, "rho_grid", [float])
-    with RunDirectory(out) as rundir:
-        _echo_config(rundir, config)
-        result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
-        rundir.write_csv(
-            "table.csv",
-            ["scheme", "rho", "mse", "stderr", "diff_vs_uniform", "diff_stderr"],
-            result.rows,
-        )
-        payload = {
-            "command": "weights-compare",
-            "master_seed": plan.master_seed,
-            "rows": [list(r) for r in result.rows],
-            "head_order": result.head_order,
-            "variance_spread": result.variance_spread,
-            "best_scheme": result.best_scheme,
-            "best_rho": result.best_rho,
-            "geometric_beats_uniform": result.geometric_beats_uniform,
-            "best_margin_sigmas": result.best_margin_sigmas,
-        }
-        # expected verdict follows the construction: heterogeneous value
-        # noise -> geometric should win; identical heads -> it must not
-        spec = plan.projection
-        passed = True
-        if isinstance(spec, FamilySpec) and spec.noise_scales:
-            ok = result.geometric_beats_uniform
-            payload["gate_geometric_beats_uniform"] = ok
-            passed = _gate_line(
-                "geometric_beats_uniform", ok,
-                f"margin {result.best_margin_sigmas:.2f} sigma vs "
-                f"{gates['weighting_sigma']:.1f} required",
-            )
-        elif isinstance(spec, FamilySpec) and spec.mix == 0.0:
-            ok = not result.geometric_beats_uniform
-            payload["gate_uniform_not_beaten"] = ok
-            passed = _gate_line(
-                "uniform_not_beaten", ok,
-                f"best margin {result.best_margin_sigmas:.2f} sigma",
-            )
-        print(f"best scheme: {result.best_scheme}"
-              + (f" (rho = {result.best_rho})" if result.best_rho else ""))
-        _write_report(rundir, payload)
-        rundir.finish_manifest()
-    return 0 if passed else 2
+    gates = _gates(config, "weighting_sigma")
+    rho_grid = config.read("rho_grid", [float])
+    config.reject_unread()
+    result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
+    payload = {
+        "command": "weights-compare",
+        "master_seed": plan.master_seed,
+        "rows": [list(r) for r in result.rows],
+        "head_order": result.head_order,
+        "variance_spread": result.variance_spread,
+        "best_scheme": result.best_scheme,
+        "best_rho": result.best_rho,
+        "geometric_beats_uniform": result.geometric_beats_uniform,
+        "best_margin_sigmas": result.best_margin_sigmas,
+    }
+    # expected verdict follows the construction: heterogeneous value
+    # noise -> geometric should win; identical heads -> it must not
+    spec = plan.projection
+    verdicts = []
+    if spec.noise_scales:
+        ok = result.geometric_beats_uniform
+        payload["gate_geometric_beats_uniform"] = ok
+        verdicts.append(("geometric_beats_uniform", ok,
+                         f"margin {result.best_margin_sigmas:.2f} sigma vs "
+                         f"{gates['weighting_sigma']:.1f} required"))
+    elif spec.mix == 0.0:
+        ok = not result.geometric_beats_uniform
+        payload["gate_uniform_not_beaten"] = ok
+        verdicts.append(("uniform_not_beaten", ok,
+                         f"best margin {result.best_margin_sigmas:.2f} sigma"))
+    best = (f"best scheme: {result.best_scheme}"
+            + (f" (rho = {result.best_rho})" if result.best_rho else ""))
+    return _publish(
+        out, config,
+        ["scheme", "rho", "mse", "stderr", "diff_vs_uniform", "diff_stderr"],
+        result.rows, payload, verdicts, [best],
+    )
 
 
-def cmd_sweep_arch(config: dict, out: Path) -> int:
+def cmd_sweep_arch(config: Config, out: Path) -> int:
     task = _build_task(config)
-    gates = _gates(config)
-    D = _read(config, "budget_D", int)
-    R = _read(config, "R", int)
-    Q = _read(config, "Q", int)
-    seed = _read(config, "master_seed", int)
-    query_gain = _read(config, "projection.query_gain", float, 9.0)
-    n_grid = _read(config, "n_grid", [int], None)
-    n = _read(config, "n", int) if n_grid is None else None
-    with RunDirectory(out) as rundir:
-        _echo_config(rundir, config)
-        passed = True
-        if n_grid is None:
-            sweep = sweep_architectures(task, D, n, R, Q, seed, query_gain=query_gain)
-            sweeps = {sweep.n: sweep}
-            trend = None
-        else:
-            trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
-            sweeps = {n: trend.sweeps[n] for n, *_ in trend.rows}
-        rows = []
-        for n, sweep in sorted(sweeps.items()):
-            for row in sweep.rows:
-                rows.append([n, row.H, row.d_k, row.mse, row.stderr,
-                             row.bias_sq, row.var_term])
-        rundir.write_csv(
-            "table.csv",
-            ["n", "H", "d_k", "mse", "stderr", "bias_sq", "var_term"], rows,
-        )
-        largest = max(sweeps)
-        plot_lines = [
-            f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows
-        ]
-        rundir.write_text("dk_mse.dat", "\n".join(plot_lines) + "\n")
-        payload = {
-            "command": "sweep-arch",
-            "master_seed": seed,
-            "budget_D": D,
-            "argmin": {n: [sweeps[n].argmin_H, sweeps[n].argmin_dk] for n in sweeps},
-            "fit": {n: [sweeps[n].c1, sweeps[n].c2, sweeps[n].fit_residual] for n in sweeps},
-            "flat": {n: sweeps[n].flat for n in sweeps},
-            "skipped": {n: sweeps[n].skipped for n in sweeps},
-        }
-        if trend is not None:
-            payload["trend_rows"] = [list(r) for r in trend.rows]
-            payload["nondecreasing"] = trend.nondecreasing
-            payload["sublinear"] = trend.sublinear
-            payload["log_slope"] = trend.log_slope
-            if gates["arch_nondecreasing"]:
-                passed = _gate_line(
-                    "dk_nondecreasing", trend.nondecreasing,
-                    f"d_k* sequence {[r[1] for r in trend.rows]}",
-                ) and passed
-        final = sweeps[largest]
-        if gates["arch_interior"] and not final.flat:
-            interior = final.argmin_dk not in (1, D)
-            payload["gate_interior"] = interior
-            passed = _gate_line(
-                "interior_argmin", interior,
-                f"argmin d_k = {final.argmin_dk} at n = {largest}",
-            ) and passed
-        for n, sweep in sorted(sweeps.items()):
-            print(f"n = {n}: argmin (H, d_k) = ({sweep.argmin_H}, {sweep.argmin_dk})"
-                  + ("  [flat]" if sweep.flat else ""))
-        _write_report(rundir, payload)
-        rundir.finish_manifest()
-    return 0 if passed else 2
+    gates = _gates(config, "arch_interior", "arch_nondecreasing")
+    D = config.read("budget_D", int)
+    R = config.read("R", int)
+    Q = config.read("Q", int)
+    seed = config.read("master_seed", int)
+    query_gain = config.read("projection.query_gain", float, 9.0)
+    n_grid = config.read("n_grid", [int], None)
+    n = config.read("n", int) if n_grid is None else None
+    config.reject_unread()
+    if n_grid is None:
+        sweeps = {n: sweep_architectures(task, D, n, R, Q, seed, query_gain=query_gain)}
+        trend = None
+    else:
+        trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
+        sweeps = trend.sweeps
+    rows = []
+    for n, sweep in sorted(sweeps.items()):
+        for row in sweep.rows:
+            rows.append([n, row.H, row.d_k, row.mse, row.stderr,
+                         row.bias_sq, row.var_term])
+    largest = max(sweeps)
+    plot_lines = [
+        f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows
+    ]
+    payload = {
+        "command": "sweep-arch",
+        "master_seed": seed,
+        "budget_D": D,
+        "argmin": {n: [sweeps[n].argmin_H, sweeps[n].argmin_dk] for n in sweeps},
+        "fit": {n: [sweeps[n].c1, sweeps[n].c2, sweeps[n].fit_residual] for n in sweeps},
+        "flat": {n: sweeps[n].flat for n in sweeps},
+        "skipped": {n: sweeps[n].skipped for n in sweeps},
+    }
+    verdicts = []
+    if trend is not None:
+        payload["trend_rows"] = [list(r) for r in trend.rows]
+        payload["nondecreasing"] = trend.nondecreasing
+        payload["sublinear"] = trend.sublinear
+        payload["log_slope"] = trend.log_slope
+        if gates["arch_nondecreasing"]:
+            verdicts.append(("dk_nondecreasing", trend.nondecreasing,
+                             f"d_k* sequence {[r[1] for r in trend.rows]}"))
+    final = sweeps[largest]
+    if gates["arch_interior"] and not final.flat:
+        interior = final.argmin_dk not in (1, D)
+        payload["gate_interior"] = interior
+        verdicts.append(("interior_argmin", interior,
+                         f"argmin d_k = {final.argmin_dk} at n = {largest}"))
+    lines = [f"n = {n}: argmin (H, d_k) = ({sweep.argmin_H}, {sweep.argmin_dk})"
+             + ("  [flat]" if sweep.flat else "") for n, sweep in sorted(sweeps.items())]
+    return _publish(
+        out, config, ["n", "H", "d_k", "mse", "stderr", "bias_sq", "var_term"],
+        rows, payload, verdicts, lines, [("dk_mse.dat", "\n".join(plot_lines) + "\n")],
+    )
 
 
-def cmd_optimize_proj(config: dict, out: Path) -> int:
+def cmd_optimize_proj(config: Config, out: Path) -> int:
     task = _build_task(config)
-    gates = _gates(config)
-    d_k = _read(config, "projection.d_k", int)
-    H = _read(config, "projection.H", int)
-    seed = _read(config, "master_seed", int)
-    steps = _read(config, "optimizer.steps", int, 5000)
-    step_size = _read(config, "optimizer.step_size", float, 1.0)
-    with RunDirectory(out) as rundir:
-        _echo_config(rundir, config)
-        proj, trace = optimize_projections(
-            p=task.p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,
-        )
-        rundir.write_csv("table.csv", ["step", "objective"],
-                         list(enumerate(trace)))
-        final = trace[-1]
-        ok = final <= gates["optimizer_objective"]
-        _write_report(rundir, {
-            "command": "optimize-proj",
-            "master_seed": seed,
-            "final_objective": final,
-            "steps_accepted": len(trace) - 1,
-            "gate_objective": ok,
-        })
-        rundir.finish_manifest()
-        passed = _gate_line(
-            "optimizer_objective", ok,
-            f"final J = {final:.3e} vs {gates['optimizer_objective']:.1e}",
-        )
-    return 0 if passed else 2
+    gates = _gates(config, "optimizer_objective")
+    d_k = config.read("projection.d_k", int)
+    H = config.read("projection.H", int)
+    seed = config.read("master_seed", int)
+    steps = config.read("optimizer.steps", int, 5000)
+    step_size = config.read("optimizer.step_size", float, 1.0)
+    config.reject_unread()
+    proj, trace = optimize_projections(
+        p=task.p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,
+    )
+    final = trace[-1]
+    ok = final <= gates["optimizer_objective"]
+    payload = {
+        "command": "optimize-proj",
+        "master_seed": seed,
+        "final_objective": final,
+        "steps_accepted": len(trace) - 1,
+        "gate_objective": ok,
+    }
+    verdict = ("optimizer_objective", ok,
+               f"final J = {final:.3e} vs {gates['optimizer_objective']:.1e}")
+    return _publish(out, config, ["step", "objective"], list(enumerate(trace)),
+                    payload, [verdict])
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, needs_config: bool = True):
+    def add(name: str, help_text: str):
         cmd = sub.add_parser(name, help=help_text)
-        if needs_config:
-            cmd.add_argument("--config", required=True, help="path to a version-1 JSON config")
+        cmd.add_argument("--config", required=True, help="path to a version-1 JSON config")
         cmd.add_argument("--seed", type=int, default=None, help="override master_seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
         return cmd
@@ -643,7 +590,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config["master_seed"] = int(args.seed)
-        out = args.out or config.get("output_dir")
+        configured_out = config.read("output_dir", str, None)
+        out = args.out or configured_out
         if out is None:
             raise ConfigError("config missing required field: output_dir (or pass --out)")
         config["output_dir"] = str(out)

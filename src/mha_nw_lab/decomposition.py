@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,27 +91,16 @@ class FamilySpec:
     H: int
     mix: float = 1.0
     query_gain: float = 1.0
-    value_mode: str = "balanced"          # "balanced" | "skeleton"
     noise_scales: tuple[float, ...] | None = None
 
     def resolve(self, task: RegressionTask, seed: int,
                 mix: float | None = None) -> ProjectionSet:
-        wv = None
-        if self.value_mode == "skeleton":
-            wv = task.linear_skeleton()
-            norm = np.linalg.norm(wv)
-            if norm < 1e-12:
-                raise ShapeMismatch(
-                    f"value_mode 'skeleton': task family {task.family!r} has a "
-                    f"vanishing linear component; use 'balanced'"
-                )
-            wv = wv / norm
-        elif self.value_mode != "balanced":
-            raise ShapeMismatch(f"unknown value_mode {self.value_mode!r}")
+        """The family for ``seed``, with ``mix`` in place of the spec's when
+        given; the balanced value vectors do not depend on ``task``."""
         return make_projection_family(
             p=self.p, d_k=self.d_k, H=self.H,
             mix=self.mix if mix is None else mix,
-            seed=seed, query_gain=self.query_gain, wv=wv,
+            seed=seed, query_gain=self.query_gain,
             noise_scales=self.noise_scales,
         )
 
@@ -156,13 +145,12 @@ class ExperimentPlan:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Integrated decomposition estimates with per-query and per-head detail."""
+    """Integrated decomposition estimates with per-head detail."""
 
     per_head_bias: np.ndarray            # (H,) integrated
     per_head_var: np.ndarray             # (H,)
     per_head_mse: np.ndarray             # (H,)
     cross_cov: np.ndarray                # (H, H), diagonal = per_head_var
-    per_head_bias_q: np.ndarray          # (H, Q)
     ensemble_bias_sq: float
     variance_term: float
     covariance_term: float
@@ -172,12 +160,6 @@ class DecompositionReport:
     stderr: dict                          # statistic name -> stderr
     cov_stderr: np.ndarray               # (H, H) pairwise stderrs
     degenerate_weights: int
-    queries: np.ndarray                  # (Q, p)
-    alphas: np.ndarray                   # (H,)
-    n: int
-    R: int
-    Q: int
-    master_seed: int
 
     @property
     def decomposed_mse(self) -> float:
@@ -222,16 +204,14 @@ def _head_tensor(task, head_sets, n, R, Q, master_seed):
 
 
 def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
-                      queries: np.ndarray, degenerate: int, n: int,
-                      master_seed: int) -> DecompositionReport:
+                      degenerate: int) -> DecompositionReport:
     R, H, Q = E.shape
     Ebar = E.mean(axis=0)                                    # (H, Q)
     Ec = E - Ebar
     # per-query sample covariance between heads, R-1 denominator
     Cq = np.einsum("rhq,rgq->hgq", Ec, Ec) / (R - 1)         # (H, H, Q)
 
-    per_head_bias_q = Ebar - m_q
-    per_head_bias = per_head_bias_q.mean(axis=1)
+    per_head_bias = (Ebar - m_q).mean(axis=1)
     per_head_var = np.einsum("hhq->hq", Cq).mean(axis=1)
     per_head_mse = ((E - m_q) ** 2).mean(axis=(0, 2))
     cross_cov = Cq.mean(axis=2)
@@ -278,7 +258,6 @@ def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
         per_head_var=per_head_var,
         per_head_mse=per_head_mse,
         cross_cov=cross_cov,
-        per_head_bias_q=per_head_bias_q,
         ensemble_bias_sq=ensemble_bias_sq,
         variance_term=variance_term,
         covariance_term=covariance_term,
@@ -288,12 +267,6 @@ def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
         stderr=se,
         cov_stderr=cov_stderr,
         degenerate_weights=degenerate,
-        queries=queries,
-        alphas=alphas.copy(),
-        n=n,
-        R=R,
-        Q=Q,
-        master_seed=master_seed,
     )
 
 
@@ -321,8 +294,7 @@ def _point_report(plan: ExperimentPlan, proj: ProjectionSet, E: np.ndarray,
             RuntimeWarning, stacklevel=2,
         )
     m_q = plan.task.mean(queries)
-    return _decompose_tensor(E, m_q, plan.weights.alphas, queries,
-                             int(degenerate.sum()), plan.n, plan.master_seed)
+    return _decompose_tensor(E, m_q, plan.weights.alphas, int(degenerate.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +410,6 @@ class HdiSweepResult:
     spearman: float
     endpoint_diff: float | None          # mse(mix=0) - mse(mix=1)
     endpoint_diff_stderr: float | None
-    reports: dict = field(repr=False)    # mix -> DecompositionReport
 
 
 def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
@@ -450,9 +421,7 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     """
     mix_grid = [float(m) for m in mix_grid]
     if not mix_grid or any(not 0.0 <= m <= 1.0 for m in mix_grid):
-        raise ShapeMismatch(f"mix grid must lie in [0, 1], got {mix_grid}")
-    if not isinstance(plan.projection, FamilySpec):
-        raise LabError("hdi_sweep needs a plan built on a projection family")
+        raise ShapeMismatch(f"mix_grid must lie in [0, 1], got {mix_grid}")
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
@@ -460,22 +429,22 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     tensors = _head_tensor(plan.task, [proj.heads for proj in projs],
                            plan.n, plan.R, plan.Q, plan.master_seed)
     rows = []
-    reports = {}
+    mse_replicates = {}   # mix -> per-replicate MSE, for the paired endpoint contrast
     for mix, proj, tensor in zip(mix_grid, projs, tensors):
         report = _point_report(plan, proj, *tensor)
         literal, normalized = hdi_indices(proj)
         rows.append((mix, literal, normalized, report.mse_direct,
                      report.stderr["mse_direct"]))
-        reports[mix] = report
+        mse_replicates[mix] = report.mse_replicates
 
     rho = spearman([r[2] for r in rows], [r[3] for r in rows])
     diff = diff_se = None
-    if 0.0 in reports and 1.0 in reports:
-        paired = reports[0.0].mse_replicates - reports[1.0].mse_replicates
+    if 0.0 in mse_replicates and 1.0 in mse_replicates:
+        paired = mse_replicates[0.0] - mse_replicates[1.0]
         diff = float(paired.mean())
         diff_se = float(paired.std(ddof=1) / np.sqrt(paired.shape[0]))
     return HdiSweepResult(rows=rows, spearman=rho, endpoint_diff=diff,
-                          endpoint_diff_stderr=diff_se, reports=reports)
+                          endpoint_diff_stderr=diff_se)
 
 
 @dataclass(frozen=True)
@@ -502,7 +471,7 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
     """
     rho_grid = [float(r) for r in rho_grid]
     if any(not 0.0 < r <= 1.0 for r in rho_grid):
-        raise ShapeMismatch(f"rho grid must lie in (0, 1], got {rho_grid}")
+        raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
     proj = plan.resolve_projection()
     H = proj.H
 
@@ -534,7 +503,8 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
         schemes.append(("geometric", rho, make_weights("geometric", H, rho=rho).alphas))
 
     base_mse, base_rep = evaluate(schemes[0][2])
-    tie_floor = 1e-12 * max(1.0, abs(base_mse))
+    # float-noise floor: identical heads give diffs of order eps * mse
+    floor = 1e-12 * max(1.0, abs(base_mse))
     rows = []
     best = ("uniform", None, base_mse, 0.0, 0.0)
     for name, rho, alphas in schemes:
@@ -545,7 +515,7 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
         diff_sd = float(paired.std(ddof=1))
         diff_se = diff_sd / np.sqrt(plan.R)
         rows.append((name, rho, mse, se, diff, diff_se))
-        if mse < best[2] - tie_floor:
+        if mse < best[2] - floor:
             best = (name, rho, mse, diff, diff_se)
 
     # per-head variance spread on the main tensor (ordered heads)
@@ -555,8 +525,6 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
 
     beats = False
     margin = 0.0
-    # float-noise floor: identical heads give diffs of order eps * mse
-    floor = 1e-12 * max(1.0, abs(base_mse))
     for name, rho, mse, se, diff, diff_se in rows:
         if name != "geometric":
             continue

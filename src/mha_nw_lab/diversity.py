@@ -142,7 +142,6 @@ def make_projection_family(
     mix: float,
     seed: int,
     query_gain: float = 1.0,
-    wv: np.ndarray | None = None,
     noise_scales: tuple[float, ...] | None = None,
 ) -> ProjectionSet:
     """Family of H heads whose key subspaces interpolate shared -> orthogonal.
@@ -153,8 +152,8 @@ def make_projection_family(
     normalized diversity index strictly increasing in mix.
 
     The shared frame is the balanced combination of the orthogonal blocks
-    and, unless ``wv`` overrides it, the value vector carries equal mass in
-    every block, so the family's endpoints are symmetric across heads.
+    and the value vector carries equal mass in every block, so the family's
+    endpoints are symmetric across heads.
     ``query_gain`` scales wq relative to wk (query_gain = 1 ties wq = wk);
     larger gains sharpen the softmax without touching the key geometry.
 
@@ -181,21 +180,17 @@ def make_projection_family(
         if noise_scales is not None:
             raise Infeasible("noise_scales needs spare dimensions, but H*d_k > p")
         shared = qr_orthonormalize(rng.standard_normal((p, d_k)))
-        if wv is None:
-            wv = rng.standard_normal(p)
-            wv /= np.linalg.norm(wv)
+        wv = rng.standard_normal(p)
+        wv /= np.linalg.norm(wv)
         head = HeadConfig(wq=Matrix(query_gain * shared), wk=Matrix(shared), wv=wv)
         return ProjectionSet(heads=(head,) * H)
 
     frame = qr_orthonormalize(rng.standard_normal((p, H * d_k)))
     blocks = [frame[:, h * d_k:(h + 1) * d_k] for h in range(H)]
     shared = sum(blocks) / np.sqrt(H)
-    if wv is None:
-        coeff = rng.standard_normal(d_k)
-        coeff /= np.linalg.norm(coeff)
-        wv = sum(block @ coeff for block in blocks) / np.sqrt(H)
-    else:
-        wv = np.asarray(wv, dtype=np.float64).reshape(p)
+    coeff = rng.standard_normal(d_k)
+    coeff /= np.linalg.norm(coeff)
+    wv = sum(block @ coeff for block in blocks) / np.sqrt(H)
 
     extras = [np.zeros(p)] * H
     if noise_scales is not None:

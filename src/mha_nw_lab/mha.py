@@ -60,9 +60,7 @@ class ProjectionSet:
 class WeightScheme:
     """Materialised aggregation weights for one ensemble."""
 
-    kind: str
     alphas: np.ndarray
-    rho: float | None = None
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=np.float64, copy=True).reshape(-1)
@@ -113,5 +111,5 @@ def make_weights(kind: str, H: int, rho: float | None = None,
         if abs(raw.sum() - 1.0) > 1e-9:
             raise ShapeMismatch(f"custom weights sum to {raw.sum()!r}, expected 1")
     alphas = raw / raw.sum()
-    return WeightScheme(kind=kind, alphas=alphas, rho=float(rho) if kind == "geometric" else None)
+    return WeightScheme(alphas=alphas)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,22 @@ def small_decompose_config(out_dir, **overrides):
     }
     config.update(overrides)
     return config
+
+
+def small_config(command, out_dir):
+    """A small config that ``command`` runs to completion."""
+    task = {"family": "quadratic", "p": 8, "sigma": 1.0, "input_law": "gaussian"}
+    if command == "sweep-arch":
+        return {"version": 1, "task": dict(task, family="sine_mixture"), "budget_D": 7,
+                "n": 100, "R": 20, "Q": 8, "master_seed": 3,
+                "gates": {"arch_interior": False, "arch_nondecreasing": False},
+                "output_dir": str(out_dir)}
+    if command == "optimize-proj":
+        return {"version": 1, "task": task, "projection": {"d_k": 2, "H": 4},
+                "master_seed": 3, "output_dir": str(out_dir)}
+    grids = {"sweep-hdi": {"mix_grid": [0.0, 0.5, 1.0]},
+             "weights-compare": {"rho_grid": [0.5, 1.0]}}
+    return small_decompose_config(out_dir, **grids.get(command, {}))
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -97,6 +114,33 @@ class TestConfigValidation:
         path = write_config(tmp_path, config)
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert f"config field {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, edit, fragment", [
+        ("decompose", lambda c: c.update(rho_grid=[0.5, 1.0]), "subcommand: rho_grid"),
+        ("decompose", lambda c: c.update(gates={"spearman_max": -0.8}),
+         "subcommand: gates.spearman_max"),
+        ("decompose", lambda c: c["weights"].update(rho=0.5), "subcommand: weights.rho"),
+        ("sweep-arch", lambda c: c.update(projection={"H": 4}), "subcommand: projection.H"),
+        ("sweep-arch", lambda c: c.update(n_grid=[50, 100, 200]), "subcommand: n"),
+        ("optimize-proj", lambda c: c.update(R=40), "subcommand: R"),
+        ("decompose", lambda c: c.update(
+            projection={"weight_file": str(FIXTURES / "weights_orthogonal.json")}),
+         "projection has ['weight_file']"),
+        ("decompose", lambda c: c["projection"].update(value_mode="balanced"),
+         "subcommand: projection.value_mode"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 1.5]), "mix_grid must lie"),
+        ("weights-compare", lambda c: c.update(rho_grid=[0.5, 1.2]), "rho_grid must lie"),
+    ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
+            "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
+            "value-mode", "mix-grid-range", "rho-grid-range"])
+    def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
+                                                               command, edit, fragment):
+        config = small_config(command, tmp_path / "out")
+        edit(config)
+        path = write_config(tmp_path, config)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert fragment in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_output_dir(self, tmp_path, capsys):
@@ -198,6 +242,34 @@ class TestDecomposeCommand:
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert not (out / "config.json").exists()
         assert not (out / ".lock").exists()
+
+    def test_nothing_written_while_computing(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        compute = cli.mc_decompose
+
+        def watched(plan):
+            assert not out.exists()
+            return compute(plan)
+
+        monkeypatch.setattr(cli, "mc_decompose", watched)
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 0
+        assert (out / "MANIFEST").exists()
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        config = json.loads((CONFIG_DIR / "decompose_canonical.json").read_text())
+        path = write_config(tmp_path, dict(config, n=4000, R=8))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, MHA_NW_LAB_THREADS="1",
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"blas{threads}"
+            proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", "decompose", "--config",
+                                   str(path), "--out", str(out)], capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            tables.append((out / "table.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_gate_failure_exits_2(self, tmp_path):
         # an unattainable rank-correlation gate forces the failure path
