@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import ExperimentPlan, _head_tensor, _point_report
+from .decomposition import _reports
 from .errors import EmptySweep, ShapeMismatch
-from .mha import ProjectionSet, make_weights
+from .mha import make_weights
 from .nw_attention import HeadConfig
 from .synthetic import RegressionTask, derive_seed
 from .tensor_core import Matrix, qr_orthonormalize
@@ -126,7 +126,7 @@ def sweep_architectures(
     The argmin breaks exact ties toward larger H (many small heads).
     """
     wv = _sweep_value_vector(task)
-    plans: list[ExperimentPlan] = []
+    points = []   # (heads, uniform alphas) per feasible allocation
     skipped: list[str] = []
     frame = None
     if D <= task.p:
@@ -142,26 +142,19 @@ def sweep_architectures(
         for h in range(H):
             wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
             heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
-        plans.append(ExperimentPlan(
-            task=task, projection=ProjectionSet(heads=tuple(heads)),
-            weights=make_weights("uniform", H), n=n, R=R, Q=Q, master_seed=seed,
-        ))
-    if not plans:
+        points.append((tuple(heads), make_weights("uniform", H).alphas))
+    if not points:
         raise EmptySweep(
             f"no feasible allocation for budget D = {D} with p = {task.p}: "
             + "; ".join(skipped)
         )
-    tensors = _head_tensor(task, [plan.projection.heads for plan in plans], n, R, Q, seed)
-    rows: list[ArchRow] = []
-    for plan, tensor in zip(plans, tensors):
-        report = _point_report(plan, plan.projection, *tensor)
-        rows.append(ArchRow(
-            H=plan.projection.H, d_k=plan.projection.d_k, mse=report.mse_direct,
-            stderr=report.stderr["mse_direct"],
-            bias_sq=report.ensemble_bias_sq,
-            var_term=report.variance_term,
-            cov_term=report.covariance_term,
-        ))
+    reports = _reports(task, points, n, R, Q, seed)
+    rows = [
+        ArchRow(H=len(heads), d_k=heads[0].d_k, mse=report.mse_direct,
+                stderr=report.stderr["mse_direct"], bias_sq=report.ensemble_bias_sq,
+                var_term=report.variance_term, cov_term=report.covariance_term)
+        for (heads, _), report in zip(points, reports)
+    ]
 
     best = rows[0]
     for row in rows[1:]:

@@ -153,17 +153,6 @@ def _build_task(config: Config):
     )
 
 
-def _build_projection(config: Config, task) -> FamilySpec:
-    noise_scales = config.read("projection.noise_scales", [float], None)
-    return FamilySpec(
-        p=task.p, d_k=config.read("projection.d_k", int),
-        H=config.read("projection.H", int),
-        mix=config.read("projection.mix", float, 1.0),
-        query_gain=config.read("projection.query_gain", float, 1.0),
-        noise_scales=tuple(noise_scales) if noise_scales else None,
-    )
-
-
 def _build_weights(config: Config, H: int):
     kind = config.read("weights.kind", str, "uniform")
     rho = config.read("weights.rho", float) if kind == "geometric" else None
@@ -174,10 +163,20 @@ def _build_weights(config: Config, H: int):
     )
 
 
-def _build_plan(config: Config) -> ExperimentPlan:
+def _build_plan(config: Config, reads_mix: bool = True,
+                reads_weights: bool = True) -> ExperimentPlan:
+    """A command that sweeps its own mixes or weights does not read them."""
     task = _build_task(config)
-    projection = _build_projection(config, task)
-    weights = _build_weights(config, projection.H)
+    noise_scales = config.read("projection.noise_scales", [float], None)
+    projection = FamilySpec(
+        p=task.p, d_k=config.read("projection.d_k", int),
+        H=config.read("projection.H", int),
+        mix=config.read("projection.mix", float, 1.0) if reads_mix else 1.0,
+        query_gain=config.read("projection.query_gain", float, 1.0),
+        noise_scales=tuple(noise_scales) if noise_scales else None,
+    )
+    weights = (_build_weights(config, projection.H) if reads_weights
+               else make_weights("uniform", projection.H))
     return ExperimentPlan(
         task=task, projection=projection, weights=weights,
         n=config.read("n", int), R=config.read("R", int), Q=config.read("Q", int),
@@ -397,7 +396,7 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
 
 
 def cmd_sweep_hdi(config: Config, out: Path) -> int:
-    plan = _build_plan(config)
+    plan = _build_plan(config, reads_mix=False)
     gates = _gates(config, "spearman_max", "endpoint_sigma")
     mix_grid = config.read("mix_grid", [float])
     config.reject_unread()
@@ -425,7 +424,7 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
 
 
 def cmd_weights_compare(config: Config, out: Path) -> int:
-    plan = _build_plan(config)
+    plan = _build_plan(config, reads_weights=False)
     gates = _gates(config, "weighting_sigma")
     rho_grid = config.read("rho_grid", [float])
     config.reject_unread()
@@ -524,7 +523,7 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
 
 
 def cmd_optimize_proj(config: Config, out: Path) -> int:
-    task = _build_task(config)
+    p = config.read("task.p", int)
     gates = _gates(config, "optimizer_objective")
     d_k = config.read("projection.d_k", int)
     H = config.read("projection.H", int)
@@ -533,7 +532,7 @@ def cmd_optimize_proj(config: Config, out: Path) -> int:
     step_size = config.read("optimizer.step_size", float, 1.0)
     config.reject_unread()
     proj, trace = optimize_projections(
-        p=task.p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,
+        p=p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,
     )
     final = trace[-1]
     ok = final <= gates["optimizer_objective"]

@@ -21,9 +21,12 @@ identity residual is pure floating-point noise.  Standard errors come from
 the replicate-level influence statistics; the residual's standard error is
 propagated conservatively as the quadrature sum of the component errors.
 
-Parallelism: ``_head_tensor`` is the one replicate-major engine.  For a list
-of head sets it draws each replicate's dataset once and runs each distinct
-head once, writing the estimates into every slot that holds the head.
+``mc_decompose`` and every sweep hand ``_reports`` their ``(heads, alphas)``
+points, one weighted ensemble each, and get one ``DecompositionReport`` per
+point.  Behind it, ``_head_tensor`` is the one replicate-major engine: for a
+list of head sets it draws each replicate's dataset once and runs each
+distinct head once, writing the estimates into every slot that holds the
+head; points holding the same heads object share one tensor.
 MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only from
 POOL_MIN_LOGITS logits per call; slots are indexed by replicate, so the
 outputs are bit-identical for every thread count.
@@ -45,8 +48,8 @@ import numpy as np
 
 from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
-from .errors import (ConfigError, DensityTooSmall, LabError, NeedsTwoHeads,
-                     ReplicateFailure, ShapeMismatch)
+from .errors import (ConfigError, DensityTooSmall, NeedsTwoHeads, ReplicateFailure,
+                     ShapeMismatch)
 from .mha import ProjectionSet, WeightScheme, make_weights
 from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
@@ -93,10 +96,8 @@ class FamilySpec:
     query_gain: float = 1.0
     noise_scales: tuple[float, ...] | None = None
 
-    def resolve(self, task: RegressionTask, seed: int,
-                mix: float | None = None) -> ProjectionSet:
-        """The family for ``seed``, with ``mix`` in place of the spec's when
-        given; the balanced value vectors do not depend on ``task``."""
+    def resolve(self, seed: int, mix: float | None = None) -> ProjectionSet:
+        """The family for ``seed``, with ``mix`` in place of the spec's when given."""
         return make_projection_family(
             p=self.p, d_k=self.d_k, H=self.H,
             mix=self.mix if mix is None else mix,
@@ -110,7 +111,7 @@ class ExperimentPlan:
     """Fully seeded specification of one decomposition experiment."""
 
     task: RegressionTask
-    projection: ProjectionSet | FamilySpec
+    projection: FamilySpec
     weights: WeightScheme
     n: int
     R: int
@@ -118,12 +119,7 @@ class ExperimentPlan:
     master_seed: int
 
     def __post_init__(self):
-        if self.R < 2:
-            raise ShapeMismatch(f"covariance estimation needs R >= 2 replicates, got {self.R}")
-        if self.Q < 1:
-            raise ShapeMismatch(f"need Q >= 1 quadrature queries, got {self.Q}")
-        if self.n < 1:
-            raise ShapeMismatch(f"need n >= 1 data points, got {self.n}")
+        _check_sizes(self.n, self.R, self.Q)
         proj_p = self.projection.p
         if proj_p != self.task.p:
             raise ShapeMismatch(
@@ -134,13 +130,16 @@ class ExperimentPlan:
             raise ShapeMismatch(f"{self.weights.H} weights for {H} heads")
 
     def resolve_projection(self, mix: float | None = None) -> ProjectionSet:
-        if isinstance(self.projection, ProjectionSet):
-            if mix is not None:
-                raise LabError("plan carries an explicit projection set; cannot vary mix")
-            return self.projection
-        return self.projection.resolve(
-            self.task, seed=derive_seed(self.master_seed, "proj"), mix=mix
-        )
+        return self.projection.resolve(derive_seed(self.master_seed, "proj"), mix=mix)
+
+
+def _check_sizes(n: int, R: int, Q: int) -> None:
+    if R < 2:
+        raise ShapeMismatch(f"covariance estimation needs R >= 2 replicates, got {R}")
+    if Q < 1:
+        raise ShapeMismatch(f"need Q >= 1 quadrature queries, got {Q}")
+    if n < 1:
+        raise ShapeMismatch(f"need n >= 1 data points, got {n}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +202,8 @@ def _head_tensor(task, head_sets, n, R, Q, master_seed):
     return [(E, queries, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
 
 
-def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
-                      degenerate: int) -> DecompositionReport:
+def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
+                      alphas: np.ndarray) -> DecompositionReport:
     R, H, Q = E.shape
     Ebar = E.mean(axis=0)                                    # (H, Q)
     Ec = E - Ebar
@@ -266,11 +265,34 @@ def _decompose_tensor(E: np.ndarray, m_q: np.ndarray, alphas: np.ndarray,
         mse_replicates=mse_replicates,
         stderr=se,
         cov_stderr=cov_stderr,
-        degenerate_weights=degenerate,
+        degenerate_weights=int(degenerate.sum()),
     )
 
 
-def mc_decompose(plan: ExperimentPlan, proj: ProjectionSet | None = None) -> DecompositionReport:
+def _reports(task, points, n, R, Q, master_seed) -> list[DecompositionReport]:
+    """One report per ``(heads, alphas)`` point, all on the same replicates.
+
+    Points that hold the same heads object share one engine tensor; each
+    distinct tensor with degenerate softmax rows warns once.
+    """
+    _check_sizes(n, R, Q)
+    head_sets = list({id(heads): heads for heads, _ in points}.values())
+    tensors = {}
+    for heads, (E, queries, degenerate) in zip(
+            head_sets, _head_tensor(task, head_sets, n, R, Q, master_seed)):
+        if degenerate.any():
+            warnings.warn(
+                f"{degenerate.sum()} softmax weight vectors were degenerate "
+                f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) at n={n}, "
+                f"H={len(heads)}, d_k={heads[0].d_k}; per head {degenerate.tolist()}",
+                RuntimeWarning, stacklevel=2,
+            )
+        tensors[id(heads)] = (E, degenerate)
+    m_q = task.mean(queries)   # every head set shares the quadrature queries
+    return [_decompose_tensor(*tensors[id(heads)], m_q, alphas) for heads, alphas in points]
+
+
+def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
     """Monte-Carlo decomposition of the plan's ensemble.
 
     Each replicate draws an independent dataset (seed domain "data"),
@@ -278,23 +300,9 @@ def mc_decompose(plan: ExperimentPlan, proj: ProjectionSet | None = None) -> Dec
     and the cross-replicate moments estimate bias against the known mean
     function, per-head variances and the cross-head covariance matrix.
     """
-    proj = plan.resolve_projection() if proj is None else proj
-    [tensor] = _head_tensor(plan.task, [proj.heads], plan.n, plan.R, plan.Q, plan.master_seed)
-    return _point_report(plan, proj, *tensor)
-
-
-def _point_report(plan: ExperimentPlan, proj: ProjectionSet, E: np.ndarray,
-                  queries: np.ndarray, degenerate: np.ndarray) -> DecompositionReport:
-    """Report of one sweep point from its engine output; warns on degenerate rows."""
-    if degenerate.any():
-        warnings.warn(
-            f"{degenerate.sum()} softmax weight vectors were degenerate "
-            f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) at n={plan.n}, "
-            f"H={proj.H}, d_k={proj.d_k}; per head {degenerate.tolist()}",
-            RuntimeWarning, stacklevel=2,
-        )
-    m_q = plan.task.mean(queries)
-    return _decompose_tensor(E, m_q, plan.weights.alphas, int(degenerate.sum()))
+    [report] = _reports(plan.task, [(plan.resolve_projection().heads, plan.weights.alphas)],
+                        plan.n, plan.R, plan.Q, plan.master_seed)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +434,11 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
     projs = [plan.resolve_projection(mix=mix) for mix in mix_grid]
-    tensors = _head_tensor(plan.task, [proj.heads for proj in projs],
-                           plan.n, plan.R, plan.Q, plan.master_seed)
+    reports = _reports(plan.task, [(proj.heads, plan.weights.alphas) for proj in projs],
+                       plan.n, plan.R, plan.Q, plan.master_seed)
     rows = []
     mse_replicates = {}   # mix -> per-replicate MSE, for the paired endpoint contrast
-    for mix, proj, tensor in zip(mix_grid, projs, tensors):
-        report = _point_report(plan, proj, *tensor)
+    for mix, proj, report in zip(mix_grid, projs, reports):
         literal, normalized = hdi_indices(proj)
         rows.append((mix, literal, normalized, report.mse_direct,
                      report.stderr["mse_direct"]))
@@ -474,63 +481,42 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
         raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
     proj = plan.resolve_projection()
     H = proj.H
+    uniform = make_weights("uniform", H).alphas
 
-    pilot_R = max(2, plan.R // 2)
-    [(pilot_E, pilot_queries, _)] = _head_tensor(
-        plan.task, [proj.heads], plan.n, pilot_R, plan.Q,
-        derive_seed(plan.master_seed, "pilot"),
-    )
-    pilot_m = plan.task.mean(pilot_queries)
-    pilot_mse = ((pilot_E - pilot_m) ** 2).mean(axis=(0, 2))
-    order = np.argsort(pilot_mse, kind="stable")
-
-    [(E, queries, _)] = _head_tensor(
-        plan.task, [proj.heads], plan.n, plan.R, plan.Q, plan.master_seed
-    )
-    E = E[:, order, :]
-    m_q = plan.task.mean(queries)
-
-    def evaluate(alphas: np.ndarray):
-        Y = np.einsum("h,rhq->rq", alphas, E)
-        per_rep = ((Y - m_q) ** 2).mean(axis=1)
-        return float(per_rep.mean()), per_rep
+    [pilot] = _reports(plan.task, [(proj.heads, uniform)], plan.n, max(2, plan.R // 2),
+                       plan.Q, derive_seed(plan.master_seed, "pilot"))
+    order = np.argsort(pilot.per_head_mse, kind="stable")
+    heads = tuple(proj.heads[h] for h in order)
 
     schemes: list[tuple[str, float | None, np.ndarray]] = [
-        ("uniform", None, make_weights("uniform", H).alphas),
+        ("uniform", None, uniform),
         ("fibonacci", None, make_weights("fibonacci", H).alphas),
     ]
     for rho in rho_grid:
         schemes.append(("geometric", rho, make_weights("geometric", H, rho=rho).alphas))
+    # one ordered-heads tuple for every scheme: the engine runs each head once
+    reports = _reports(plan.task, [(heads, alphas) for _, _, alphas in schemes],
+                       plan.n, plan.R, plan.Q, plan.master_seed)
 
-    base_mse, base_rep = evaluate(schemes[0][2])
+    base = reports[0]
     # float-noise floor: identical heads give diffs of order eps * mse
-    floor = 1e-12 * max(1.0, abs(base_mse))
+    floor = 1e-12 * max(1.0, abs(base.mse_direct))
     rows = []
-    best = ("uniform", None, base_mse, 0.0, 0.0)
-    for name, rho, alphas in schemes:
-        mse, per_rep = evaluate(alphas)
-        se = float(per_rep.std(ddof=1) / np.sqrt(plan.R))
-        paired = per_rep - base_rep
-        diff = float(paired.mean())
-        diff_sd = float(paired.std(ddof=1))
-        diff_se = diff_sd / np.sqrt(plan.R)
-        rows.append((name, rho, mse, se, diff, diff_se))
-        if mse < best[2] - floor:
-            best = (name, rho, mse, diff, diff_se)
-
-    # per-head variance spread on the main tensor (ordered heads)
-    Ec = E - E.mean(axis=0)
-    head_var = (Ec**2).sum(axis=0).mean(axis=1) / (plan.R - 1)
-    spread = float(head_var.max() - head_var.min())
-
+    best = ("uniform", None, base.mse_direct)
     beats = False
     margin = 0.0
-    for name, rho, mse, se, diff, diff_se in rows:
-        if name != "geometric":
-            continue
-        if diff < -max(sigma * diff_se, floor):
+    for (name, rho, _), report in zip(schemes, reports):
+        mse = report.mse_direct
+        paired = report.mse_replicates - base.mse_replicates
+        diff = float(paired.mean())
+        diff_se = float(paired.std(ddof=1)) / np.sqrt(plan.R)
+        rows.append((name, rho, mse, report.stderr["mse_direct"], diff, diff_se))
+        if mse < best[2] - floor:
+            best = (name, rho, mse)
+        if name == "geometric" and diff < -max(sigma * diff_se, floor):
             beats = True
             margin = max(margin, -diff / diff_se if diff_se > 0.0 else float("inf"))
+    spread = float(base.per_head_var.max() - base.per_head_var.min())
     return WeightingCompareResult(
         rows=rows, head_order=order, variance_spread=spread,
         best_scheme=best[0], best_rho=best[1],

@@ -31,18 +31,23 @@ def small_decompose_config(out_dir, **overrides):
 
 def small_config(command, out_dir):
     """A small config that ``command`` runs to completion."""
-    task = {"family": "quadratic", "p": 8, "sigma": 1.0, "input_law": "gaussian"}
     if command == "sweep-arch":
-        return {"version": 1, "task": dict(task, family="sine_mixture"), "budget_D": 7,
+        task = {"family": "sine_mixture", "p": 8, "sigma": 1.0, "input_law": "gaussian"}
+        return {"version": 1, "task": task, "budget_D": 7,
                 "n": 100, "R": 20, "Q": 8, "master_seed": 3,
                 "gates": {"arch_interior": False, "arch_nondecreasing": False},
                 "output_dir": str(out_dir)}
     if command == "optimize-proj":
-        return {"version": 1, "task": task, "projection": {"d_k": 2, "H": 4},
+        return {"version": 1, "task": {"p": 8}, "projection": {"d_k": 2, "H": 4},
                 "master_seed": 3, "output_dir": str(out_dir)}
-    grids = {"sweep-hdi": {"mix_grid": [0.0, 0.5, 1.0]},
-             "weights-compare": {"rho_grid": [0.5, 1.0]}}
-    return small_decompose_config(out_dir, **grids.get(command, {}))
+    config = small_decompose_config(out_dir)
+    if command == "sweep-hdi":   # mix_grid takes the place of projection.mix
+        del config["projection"]["mix"]
+        config["mix_grid"] = [0.0, 0.5, 1.0]
+    if command == "weights-compare":   # compares its own weight schemes
+        del config["weights"]
+        config["rho_grid"] = [0.5, 1.0]
+    return config
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -131,9 +136,15 @@ class TestConfigValidation:
          "subcommand: projection.value_mode"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 1.5]), "mix_grid must lie"),
         ("weights-compare", lambda c: c.update(rho_grid=[0.5, 1.2]), "rho_grid must lie"),
+        ("weights-compare", lambda c: c.update(weights={"kind": "uniform"}),
+         "subcommand: weights"),
+        ("sweep-hdi", lambda c: c["projection"].update(mix=1.0),
+         "subcommand: projection.mix"),
+        ("optimize-proj", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
-            "value-mode", "mix-grid-range", "rho-grid-range"])
+            "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
+            "hdi-projection-mix", "optimize-task-sigma"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                command, edit, fragment):
         config = small_config(command, tmp_path / "out")
@@ -233,7 +244,7 @@ class TestDecomposeCommand:
     def test_partial_results_removed_on_failure(self, tmp_path, monkeypatch):
         from mha_nw_lab.errors import LabError
 
-        def boom(plan, proj=None):
+        def boom(plan):
             raise LabError("synthetic failure")
 
         monkeypatch.setattr(cli, "mc_decompose", boom)
@@ -274,8 +285,8 @@ class TestDecomposeCommand:
     def test_gate_failure_exits_2(self, tmp_path):
         # an unattainable rank-correlation gate forces the failure path
         out = tmp_path / "run"
-        config = small_decompose_config(out, mix_grid=[0.0, 0.5, 1.0],
-                                        gates={"spearman_max": -1.01})
+        config = small_config("sweep-hdi", out)
+        config["gates"] = {"spearman_max": -1.01}
         path = write_config(tmp_path, config)
         assert cli.main(["sweep-hdi", "--config", str(path)]) == 2
         assert (out / "report.json").exists()
@@ -341,7 +352,7 @@ class TestOtherCommands:
     def test_optimize_proj_infeasible_exit_1(self, tmp_path, capsys):
         config = {
             "version": 1,
-            "task": {"family": "quadratic", "p": 4, "sigma": 1.0, "input_law": "gaussian"},
+            "task": {"p": 4},
             "projection": {"d_k": 2, "H": 4},
             "master_seed": 3,
             "output_dir": str(tmp_path / "out"),
@@ -353,7 +364,7 @@ class TestOtherCommands:
     def test_optimize_proj_success(self, tmp_path):
         config = {
             "version": 1,
-            "task": {"family": "quadratic", "p": 8, "sigma": 1.0, "input_law": "gaussian"},
+            "task": {"p": 8},
             "projection": {"d_k": 2, "H": 4},
             "master_seed": 3,
             "output_dir": str(tmp_path / "out"),
@@ -379,7 +390,7 @@ class TestOtherCommands:
         assert len(rows) == 3  # header + (7,1) + (1,7)
 
     def test_sweep_hdi_gate_verdict_line(self, tmp_path, capsys):
-        config = small_decompose_config(tmp_path / "out", mix_grid=[0.0, 0.5, 1.0])
+        config = small_config("sweep-hdi", tmp_path / "out")
         config["R"] = 80
         path = write_config(tmp_path, config)
         code = cli.main(["sweep-hdi", "--config", str(path)])
@@ -389,7 +400,8 @@ class TestOtherCommands:
         assert code in (0, 2)
 
     def test_weights_compare_requires_rho_grid(self, tmp_path, capsys):
-        config = small_decompose_config(tmp_path / "out")
+        config = small_config("weights-compare", tmp_path / "out")
+        del config["rho_grid"]
         path = write_config(tmp_path, config)
         assert cli.main(["weights-compare", "--config", str(path)]) == 1
         assert "rho_grid" in capsys.readouterr().err

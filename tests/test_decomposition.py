@@ -15,7 +15,7 @@ from mha_nw_lab.decomposition import (
     theoretical_bias_variance,
     weighting_compare,
 )
-from mha_nw_lab.errors import LabError, NeedsTwoHeads, ShapeMismatch
+from mha_nw_lab.errors import NeedsTwoHeads, ShapeMismatch
 from mha_nw_lab.mha import make_weights
 from mha_nw_lab.nw_attention import HeadConfig, attend, attend_many
 from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
@@ -212,7 +212,7 @@ class TestReplicateEngine:
     def head_sets(task):
         """Identical heads (mix 0), distinct heads, and sharp heads with degenerate rows."""
         return [
-            FamilySpec(p=8, d_k=2, H=4, mix=mix, query_gain=gain).resolve(task, seed=5).heads
+            FamilySpec(p=8, d_k=2, H=4, mix=mix, query_gain=gain).resolve(seed=5).heads
             for mix, gain in ((0.0, 4.0), (0.5, 4.0), (1.0, 60.0))
         ]
 
@@ -268,27 +268,7 @@ class TestReplicateEngine:
             _head_tensor(quad_task, [distinct, (distinct[0], bad)], 50, 4, 4, 1)
         assert excinfo.value.replicate == 0
         assert excinfo.value.head == 1
-
-
-class TestReplicateFailure:
-    def test_overflowing_values_name_the_indices(self, quad_task):
-        from mha_nw_lab.errors import ReplicateFailure
-
-        # a value vector at the float ceiling overflows the weighted sum
-        spec = FamilySpec(p=8, d_k=2, H=2, mix=1.0, query_gain=4.0)
-        base = spec.resolve(quad_task, seed=3)
-        heads = tuple(
-            HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base.heads
-        )
-        plan = ExperimentPlan(
-            task=quad_task, projection=lab.ProjectionSet(heads=heads),
-            weights=make_weights("uniform", 2), n=50, R=4, Q=4, master_seed=1,
-        )
-        with pytest.raises(ReplicateFailure) as excinfo:
-            mc_decompose(plan)
-        err = excinfo.value
-        assert err.replicate == 0
-        assert 0 <= err.head < 2 and 0 <= err.query < 4
+        assert 0 <= excinfo.value.query < 4
 
 
 class TestDegenerateScreen:
@@ -413,15 +393,6 @@ class TestHdiSweep:
         with pytest.raises(NeedsTwoHeads):
             hdi_sweep(plan, [0.0, 1.0])
 
-    def test_rejects_explicit_projection(self, quad_task):
-        spec = FamilySpec(p=8, d_k=2, H=4, mix=1.0, query_gain=4.0)
-        proj = spec.resolve(quad_task, seed=3)
-        plan = ExperimentPlan(task=quad_task, projection=proj,
-                              weights=make_weights("uniform", 4),
-                              n=50, R=10, Q=4, master_seed=1)
-        with pytest.raises(LabError):
-            hdi_sweep(plan, [0.0, 1.0])
-
     def test_mix_grid_validation(self, quad_task):
         plan = quick_plan(quad_task, n=50, R=10, Q=4, master=1)
         with pytest.raises(ShapeMismatch):
@@ -459,6 +430,22 @@ class TestWeightingCompare:
         geo_one = by_name[("geometric", 1.0)]
         assert geo_one[2] == uniform[2]
         assert geo_one[4] == 0.0
+
+    def test_one_head_set_per_engine_call(self, radial_task, monkeypatch):
+        # the pilot, then one ordered-heads tuple shared by every scheme
+        calls = TestReplicateEngine.counting(monkeypatch, "_head_tensor", _head_tensor)
+        plan = quick_plan(radial_task, p=12, mix=1.0, n=60, R=10, Q=4, master=34)
+        result = weighting_compare(plan, [0.5, 0.8, 1.0])
+        assert [len(head_sets) for _, head_sets, *_ in calls] == [1, 1]
+        assert [R for *_, R, _, _ in calls] == [5, 10]
+        assert len(result.rows) == 5
+
+    def test_sharp_kernel_warns_about_degenerate_rows(self):
+        task = lab.make_task("quadratic", 4, 1.0, "gaussian")
+        plan = quick_plan(task, p=4, d_k=1, H=2, n=50, R=10, Q=8, master=3, gain=200.0)
+        with pytest.warns(RuntimeWarning, match="degenerate") as record:
+            weighting_compare(plan, [0.5])
+        assert len(record) == 2   # the pilot and the main run
 
     def test_rho_grid_validation(self, radial_task):
         plan = quick_plan(radial_task, p=12, n=50, R=10, Q=4, master=1)
