@@ -271,6 +271,24 @@ class TestReplicateEngine:
         assert 0 <= excinfo.value.query < 4
 
 
+class TestReplicateFailure:
+    def test_overflowing_values_name_the_indices(self, quad_task):
+        from mha_nw_lab.errors import ReplicateFailure
+
+        # a value vector at the float ceiling overflows the weighted sum
+        spec = FamilySpec(p=8, d_k=2, H=2, mix=1.0, query_gain=4.0)
+        base = spec.resolve(seed=3)
+        heads = tuple(
+            HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base.heads
+        )
+        points = [(heads, make_weights("uniform", 2).alphas)]
+        with pytest.raises(ReplicateFailure) as excinfo:
+            decomposition._reports(quad_task, points, n=50, R=4, Q=4, master_seed=1)
+        err = excinfo.value
+        assert err.replicate == 0
+        assert 0 <= err.head < 2 and 0 <= err.query < 4
+
+
 class TestDegenerateScreen:
     def test_sharp_kernel_counts_degenerates(self):
         task = lab.make_task("quadratic", 4, 1.0, "gaussian")
