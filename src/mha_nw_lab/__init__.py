@@ -18,13 +18,11 @@ from .decomposition import (
     weighting_compare,
 )
 from .diversity import (
-    cross_gram,
     hdi,
     load_weight_file,
     make_diversity_report,
     make_projection_family,
     optimize_projections,
-    principal_angles,
 )
 from .mha import ProjectionSet, WeightScheme, make_weights
 from .nw_attention import AttentionOutput, HeadConfig, attend, attend_many, nw_reference
@@ -45,7 +43,7 @@ __all__ = [
     "sample_queries", "derive_seed",
     "HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference",
     "ProjectionSet", "WeightScheme", "make_weights",
-    "cross_gram", "principal_angles", "hdi", "make_diversity_report",
+    "hdi", "make_diversity_report",
     "make_projection_family", "optimize_projections", "load_weight_file",
     "ExperimentPlan", "FamilySpec", "mc_decompose", "theoretical_bias_variance",
     "hdi_sweep", "weighting_compare",

@@ -160,10 +160,6 @@ class DecompositionReport:
     cov_stderr: np.ndarray               # (H, H) pairwise stderrs
     degenerate_weights: int
 
-    @property
-    def decomposed_mse(self) -> float:
-        return self.ensemble_bias_sq + self.variance_term + self.covariance_term
-
 
 def _head_tensor(task, head_sets, n, R, Q, master_seed):
     """One (E[r, h, q], queries, degenerate count per head) per head set;

@@ -14,8 +14,9 @@ Two diversity indices are exposed:
 
 The literal index does not reach 0 for identical heads when d_k > 1
 (identical orthonormal frames give ||G||_F^2 = 1/d_k), so reports always
-carry both values.  ``hdi`` and ``make_diversity_report`` orthonormalize
-each key frame once and form each pair's cross-Gram once.
+carry both values.  ``make_diversity_report`` is the one pass over head
+pairs: it orthonormalizes each key frame once and forms each pair's G and
+U_h^T U_h' once; ``hdi`` returns its two indices.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .tensor_core import Matrix, qr_orthonormalize
 
 __all__ = [
     "DiversityReport",
-    "cross_gram",
-    "principal_angles",
     "hdi",
     "make_diversity_report",
     "make_projection_family",
@@ -42,65 +41,6 @@ __all__ = [
     "optimize_projections",
     "load_weight_file",
 ]
-
-
-def _check_pair(proj: ProjectionSet, h: int, h2: int) -> None:
-    if not (0 <= h < proj.H and 0 <= h2 < proj.H):
-        raise IndexError(f"head index out of range: ({h}, {h2}) with H = {proj.H}")
-    if h == h2:
-        raise ShapeMismatch(f"cross-head quantities need distinct heads, got ({h}, {h2})")
-
-
-def cross_gram(proj: ProjectionSet, h: int, h2: int) -> Matrix:
-    """Cross-Gram matrix (wk_h^T wk_h2) / d_k of shape d_k x d_k."""
-    _check_pair(proj, h, h2)
-    wk_h = proj.heads[h].wk.a
-    wk_h2 = proj.heads[h2].wk.a
-    return Matrix((wk_h.T @ wk_h2) / proj.d_k)
-
-
-def _angles(cosine_matrix: np.ndarray) -> np.ndarray:
-    """Ascending principal angles from U_h^T U_h2; clipped, as roundoff can
-    put a singular value just above one."""
-    cosines = np.linalg.svd(cosine_matrix, compute_uv=False)
-    return np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
-
-
-def principal_angles(proj: ProjectionSet, h: int, h2: int) -> np.ndarray:
-    """Principal angles between the two key subspaces, ascending, in [0, pi/2]."""
-    _check_pair(proj, h, h2)
-    u_h = qr_orthonormalize(proj.heads[h].wk.a)
-    u_h2 = qr_orthonormalize(proj.heads[h2].wk.a)
-    return _angles(u_h.T @ u_h2)
-
-
-def _pair_geometry(proj: ProjectionSet, what: str) -> dict:
-    """(h, h2) with h < h2 -> (||G_hh2||_F^2, U_h^T U_h2)."""
-    if proj.H < 2:
-        raise NeedsTwoHeads(f"{what} needs H >= 2 heads, got {proj.H}")
-    frames = [qr_orthonormalize(head.wk.a) for head in proj.heads]
-    pairs = {}
-    for h in range(proj.H):
-        for h2 in range(h + 1, proj.H):
-            g = cross_gram(proj, h, h2).a
-            pairs[(h, h2)] = (float((g * g).sum()), frames[h].T @ frames[h2])
-    return pairs
-
-
-def _indices(pairs: dict, d_k: int) -> tuple[float, float]:
-    literal_mass = 0.0
-    normalized_mass = 0.0
-    for gram_sq, m in pairs.values():
-        literal_mass += gram_sq
-        normalized_mass += float((m * m).sum()) / d_k
-    n_pairs = len(pairs)
-    normalized = min(1.0, max(0.0, 1.0 - normalized_mass / n_pairs))
-    return 1.0 - literal_mass / n_pairs, normalized
-
-
-def hdi(proj: ProjectionSet) -> tuple[float, float]:
-    """(literal index, normalized index) for the projection set."""
-    return _indices(_pair_geometry(proj, "hdi"), proj.d_k)
 
 
 @dataclass(frozen=True)
@@ -114,15 +54,38 @@ class DiversityReport:
 
 
 def make_diversity_report(proj: ProjectionSet) -> DiversityReport:
-    pairs = _pair_geometry(proj, "diversity report")
+    """Gram masses, principal angles and both indices in one pass over h < h2."""
+    if proj.H < 2:
+        raise NeedsTwoHeads(f"diversity report needs H >= 2 heads, got {proj.H}")
+    wks = [head.wk.a for head in proj.heads]
+    frames = [qr_orthonormalize(wk) for wk in wks]
     gram = np.zeros((proj.H, proj.H))
     angles = {}
-    for (h, h2), (gram_sq, m) in pairs.items():
-        gram[h, h2] = gram[h2, h] = gram_sq
-        angles[(h, h2)] = _angles(m)
-    literal, normalized = _indices(pairs, proj.d_k)
-    return DiversityReport(gram_frobsq=gram, principal_angles=angles,
-                           hdi=literal, hdi_normalized=normalized)
+    literal_mass = 0.0
+    normalized_mass = 0.0
+    for h in range(proj.H):
+        for h2 in range(h + 1, proj.H):
+            g = (wks[h].T @ wks[h2]) / proj.d_k
+            m = frames[h].T @ frames[h2]
+            gram_sq = float((g * g).sum())
+            gram[h, h2] = gram[h2, h] = gram_sq
+            literal_mass += gram_sq
+            normalized_mass += float((m * m).sum()) / proj.d_k
+            # clipped, as roundoff can put a singular value just above one
+            cosines = np.linalg.svd(m, compute_uv=False)
+            angles[(h, h2)] = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
+    n_pairs = len(angles)
+    return DiversityReport(
+        gram_frobsq=gram, principal_angles=angles,
+        hdi=1.0 - literal_mass / n_pairs,
+        hdi_normalized=min(1.0, max(0.0, 1.0 - normalized_mass / n_pairs)),
+    )
+
+
+def hdi(proj: ProjectionSet) -> tuple[float, float]:
+    """(literal index, normalized index) for the projection set."""
+    report = make_diversity_report(proj)
+    return report.hdi, report.hdi_normalized
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +284,11 @@ def optimize_projections(
 def load_weight_file(path) -> ProjectionSet:
     """Read a JSON head-weight document and return a ProjectionSet.
 
-    Expected form: {"heads": [{"p": int, "d_k": int, "data": [row-major
-    floats]}, ...]}.  Shapes and finiteness are validated; parse errors
-    carry the byte offset.  The imported heads tie wq = wk and use a zero
-    value vector, which is all the diversity diagnostics need.
+    Expected form: {"heads": [{"p": int, "d_k": int, "data": [flat
+    row-major numbers]}, ...]}.  Shapes, value types and finiteness are
+    validated, naming the head; parse errors carry the byte offset.  The
+    imported heads tie wq = wk and use a zero value vector, which is all
+    the diversity diagnostics need.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -352,12 +316,20 @@ def load_weight_file(path) -> ProjectionSet:
             raise WeightFileError(
                 f"weight file {path}: head {i} is missing fields {sorted(missing)}"
             )
-        p, d_k = entry["p"], entry["d_k"]
-        if not (isinstance(p, int) and isinstance(d_k, int) and p >= 1 and d_k >= 1):
+        p, d_k, data = entry["p"], entry["d_k"], entry["data"]
+        # type() rather than isinstance(): JSON true/false load as bools
+        if not (type(p) is int and type(d_k) is int and p >= 1 and d_k >= 1):
             raise WeightFileError(
                 f"weight file {path}: head {i} has invalid shape fields p={p!r}, d_k={d_k!r}"
             )
-        data = np.asarray(entry["data"], dtype=np.float64).reshape(-1)
+        if not (isinstance(data, list) and all(type(x) in (int, float) for x in data)):
+            raise WeightFileError(
+                f"weight file {path}: head {i} 'data' must be a flat array of numbers"
+            )
+        try:
+            data = np.array(data, dtype=np.float64)
+        except OverflowError as exc:
+            raise WeightFileError(f"weight file {path}: head {i} has non-finite entries") from exc
         if data.shape[0] != p * d_k:
             raise WeightFileError(
                 f"weight file {path}: head {i} declares {p}x{d_k} = {p * d_k} "

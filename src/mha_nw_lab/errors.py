@@ -30,10 +30,6 @@ class UnsupportedFamily(LabError):
     """Unknown regression-function family name."""
 
 
-class EmptyData(LabError):
-    """An estimator was handed an empty dataset."""
-
-
 class DegenerateKernel(LabError):
     """All raw kernel values underflowed to zero."""
 

@@ -50,11 +50,6 @@ class ProjectionSet:
     def d_k(self) -> int:
         return self.heads[0].d_k
 
-    @property
-    def budget(self) -> int:
-        """Total key dimension D = H * d_k."""
-        return self.H * self.d_k
-
 
 @dataclass(frozen=True)
 class WeightScheme:

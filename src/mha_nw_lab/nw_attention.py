@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateKernel, EmptyData, ShapeMismatch
+from .errors import DegenerateKernel, ShapeMismatch
 from .synthetic import Dataset
 from .tensor_core import Matrix
 
@@ -88,8 +88,6 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset,
     e / s when ``return_weights`` is set (``attend`` reads them from here).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if data.n < 1:
-        raise EmptyData("attend: dataset is empty")
     if queries.shape[1] != head.p or data.p != head.p:
         raise ShapeMismatch(
             f"attend: head expects R^{head.p}, got query dim {queries.shape[1]} "

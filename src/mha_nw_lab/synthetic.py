@@ -159,15 +159,6 @@ class RegressionTask:
         xs = _sample_law(self.input_law, _SKELETON_SAMPLES, self.p, rng)
         return (xs * self.mean(xs)[:, None]).mean(axis=0)
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"{self.family}|{self.p}|{self.sigma!r}|{self.input_law}|"
-                 f"{self.param_seed}|{self.heteroscedastic}".encode("ascii"))
-        for key in sorted(self.params):
-            h.update(key.encode("ascii"))
-            h.update(np.ascontiguousarray(self.params[key]).tobytes())
-        return h.hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -177,7 +168,7 @@ class Dataset:
     ys: np.ndarray
     eps: np.ndarray
     seed: int
-    task_id: str
+    task_id: str = ""   # caller's label; nothing in the lab reads it
 
     def __post_init__(self):
         for name in ("xs", "ys", "eps"):
@@ -279,7 +270,7 @@ def sample_dataset(task: RegressionTask, n: int, seed: int) -> Dataset:
     xs = _sample_law(task.input_law, n, task.p, rng)
     eps = rng.standard_normal(n) * task.noise_sd(xs)
     ys = task.mean(xs) + eps
-    return Dataset(xs=xs, ys=ys, eps=eps, seed=int(seed), task_id=task.fingerprint())
+    return Dataset(xs=xs, ys=ys, eps=eps, seed=int(seed))
 
 
 def sample_queries(task: RegressionTask, q: int, seed: int) -> np.ndarray:

@@ -339,6 +339,24 @@ class TestHdiCommand:
         assert cli.main(["hdi", "--weights", str(bad)]) == 1
         assert "head 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head", [
+        '{"p": true, "d_k": true, "data": [1.0]}',
+        '{"p": 2, "d_k": 1, "data": ["abc", 1.0]}',
+        '{"p": 2, "d_k": 1, "data": {"a": 1}}',
+        '{"p": 2, "d_k": 1, "data": ["1.0", "0"]}',
+        '{"p": 2, "d_k": 1, "data": [true, 0.0]}',
+        '{"p": 2, "d_k": 1, "data": [[1.0], [0.0]]}',
+        '{"p": 2, "d_k": 1, "data": [1' + "0" * 400 + ', 0.0]}',
+    ], ids=["bool-shape", "text-entry", "object-data", "numeric-text", "bool-entry",
+            "nested-list", "int-beyond-float"])
+    def test_malformed_head_exit_1_names_head(self, tmp_path, capsys, head):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"heads": [' + head + ', {"p": 2, "d_k": 1, "data": [1.0, 0.0]}]}')
+        assert cli.main(["hdi", "--weights", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error: weight file" in err and "head 0" in err
+        assert "Traceback" not in err
+
     def test_optional_output_directory(self, tmp_path):
         out = tmp_path / "hdi_out"
         code = cli.main(["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json"),

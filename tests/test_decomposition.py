@@ -69,7 +69,8 @@ class TestDecompositionIdentity:
 
     def test_decomposed_equals_direct(self, orth_report):
         _, report = orth_report
-        assert report.decomposed_mse == pytest.approx(report.mse_direct, rel=1e-12)
+        decomposed = report.ensemble_bias_sq + report.variance_term + report.covariance_term
+        assert decomposed == pytest.approx(report.mse_direct, rel=1e-12)
 
     def test_cov_diagonal_equals_per_head_var(self, orth_report):
         _, report = orth_report

@@ -3,21 +3,20 @@ import json
 import numpy as np
 import pytest
 
+from mha_nw_lab import diversity
 from mha_nw_lab.diversity import (
-    cross_gram,
     hdi,
     load_weight_file,
     make_diversity_report,
     make_projection_family,
     optimize_projections,
-    principal_angles,
     projection_gradient,
     projection_objective,
 )
-from mha_nw_lab.errors import Infeasible, NeedsTwoHeads, ShapeMismatch, WeightFileError
+from mha_nw_lab.errors import Infeasible, NeedsTwoHeads, WeightFileError
 from mha_nw_lab.mha import ProjectionSet
 from mha_nw_lab.nw_attention import HeadConfig
-from mha_nw_lab.tensor_core import Matrix
+from mha_nw_lab.tensor_core import Matrix, qr_orthonormalize
 
 
 def set_from_wks(wks):
@@ -35,63 +34,63 @@ def orthonormal(p, d_k, seed):
     return q
 
 
+def eigvalsh_oracle(w0, w1):
+    # cos(theta_j)^2 are the eigenvalues of M^T M, M = U_h^T U_h' (Bjorck & Golub)
+    m = np.linalg.qr(w0)[0].T @ np.linalg.qr(w1)[0]
+    cos2 = np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, 1.0)
+    return np.sort(np.arccos(np.sqrt(cos2)))
+
+
+def angles01(wks):
+    return make_diversity_report(set_from_wks(wks)).principal_angles[(0, 1)]
+
+
 class TestCrossGram:
+    """Pairwise Gram mass ||wk_h^T wk_h' / d_k||_F^2 in ``gram_frobsq``."""
+
     def test_identical_orthonormal_heads(self):
         u = orthonormal(6, 3, 0)
-        proj = set_from_wks([u, u])
-        g = cross_gram(proj, 0, 1).a
-        np.testing.assert_allclose(g, np.eye(3) / 3, atol=1e-14)
-        assert float((g * g).sum()) == pytest.approx(1.0 / 3)
+        report = make_diversity_report(set_from_wks([u, u]))
+        assert report.gram_frobsq[0, 1] == pytest.approx(1.0 / 3, rel=1e-14)
 
     def test_orthogonal_subspaces_zero(self):
         frame = orthonormal(6, 4, 1)
-        proj = set_from_wks([frame[:, :2], frame[:, 2:]])
-        np.testing.assert_allclose(cross_gram(proj, 0, 1).a, np.zeros((2, 2)), atol=1e-14)
+        report = make_diversity_report(set_from_wks([frame[:, :2], frame[:, 2:]]))
+        assert report.gram_frobsq[0, 1] <= 4e-28   # 4 entries, each |G_ij| <= 1e-14
 
     def test_45_degree_pair_by_hand(self):
         e1 = np.array([[1.0], [0.0]])
         mid = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        proj = set_from_wks([e1, mid])
-        g = cross_gram(proj, 0, 1).a
-        assert g.shape == (1, 1)
-        assert g[0, 0] == pytest.approx(1.0 / np.sqrt(2))
-
-    def test_index_validation(self):
-        proj = set_from_wks([orthonormal(4, 2, 2), orthonormal(4, 2, 3)])
-        with pytest.raises(IndexError):
-            cross_gram(proj, 0, 5)
-        with pytest.raises(ShapeMismatch):
-            cross_gram(proj, 1, 1)
+        report = make_diversity_report(set_from_wks([e1, mid]))
+        assert report.gram_frobsq[0, 1] == pytest.approx(0.5, rel=1e-12)
 
     def test_symmetry_of_frobenius_mass(self):
-        proj = set_from_wks([orthonormal(5, 2, 4), orthonormal(5, 2, 5)])
-        g01 = cross_gram(proj, 0, 1).a
-        g10 = cross_gram(proj, 1, 0).a
-        assert float((g01**2).sum()) == pytest.approx(float((g10**2).sum()), rel=1e-12)
+        proj = set_from_wks([orthonormal(5, 2, s) for s in (4, 5, 6)])
+        gram = make_diversity_report(proj).gram_frobsq
+        np.testing.assert_array_equal(gram, gram.T)
+        np.testing.assert_array_equal(np.diag(gram), np.zeros(3))
+        assert np.all(gram[np.triu_indices(3, 1)] > 0.0)
 
 
 class TestPrincipalAngles:
     def test_identical_subspaces_zero_angles(self):
         u = orthonormal(6, 3, 6)
-        angles = principal_angles(set_from_wks([u, u]), 0, 1)
-        np.testing.assert_allclose(angles, np.zeros(3), atol=1e-7)
+        np.testing.assert_allclose(angles01([u, u]), np.zeros(3), atol=1e-7)
 
     def test_orthogonal_subspaces_right_angles(self):
         frame = orthonormal(8, 4, 7)
-        proj = set_from_wks([frame[:, :2], frame[:, 2:]])
-        np.testing.assert_allclose(principal_angles(proj, 0, 1), np.full(2, np.pi / 2),
-                                   atol=1e-7)
+        np.testing.assert_allclose(angles01([frame[:, :2], frame[:, 2:]]),
+                                   np.full(2, np.pi / 2), atol=1e-7)
 
     def test_planted_45_degrees(self):
         e1 = np.array([[1.0], [0.0]])
         mid = np.array([[1.0], [1.0]]) / np.sqrt(2)
-        angles = principal_angles(set_from_wks([e1, mid]), 0, 1)
+        angles = angles01([e1, mid])
         assert angles[0] == pytest.approx(np.pi / 4, rel=1e-12)
 
     def test_ascending_in_0_halfpi(self):
         rng = np.random.default_rng(8)
-        proj = set_from_wks([rng.standard_normal((7, 3)), rng.standard_normal((7, 3))])
-        angles = principal_angles(proj, 0, 1)
+        angles = angles01([rng.standard_normal((7, 3)), rng.standard_normal((7, 3))])
         assert np.all(np.diff(angles) >= 0)
         assert np.all(angles >= 0) and np.all(angles <= np.pi / 2 + 1e-12)
 
@@ -99,26 +98,17 @@ class TestPrincipalAngles:
         # sum cos^2(theta_j) equals the squared Frobenius mass of U_h^T U_h'
         rng = np.random.default_rng(9)
         for _ in range(10):
-            proj = set_from_wks([rng.standard_normal((6, 2)), rng.standard_normal((6, 2))])
-            angles = principal_angles(proj, 0, 1)
-            u0 = np.linalg.qr(proj.heads[0].wk.a)[0]
-            u1 = np.linalg.qr(proj.heads[1].wk.a)[0]
-            mass = float(((u0.T @ u1) ** 2).sum())
+            w0, w1 = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+            angles = angles01([w0, w1])
+            mass = float(((np.linalg.qr(w0)[0].T @ np.linalg.qr(w1)[0]) ** 2).sum())
             assert np.sum(np.cos(angles) ** 2) == pytest.approx(mass, abs=1e-8)
-
-    @staticmethod
-    def eigvalsh_oracle(w0, w1):
-        # cos(theta_j)^2 are the eigenvalues of M^T M, M = U_h^T U_h' (Bjorck & Golub)
-        m = np.linalg.qr(w0)[0].T @ np.linalg.qr(w1)[0]
-        cos2 = np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, 1.0)
-        return np.sort(np.arccos(np.sqrt(cos2)))
 
     def test_against_eigvalsh_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             w0, w1 = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
-            angles = principal_angles(set_from_wks([w0, w1]), 0, 1)
-            np.testing.assert_allclose(angles, self.eigvalsh_oracle(w0, w1), rtol=0, atol=3e-8)
+            np.testing.assert_allclose(angles01([w0, w1]), eigvalsh_oracle(w0, w1),
+                                       rtol=0, atol=3e-8)
 
     def test_hard_conditioning_cases(self):
         # nearly aligned, badly column-scaled and Hilbert-like frames
@@ -132,9 +122,9 @@ class TestPrincipalAngles:
             (hilbert, hilbert + 1e-7 * base),
         ]
         for w0, w1 in pairs:
-            angles = principal_angles(set_from_wks([w0, w1]), 0, 1)
             # angles near 0 are known to ~sqrt(eps) from either cosine route
-            np.testing.assert_allclose(angles, self.eigvalsh_oracle(w0, w1), rtol=0, atol=3e-8)
+            np.testing.assert_allclose(angles01([w0, w1]), eigvalsh_oracle(w0, w1),
+                                       rtol=0, atol=3e-8)
 
 
 class TestHdi:
@@ -188,16 +178,29 @@ class TestHdi:
         assert (0, 1) in report.principal_angles
         assert report.hdi == pytest.approx(1.0, abs=1e-12)
 
-    def test_report_bit_equal_to_pairwise_functions(self):
+    def test_report_matches_direct_formulas(self):
         rng = np.random.default_rng(26)
         proj = set_from_wks([rng.standard_normal((9, 2)) for _ in range(4)])
         report = make_diversity_report(proj)
         assert (report.hdi, report.hdi_normalized) == hdi(proj)
         for (h, h2), angles in report.principal_angles.items():
-            np.testing.assert_array_equal(angles, principal_angles(proj, h, h2))
-            g = cross_gram(proj, h, h2).a
+            wk_h, wk_h2 = proj.heads[h].wk.a, proj.heads[h2].wk.a
+            g = (wk_h.T @ wk_h2) / proj.d_k
             assert report.gram_frobsq[h, h2] == float((g * g).sum())
+            np.testing.assert_allclose(angles, eigvalsh_oracle(wk_h, wk_h2), rtol=0, atol=3e-8)
         assert len(report.principal_angles) == 6
+
+    def test_one_qr_per_head(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return qr_orthonormalize(a)
+
+        monkeypatch.setattr(diversity, "qr_orthonormalize", counting)
+        rng = np.random.default_rng(27)
+        make_diversity_report(set_from_wks([rng.standard_normal((9, 2)) for _ in range(4)]))
+        assert len(calls) == 4
 
 
 class TestProjectionFamily:
@@ -214,7 +217,8 @@ class TestProjectionFamily:
         assert normalized == pytest.approx(1.0, abs=1e-12)
         for h in range(4):
             for h2 in range(h + 1, 4):
-                assert np.abs(cross_gram(proj, h, h2).a).max() <= 1e-12
+                g = proj.heads[h].wk.a.T @ proj.heads[h2].wk.a / proj.d_k
+                assert np.abs(g).max() <= 1e-12
 
     def test_mid_mix_strictly_between(self):
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -371,9 +375,10 @@ class TestWeightFile:
             load_weight_file(self._write(tmp_path, doc))
 
     def test_non_finite_rejected(self, tmp_path):
-        doc = {"heads": [{"p": 2, "d_k": 1, "data": [1.0, None]}]}
-        with pytest.raises(WeightFileError):
-            load_weight_file(self._write(tmp_path, doc))
+        for value in (float("nan"), float("inf"), None):   # NaN, Infinity, null
+            doc = {"heads": [{"p": 2, "d_k": 1, "data": [1.0, value]}]}
+            with pytest.raises(WeightFileError, match="head 0"):
+                load_weight_file(self._write(tmp_path, doc))
 
     def test_missing_fields_rejected(self, tmp_path):
         doc = {"heads": [{"p": 2, "data": [1.0, 0.0]}]}

@@ -18,10 +18,9 @@ class TestProjectionSet:
         with pytest.raises(ShapeMismatch):
             ProjectionSet(heads=(head(3, 2, 0), head(3, 1, 1)))
 
-    def test_budget(self):
+    def test_shape_properties(self):
         proj = ProjectionSet(heads=(head(6, 2, 0), head(6, 2, 1), head(6, 2, 2)))
-        assert proj.budget == 6
-        assert proj.H == 3
+        assert (proj.H, proj.p, proj.d_k) == (3, 6, 2)
 
 
 class TestMakeWeights:
