@@ -2,7 +2,9 @@
 
 Every allocation uses constructively orthogonal key frames sliced from one
 shared p x D orthonormal frame, so the covariance terms vanish by design
-and the sweep isolates the bias/variance allocation trade-off.  The swept
+and the sweep isolates the bias/variance allocation trade-off.  Each
+allocation spends the whole budget, so the budget must lie in 1 <= D <= p
+and then every divisor allocation is feasible.  The swept
 MSE curve is summarised by a two-parameter fit
 
     mse(d_k) ~ c1 * d_k^(-2) + c2 * d_k^(d_k/2 + 1) / (n D)
@@ -57,7 +59,6 @@ class ArchRow:
 @dataclass(frozen=True)
 class ArchSweepResult:
     rows: list[ArchRow]
-    skipped: list[str]
     argmin_H: int
     argmin_dk: int
     c1: float
@@ -123,31 +124,24 @@ def sweep_architectures(
     p x D orthonormal frame and runs the Monte-Carlo decomposition with
     uniform weights; all allocations share one replicate-engine call, so
     they see the same datasets.  Each allocation records its MSE row.
-    The argmin breaks exact ties toward larger H (many small heads).
+    The argmin breaks exact ties toward larger H (many small heads).  A
+    budget above p raises ``EmptySweep`` and one below 1 ``ShapeMismatch``,
+    both before the frame is drawn.
     """
+    if D > task.p:
+        raise EmptySweep(f"no feasible allocation for budget D = {D}: "
+                         f"H * d_k = D exceeds the input dimension p = {task.p}")
+    allocations = enumerate_allocations(D)
+    rng = np.random.default_rng(derive_seed(seed, "frame"))
+    frame = qr_orthonormalize(rng.standard_normal((task.p, D)))
     wv = _sweep_value_vector(task)
-    points = []   # (heads, uniform alphas) per feasible allocation
-    skipped: list[str] = []
-    frame = None
-    if D <= task.p:
-        rng = np.random.default_rng(derive_seed(seed, "frame"))
-        frame = qr_orthonormalize(rng.standard_normal((task.p, D)))
-    for H, d_k in enumerate_allocations(D):
-        if H * d_k > task.p:
-            skipped.append(
-                f"allocation (H={H}, d_k={d_k}) infeasible: H*d_k = {H * d_k} > p = {task.p}"
-            )
-            continue
+    points = []   # (heads, uniform alphas) per allocation
+    for H, d_k in allocations:
         heads = []
         for h in range(H):
             wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
             heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
         points.append((tuple(heads), make_weights("uniform", H).alphas))
-    if not points:
-        raise EmptySweep(
-            f"no feasible allocation for budget D = {D} with p = {task.p}: "
-            + "; ".join(skipped)
-        )
     reports = _reports(task, points, n, R, Q, seed)
     rows = [
         ArchRow(H=len(heads), d_k=heads[0].d_k, mse=report.mse_direct,
@@ -166,8 +160,7 @@ def sweep_architectures(
         np.array([row.d_k for row in rows]), mses, n, D
     )
     return ArchSweepResult(
-        rows=rows, skipped=skipped,
-        argmin_H=best.H, argmin_dk=best.d_k,
+        rows=rows, argmin_H=best.H, argmin_dk=best.d_k,
         c1=c1, c2=c2, fit_residual=fit_residual, flat=flat,
     )
 

@@ -5,9 +5,12 @@ Usage: ``mha-nw-lab <subcommand> --config <path> [--seed N] [--out DIR]``.
 Each subcommand reads its config fields, computes, then hands the results
 to ``_publish``, which writes the echoed config, a flat CSV, a JSON report
 and a MANIFEST of content hashes; nothing is written before the results
-exist.  Exit codes: 0 success, 1 usage or data error, 2 scientific-gate
-failure.  The fields a subcommand reads are its schema: each is type-checked,
-and any other field exits 1, named, before any Monte-Carlo work.
+exist.  The JSON report of ``decompose``, ``sweep-hdi``, ``weights-compare``
+and ``hdi`` is the command's metadata and gate flags plus every field of
+its result dataclass (``_fields``).  Exit codes: 0 success, 1 usage or data
+error, 2 scientific-gate failure.  The fields a subcommand reads are its
+schema: each is type-checked, and any other field exits 1, named, before
+any Monte-Carlo work.
 
 Concurrent invocations must target distinct output directories; a lock
 file inside the directory guards the write phase.  ``MHA_NW_LAB_THREADS`` caps the
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -272,21 +276,35 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
 
 
+#: result fields kept out of report.json: the per-replicate MSEs, and the
+#: angle spectra, which table.csv summarises by each pair's extremes
+_UNREPORTED = ("mse_replicates", "principal_angles")
+
+
+def _fields(result) -> dict:
+    """Every field of the result dataclass ``result`` but the unreported ones."""
+    return {field.name: getattr(result, field.name) for field in dataclasses.fields(result)
+            if field.name not in _UNREPORTED}
+
+
 def _publish(out: Path | None, config: Config | None, header: list[str], rows,
              payload: dict, verdicts=(), lines=(), files=()) -> int:
     """Write config.json, table.csv, the ``(name, text)`` files, report.json and
     MANIFEST into ``out`` (unless None), then print a GATE line per ``(gate, ok,
     detail)`` verdict and the other ``lines``; 0, or 2 if a gate failed."""
     if out is not None:
-        with RunDirectory(out) as rundir:
-            if config is not None:
-                rundir.write_text("config.json", _json_text(config))
-            rundir.write_csv("table.csv", header, rows)
-            for name, text in files:
-                rundir.write_text(name, text)
-            rundir.write_text("report.json",
-                              _json_text({**payload, "code_version": __version__}))
-            rundir.finish_manifest()
+        try:
+            with RunDirectory(out) as rundir:
+                if config is not None:
+                    rundir.write_text("config.json", _json_text(config))
+                rundir.write_csv("table.csv", header, rows)
+                for name, text in files:
+                    rundir.write_text(name, text)
+                rundir.write_text("report.json",
+                                  _json_text({**payload, "code_version": __version__}))
+                rundir.finish_manifest()
+        except OSError as exc:
+            raise ConfigError(f"output directory {out}: {exc.strerror or exc}")
     for gate, ok, detail in verdicts:
         print(f"GATE {gate}: {'PASS' if ok else 'FAIL'} ({detail})")
     for line in lines:
@@ -323,24 +341,8 @@ def cmd_decompose(config: Config, out: Path) -> int:
                  report.variance_term, report.covariance_term,
                  report.mse_direct, report.stderr["mse_direct"],
                  report.identity_residual, report.degenerate_weights])
-    payload = {
-        "command": "decompose",
-        "master_seed": plan.master_seed,
-        "n": plan.n, "R": plan.R, "Q": plan.Q,
-        "per_head_bias": report.per_head_bias,
-        "per_head_var": report.per_head_var,
-        "per_head_mse": report.per_head_mse,
-        "cross_cov": report.cross_cov,
-        "cov_stderr": report.cov_stderr,
-        "ensemble_bias_sq": report.ensemble_bias_sq,
-        "variance_term": report.variance_term,
-        "covariance_term": report.covariance_term,
-        "mse_direct": report.mse_direct,
-        "identity_residual": report.identity_residual,
-        "stderr": report.stderr,
-        "degenerate_weights": report.degenerate_weights,
-        "gate_identity": ok,
-    }
+    payload = {"command": "decompose", "master_seed": plan.master_seed,
+               "n": plan.n, "R": plan.R, "Q": plan.Q, **_fields(report), "gate_identity": ok}
     verdicts = [("identity_residual", ok,
                  f"residual {report.identity_residual:.3e} vs limit {residual_limit:.3e}")]
     # constructively orthogonal families must show vanishing cross-head
@@ -383,14 +385,8 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
     lines.append(f"hdi_normalized = {report.hdi_normalized:.6g}")
     rows = [[h, h2, report.gram_frobsq[h, h2], float(a.min()), float(a.max())]
             for (h, h2), a in pairs]
-    payload = {
-        "command": "hdi",
-        "weight_file": str(weight_file),
-        "H": proj.H, "p": proj.p, "d_k": proj.d_k,
-        "gram_frobsq": report.gram_frobsq,
-        "hdi": report.hdi,
-        "hdi_normalized": report.hdi_normalized,
-    }
+    payload = {"command": "hdi", "weight_file": str(weight_file),
+               "H": proj.H, "p": proj.p, "d_k": proj.d_k, **_fields(report)}
     return _publish(out, None, ["h", "h2", "gram_frobsq", "min_angle", "max_angle"],
                     rows, payload, lines=lines)
 
@@ -402,15 +398,8 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
     config.reject_unread()
     result = hdi_sweep(plan, mix_grid)
     ok_spearman = result.spearman <= gates["spearman_max"]
-    payload = {
-        "command": "sweep-hdi",
-        "master_seed": plan.master_seed,
-        "rows": [list(r) for r in result.rows],
-        "spearman": result.spearman,
-        "endpoint_diff": result.endpoint_diff,
-        "endpoint_diff_stderr": result.endpoint_diff_stderr,
-        "gate_spearman": ok_spearman,
-    }
+    payload = {"command": "sweep-hdi", "master_seed": plan.master_seed,
+               **_fields(result), "gate_spearman": ok_spearman}
     verdicts = [("spearman", ok_spearman,
                  f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}")]
     if result.endpoint_diff is not None:
@@ -429,17 +418,8 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
     rho_grid = config.read("rho_grid", [float])
     config.reject_unread()
     result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
-    payload = {
-        "command": "weights-compare",
-        "master_seed": plan.master_seed,
-        "rows": [list(r) for r in result.rows],
-        "head_order": result.head_order,
-        "variance_spread": result.variance_spread,
-        "best_scheme": result.best_scheme,
-        "best_rho": result.best_rho,
-        "geometric_beats_uniform": result.geometric_beats_uniform,
-        "best_margin_sigmas": result.best_margin_sigmas,
-    }
+    payload = {"command": "weights-compare", "master_seed": plan.master_seed,
+               **_fields(result)}
     # expected verdict follows the construction: heterogeneous value
     # noise -> geometric should win; identical heads -> it must not
     spec = plan.projection
@@ -497,7 +477,6 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
         "argmin": {n: [sweeps[n].argmin_H, sweeps[n].argmin_dk] for n in sweeps},
         "fit": {n: [sweeps[n].c1, sweeps[n].c2, sweeps[n].fit_residual] for n in sweeps},
         "flat": {n: sweeps[n].flat for n in sweeps},
-        "skipped": {n: sweeps[n].skipped for n in sweeps},
     }
     verdicts = []
     if trend is not None:
@@ -528,6 +507,9 @@ def cmd_optimize_proj(config: Config, out: Path) -> int:
     d_k = config.read("projection.d_k", int)
     H = config.read("projection.H", int)
     seed = config.read("master_seed", int)
+    if seed < 0:   # seeds the generator directly, not through derive_seed
+        raise ConfigError(f"config field master_seed must be nonnegative for optimize-proj, "
+                          f"got {seed}")
     steps = config.read("optimizer.steps", int, 5000)
     step_size = config.read("optimizer.step_size", float, 1.0)
     config.reject_unread()

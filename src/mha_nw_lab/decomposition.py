@@ -26,7 +26,8 @@ points, one weighted ensemble each, and get one ``DecompositionReport`` per
 point.  Behind it, ``_head_tensor`` is the one replicate-major engine: for a
 list of head sets it draws each replicate's dataset once and runs each
 distinct head once, writing the estimates into every slot that holds the
-head; points holding the same heads object share one tensor.
+head.  Points holding the same heads object share one tensor, and
+``_decompose_tensor`` reduces it once for all their weight vectors.
 MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only from
 POOL_MIN_LOGITS logits per call; slots are indexed by replicate, so the
 outputs are bit-identical for every thread count.
@@ -199,83 +200,83 @@ def _head_tensor(task, head_sets, n, R, Q, master_seed):
 
 
 def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
-                      alphas: np.ndarray) -> DecompositionReport:
+                      alpha_sets) -> list[DecompositionReport]:
+    """One report per weight vector in ``alpha_sets``, all reweighting ``E``;
+    the moments that do not depend on the weights are formed once."""
     R, H, Q = E.shape
     Ebar = E.mean(axis=0)                                    # (H, Q)
     Ec = E - Ebar
     # per-query sample covariance between heads, R-1 denominator
     Cq = np.einsum("rhq,rgq->hgq", Ec, Ec) / (R - 1)         # (H, H, Q)
-
-    per_head_bias = (Ebar - m_q).mean(axis=1)
-    per_head_var = np.einsum("hhq->hq", Cq).mean(axis=1)
-    per_head_mse = ((E - m_q) ** 2).mean(axis=(0, 2))
-    cross_cov = Cq.mean(axis=2)
-
-    Y = np.einsum("h,rhq->rq", alphas, E)
-    Ybar = Y.mean(axis=0)
-    S2Y_q = np.einsum("h,g,hgq->q", alphas, alphas, Cq)
-    bias_ens_q = Ybar - m_q
-    ensemble_bias_sq = float(np.mean(bias_ens_q**2 - S2Y_q / R))
-    variance_term = float(np.mean(np.einsum("h,hhq->q", alphas**2, Cq)))
-    covariance_term = float(np.mean(S2Y_q) - variance_term)
-
-    mse_replicates = ((Y - m_q) ** 2).mean(axis=1)
-    mse_direct = float(mse_replicates.mean())
-    identity_residual = abs(mse_direct - (ensemble_bias_sq + variance_term + covariance_term))
-
     # replicate-level influence statistics for the standard errors
     sqrt_R = np.sqrt(R)
-    t_var = np.einsum("h,rhq->r", alphas**2, Ec**2 * (R / (R - 1))) / Q
-    Yc = Y - Ybar
-    t_s2y = (Yc**2 * (R / (R - 1))).mean(axis=1)
-    t_cov = t_s2y - t_var
-    t_b2 = 2.0 * (Yc * bias_ens_q).mean(axis=1)
-    t_head_bias = Ec.mean(axis=2)                            # (R, H)
-    t_head_mse = ((E - m_q) ** 2).mean(axis=2)               # (R, H)
-    se = {
-        "mse_direct": float(mse_replicates.std(ddof=1) / sqrt_R),
-        "variance_term": float(t_var.std(ddof=1) / sqrt_R),
-        "covariance_term": float(t_cov.std(ddof=1) / sqrt_R),
-        "ensemble_bias_sq": float(t_b2.std(ddof=1) / sqrt_R),
-        "per_head_bias": t_head_bias.std(axis=0, ddof=1) / sqrt_R,
-        "per_head_mse": t_head_mse.std(axis=0, ddof=1) / sqrt_R,
-    }
-    se["identity_residual"] = float(np.sqrt(
-        se["mse_direct"]**2 + se["variance_term"]**2
-        + se["covariance_term"]**2 + se["ensemble_bias_sq"]**2
-    ))
-
     pair_t = np.einsum("rhq,rgq->rhg", Ec, Ec) / Q * (R / (R - 1))
-    cov_stderr = pair_t.std(axis=0, ddof=1) / sqrt_R
-
-    return DecompositionReport(
-        per_head_bias=per_head_bias,
-        per_head_var=per_head_var,
-        per_head_mse=per_head_mse,
-        cross_cov=cross_cov,
-        ensemble_bias_sq=ensemble_bias_sq,
-        variance_term=variance_term,
-        covariance_term=covariance_term,
-        mse_direct=mse_direct,
-        identity_residual=identity_residual,
-        mse_replicates=mse_replicates,
-        stderr=se,
-        cov_stderr=cov_stderr,
+    per_head = dict(
+        per_head_bias=(Ebar - m_q).mean(axis=1),
+        per_head_var=np.einsum("hhq->hq", Cq).mean(axis=1),
+        per_head_mse=((E - m_q) ** 2).mean(axis=(0, 2)),
+        cross_cov=Cq.mean(axis=2),
+        cov_stderr=pair_t.std(axis=0, ddof=1) / sqrt_R,
         degenerate_weights=int(degenerate.sum()),
     )
+    per_head_se = {
+        "per_head_bias": Ec.mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
+        "per_head_mse": ((E - m_q) ** 2).mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
+    }
+
+    reports = []
+    for alphas in alpha_sets:
+        Y = np.einsum("h,rhq->rq", alphas, E)
+        Ybar = Y.mean(axis=0)
+        S2Y_q = np.einsum("h,g,hgq->q", alphas, alphas, Cq)
+        bias_ens_q = Ybar - m_q
+        ensemble_bias_sq = float(np.mean(bias_ens_q**2 - S2Y_q / R))
+        variance_term = float(np.mean(np.einsum("h,hhq->q", alphas**2, Cq)))
+        covariance_term = float(np.mean(S2Y_q) - variance_term)
+
+        mse_replicates = ((Y - m_q) ** 2).mean(axis=1)
+        mse_direct = float(mse_replicates.mean())
+        identity_residual = abs(mse_direct - (ensemble_bias_sq + variance_term + covariance_term))
+
+        t_var = np.einsum("h,rhq->r", alphas**2, Ec**2 * (R / (R - 1))) / Q
+        Yc = Y - Ybar
+        t_s2y = (Yc**2 * (R / (R - 1))).mean(axis=1)
+        t_cov = t_s2y - t_var
+        t_b2 = 2.0 * (Yc * bias_ens_q).mean(axis=1)
+        se = {
+            "mse_direct": float(mse_replicates.std(ddof=1) / sqrt_R),
+            "variance_term": float(t_var.std(ddof=1) / sqrt_R),
+            "covariance_term": float(t_cov.std(ddof=1) / sqrt_R),
+            "ensemble_bias_sq": float(t_b2.std(ddof=1) / sqrt_R),
+            **per_head_se,
+        }
+        se["identity_residual"] = float(np.sqrt(
+            se["mse_direct"]**2 + se["variance_term"]**2
+            + se["covariance_term"]**2 + se["ensemble_bias_sq"]**2
+        ))
+        reports.append(DecompositionReport(
+            ensemble_bias_sq=ensemble_bias_sq, variance_term=variance_term,
+            covariance_term=covariance_term, mse_direct=mse_direct,
+            identity_residual=identity_residual, mse_replicates=mse_replicates,
+            stderr=se, **per_head,
+        ))
+    return reports
 
 
 def _reports(task, points, n, R, Q, master_seed) -> list[DecompositionReport]:
     """One report per ``(heads, alphas)`` point, all on the same replicates.
 
-    Points that hold the same heads object share one engine tensor; each
-    distinct tensor with degenerate softmax rows warns once.
+    Points that hold the same heads object share one engine tensor and one
+    reduction; each distinct tensor with degenerate softmax rows warns once.
     """
     _check_sizes(n, R, Q)
-    head_sets = list({id(heads): heads for heads, _ in points}.values())
-    tensors = {}
-    for heads, (E, queries, degenerate) in zip(
-            head_sets, _head_tensor(task, head_sets, n, R, Q, master_seed)):
+    groups = {}   # id(heads) -> (heads, [alphas of each point holding them])
+    for heads, alphas in points:
+        groups.setdefault(id(heads), (heads, []))[1].append(alphas)
+    tensors = _head_tensor(task, [heads for heads, _ in groups.values()], n, R, Q, master_seed)
+    m_q = task.mean(tensors[0][1])   # every head set shares the quadrature queries
+    reports = {}
+    for (key, (heads, alpha_sets)), (E, _, degenerate) in zip(groups.items(), tensors):
         if degenerate.any():
             warnings.warn(
                 f"{degenerate.sum()} softmax weight vectors were degenerate "
@@ -283,9 +284,8 @@ def _reports(task, points, n, R, Q, master_seed) -> list[DecompositionReport]:
                 f"H={len(heads)}, d_k={heads[0].d_k}; per head {degenerate.tolist()}",
                 RuntimeWarning, stacklevel=2,
             )
-        tensors[id(heads)] = (E, degenerate)
-    m_q = task.mean(queries)   # every head set shares the quadrature queries
-    return [_decompose_tensor(*tensors[id(heads)], m_q, alphas) for heads, alphas in points]
+        reports[key] = iter(_decompose_tensor(E, degenerate, m_q, alpha_sets))
+    return [next(reports[id(heads)]) for heads, _ in points]
 
 
 def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mha_nw_lab as lab
+from mha_nw_lab import arch_search
 from mha_nw_lab.arch_search import (
     enumerate_allocations,
     scaling_trend,
@@ -55,7 +56,6 @@ class TestSweepArchitectures:
     def test_rows_cover_divisors(self, sine_task):
         sweep = sweep_architectures(sine_task, 8, n=150, R=30, Q=16, seed=3)
         assert [(r.H, r.d_k) for r in sweep.rows] == [(8, 1), (4, 2), (2, 4), (1, 8)]
-        assert not sweep.skipped
 
     def test_rows_reproduce_identity(self, sine_task):
         sweep = sweep_architectures(sine_task, 8, n=150, R=30, Q=16, seed=3)
@@ -70,8 +70,16 @@ class TestSweepArchitectures:
                [(r.H, r.d_k, r.mse, r.stderr) for r in b.rows]
         assert (a.argmin_H, a.argmin_dk) == (b.argmin_H, b.argmin_dk)
 
-    def test_budget_exceeding_dimension_is_empty(self, sine_task):
-        with pytest.raises(EmptySweep):
+    def test_budget_exceeding_dimension_is_empty(self, sine_task, monkeypatch):
+        # every allocation spends D key dimensions, so D > p is rejected
+        # before a single divisor of D is tried
+        def unreachable(D):
+            raise AssertionError("enumerate_allocations called")
+
+        monkeypatch.setattr(arch_search, "enumerate_allocations", unreachable)
+        with pytest.raises(EmptySweep, match=f"D = {10**12}: .* p = 8"):
+            sweep_architectures(sine_task, 10**12, n=100, R=10, Q=8, seed=1)
+        with pytest.raises(EmptySweep, match="D = 16"):
             sweep_architectures(sine_task, 16, n=100, R=10, Q=8, seed=1)
 
     def test_flat_zero_mean_noiseless_task_ties_to_max_H(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mha_nw_lab import cli, decomposition
+from mha_nw_lab.diversity import DiversityReport
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -141,10 +143,15 @@ class TestConfigValidation:
         ("sweep-hdi", lambda c: c["projection"].update(mix=1.0),
          "subcommand: projection.mix"),
         ("optimize-proj", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
+        ("sweep-arch", lambda c: c.update(budget_D=0), "budget must be >= 1, got 0"),
+        ("sweep-arch", lambda c: c.update(budget_D=-4), "budget must be >= 1, got -4"),
+        ("optimize-proj", lambda c: c.update(master_seed=-1),
+         "master_seed must be nonnegative"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
-            "hdi-projection-mix", "optimize-task-sigma"])
+            "hdi-projection-mix", "optimize-task-sigma", "arch-budget-zero",
+            "arch-budget-negative", "optimize-negative-seed"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                command, edit, fragment):
         config = small_config(command, tmp_path / "out")
@@ -227,6 +234,36 @@ class TestDecomposeCommand:
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert "locked" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["decompose", "hdi"])
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_1(self, tmp_path, capsys, command,
+                                                    under_file):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under_file else blocker
+        if command == "hdi":
+            argv = ["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json")]
+        else:
+            argv = ["decompose", "--config",
+                    str(write_config(tmp_path, small_decompose_config(tmp_path / "unused")))]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: output directory {out}: " in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
+    def test_write_failure_removes_partial_files(self, tmp_path, capsys, monkeypatch):
+        def full_disk(self):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.RunDirectory, "finish_manifest", full_disk)
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        assert f"error: output directory {out}: No space left on device" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_lock_removed_after_success(self, tmp_path):
         out = tmp_path / "run"
         path = write_config(tmp_path, small_decompose_config(out))
@@ -307,6 +344,28 @@ class TestTableCells:
                 for column, cell in row.items():
                     if column != "record" and cell:
                         float(cell)
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("command, result_type, metadata", [
+        ("decompose", decomposition.DecompositionReport,
+         {"command", "master_seed", "n", "R", "Q", "gate_identity"}),
+        ("sweep-hdi", decomposition.HdiSweepResult,
+         {"command", "master_seed", "gate_spearman", "gate_endpoint"}),
+        ("weights-compare", decomposition.WeightingCompareResult, {"command", "master_seed"}),
+        ("hdi", DiversityReport, {"command", "weight_file", "H", "p", "d_k"}),
+    ])
+    def test_every_result_field_is_reported(self, tmp_path, command, result_type, metadata):
+        out = tmp_path / "out"
+        if command == "hdi":
+            argv = ["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json")]
+        else:
+            argv = [command, "--config", str(write_config(tmp_path, small_config(command, out)))]
+        assert cli.main(argv + ["--out", str(out)]) in (0, 2)
+        report = json.loads((out / "report.json").read_text())
+        fields = {f.name for f in dataclasses.fields(result_type)}
+        omitted = {"mse_replicates", "principal_angles"}
+        assert set(report) == (fields - omitted) | metadata | {"code_version"}
 
 
 class TestHdiCommand:
@@ -416,6 +475,12 @@ class TestOtherCommands:
         assert "GATE spearman" in out
         assert "GATE endpoint_diff" in out
         assert code in (0, 2)
+
+    def test_optimize_proj_negative_seed_flag_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, small_config("optimize-proj", tmp_path / "out"))
+        assert cli.main(["optimize-proj", "--config", str(path), "--seed", "-1"]) == 1
+        assert "master_seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_weights_compare_requires_rho_grid(self, tmp_path, capsys):
         config = small_config("weights-compare", tmp_path / "out")

@@ -7,6 +7,7 @@ from mha_nw_lab.decomposition import (
     DEGENERATE_ENTROPY_NATS,
     ExperimentPlan,
     FamilySpec,
+    _decompose_tensor,
     _head_tensor,
     bootstrap_stderr,
     hdi_sweep,
@@ -451,12 +452,16 @@ class TestWeightingCompare:
         assert geo_one[4] == 0.0
 
     def test_one_head_set_per_engine_call(self, radial_task, monkeypatch):
-        # the pilot, then one ordered-heads tuple shared by every scheme
+        # the pilot, then one ordered-heads tuple shared by every scheme and
+        # reduced once for all of them
         calls = TestReplicateEngine.counting(monkeypatch, "_head_tensor", _head_tensor)
+        reductions = TestReplicateEngine.counting(monkeypatch, "_decompose_tensor",
+                                                  _decompose_tensor)
         plan = quick_plan(radial_task, p=12, mix=1.0, n=60, R=10, Q=4, master=34)
         result = weighting_compare(plan, [0.5, 0.8, 1.0])
         assert [len(head_sets) for _, head_sets, *_ in calls] == [1, 1]
         assert [R for *_, R, _, _ in calls] == [5, 10]
+        assert [len(alpha_sets) for *_, alpha_sets in reductions] == [1, 5]
         assert len(result.rows) == 5
 
     def test_sharp_kernel_warns_about_degenerate_rows(self):
