@@ -9,10 +9,11 @@ MSE curve is summarised by a two-parameter fit
 
     mse(d_k) ~ c1 * d_k^(-2) + c2 * d_k^(d_k/2 + 1) / (n D)
 
-with nonnegative coefficients.  The scaling-trend driver repeats the sweep
-over a sample-size grid and reports directional verdicts (argmin head
-dimension non-decreasing and sublinear in n) rather than any exact
-exponent, which is not identifiable at desk scale.
+with nonnegative coefficients.  The scaling-trend driver runs the sweep at
+every size of a sample-size grid, all in one replicate-engine call, and
+reports directional verdicts (argmin head dimension non-decreasing and
+sublinear in n) rather than any exact exponent, which is not identifiable
+at desk scale.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ __all__ = [
 def enumerate_allocations(D: int) -> list[tuple[int, int]]:
     """All (H, d_k) with H * d_k = D, ascending in d_k."""
     if D < 1:
-        raise ShapeMismatch(f"budget must be >= 1, got {D}")
+        raise ShapeMismatch(f"budget_D must be >= 1, got {D}")
     return [(D // d_k, d_k) for d_k in range(1, D + 1) if D % d_k == 0]
 
 
@@ -109,6 +110,57 @@ def _fit_budget_model(dks: np.ndarray, mses: np.ndarray, n: int, D: int):
     return float(best[0][0]), float(best[0][1]), best[1]
 
 
+def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
+            seed: int, query_gain: float) -> dict[int, ArchSweepResult]:
+    """One budget sweep per sample size from a single replicate-engine call.
+
+    The allocations are built once; every (allocation, n) pair is one point,
+    so each n sees the same datasets at every allocation.
+    """
+    if D > task.p:
+        raise EmptySweep(f"no feasible allocation for budget_D = {D}: "
+                         f"H * d_k = D exceeds the input dimension p = {task.p}")
+    allocations = enumerate_allocations(D)
+    rng = np.random.default_rng(derive_seed(seed, "frame"))
+    frame = qr_orthonormalize(rng.standard_normal((task.p, D)))
+    wv = _sweep_value_vector(task)
+    points = []   # (heads, uniform alphas) per allocation
+    for H, d_k in allocations:
+        heads = []
+        for h in range(H):
+            wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
+            heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
+        points.append((tuple(heads), make_weights("uniform", H).alphas))
+    reports = _reports(task, [(n, heads, alphas) for n in n_grid for heads, alphas in points],
+                       R, Q, seed)
+    A = len(points)
+    return {n: _summarise(points, reports[i * A:(i + 1) * A], n, D)
+            for i, n in enumerate(n_grid)}
+
+
+def _summarise(points, reports, n: int, D: int) -> ArchSweepResult:
+    """Rows, argmin and budget-model fit of one sample size's sweep."""
+    rows = [
+        ArchRow(H=len(heads), d_k=heads[0].d_k, mse=report.mse_direct,
+                stderr=report.stderr["mse_direct"], bias_sq=report.ensemble_bias_sq,
+                var_term=report.variance_term, cov_term=report.covariance_term)
+        for (heads, _), report in zip(points, reports)
+    ]
+    best = rows[0]
+    for row in rows[1:]:
+        if row.mse < best.mse or (row.mse == best.mse and row.H > best.H):
+            best = row
+    mses = np.array([row.mse for row in rows])
+    flat = bool(mses.max() - mses.min() <= 1e-12 * max(1.0, abs(mses.max())))
+    c1, c2, fit_residual = _fit_budget_model(
+        np.array([row.d_k for row in rows]), mses, n, D
+    )
+    return ArchSweepResult(
+        rows=rows, argmin_H=best.H, argmin_dk=best.d_k,
+        c1=c1, c2=c2, fit_residual=fit_residual, flat=flat,
+    )
+
+
 def sweep_architectures(
     task: RegressionTask,
     D: int,
@@ -128,41 +180,7 @@ def sweep_architectures(
     budget above p raises ``EmptySweep`` and one below 1 ``ShapeMismatch``,
     both before the frame is drawn.
     """
-    if D > task.p:
-        raise EmptySweep(f"no feasible allocation for budget D = {D}: "
-                         f"H * d_k = D exceeds the input dimension p = {task.p}")
-    allocations = enumerate_allocations(D)
-    rng = np.random.default_rng(derive_seed(seed, "frame"))
-    frame = qr_orthonormalize(rng.standard_normal((task.p, D)))
-    wv = _sweep_value_vector(task)
-    points = []   # (heads, uniform alphas) per allocation
-    for H, d_k in allocations:
-        heads = []
-        for h in range(H):
-            wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
-            heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
-        points.append((tuple(heads), make_weights("uniform", H).alphas))
-    reports = _reports(task, points, n, R, Q, seed)
-    rows = [
-        ArchRow(H=len(heads), d_k=heads[0].d_k, mse=report.mse_direct,
-                stderr=report.stderr["mse_direct"], bias_sq=report.ensemble_bias_sq,
-                var_term=report.variance_term, cov_term=report.covariance_term)
-        for (heads, _), report in zip(points, reports)
-    ]
-
-    best = rows[0]
-    for row in rows[1:]:
-        if row.mse < best.mse or (row.mse == best.mse and row.H > best.H):
-            best = row
-    mses = np.array([row.mse for row in rows])
-    flat = bool(mses.max() - mses.min() <= 1e-12 * max(1.0, abs(mses.max())))
-    c1, c2, fit_residual = _fit_budget_model(
-        np.array([row.d_k for row in rows]), mses, n, D
-    )
-    return ArchSweepResult(
-        rows=rows, argmin_H=best.H, argmin_dk=best.d_k,
-        c1=c1, c2=c2, fit_residual=fit_residual, flat=flat,
-    )
+    return _sweeps(task, D, [n], R, Q, seed, query_gain)[n]
 
 
 @dataclass(frozen=True)
@@ -185,22 +203,20 @@ def scaling_trend(
 ) -> ScalingTrendResult:
     """Sweep the budget at each sample size and report how d_k* moves.
 
+    Every (allocation, n) pair runs in one replicate-engine call; replicate
+    r draws its dataset at each n from the same seed as a single sweep would.
     Verdicts are directional: the argmin head dimension should be
     non-decreasing in n and grow strictly slower than n itself.  The least
     squares slope of d_k* against log n is emitted as data, not asserted.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 3:
-        raise ShapeMismatch(f"scaling trend needs >= 3 sample sizes, got {len(n_grid)}")
+        raise ShapeMismatch(f"n_grid needs >= 3 sample sizes, got {len(n_grid)}")
     if any(n_grid[i] >= n_grid[i + 1] for i in range(len(n_grid) - 1)):
-        raise ShapeMismatch(f"sample-size grid must be strictly ascending, got {n_grid}")
+        raise ShapeMismatch(f"n_grid must be strictly ascending, got {n_grid}")
 
-    rows = []
-    sweeps = {}
-    for n in n_grid:
-        sweep = sweep_architectures(task, D, n, R, Q, seed, query_gain=query_gain)
-        rows.append((n, sweep.argmin_dk, sweep.argmin_H, sweep.flat))
-        sweeps[n] = sweep
+    sweeps = _sweeps(task, D, n_grid, R, Q, seed, query_gain)
+    rows = [(n, sweep.argmin_dk, sweep.argmin_H, sweep.flat) for n, sweep in sweeps.items()]
 
     dks = np.array([row[1] for row in rows], dtype=np.float64)
     ns = np.array(n_grid, dtype=np.float64)

@@ -21,16 +21,18 @@ identity residual is pure floating-point noise.  Standard errors come from
 the replicate-level influence statistics; the residual's standard error is
 propagated conservatively as the quadrature sum of the component errors.
 
-``mc_decompose`` and every sweep hand ``_reports`` their ``(heads, alphas)``
-points, one weighted ensemble each, and get one ``DecompositionReport`` per
-point.  Behind it, ``_head_tensor`` is the one replicate-major engine: for a
-list of head sets it draws each replicate's dataset once and runs each
-distinct head once, writing the estimates into every slot that holds the
-head.  Points holding the same heads object share one tensor, and
+``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
+alphas)`` points, one weighted ensemble at one sample size each, and get one
+``DecompositionReport`` per point.  Behind it, ``_head_tensor`` is the one
+replicate-major engine: for a list of ``(n, heads)`` sets, one pool task per
+replicate draws that replicate's dataset once per distinct n (the same draw
+at that n whatever else the call holds) and runs each distinct head once
+on it, writing the estimates into every slot that holds the (n, head)
+pair.  Points with the same n and heads object share one tensor, and
 ``_decompose_tensor`` reduces it once for all their weight vectors.
-MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only from
-POOL_MIN_LOGITS logits per call; slots are indexed by replicate, so the
-outputs are bit-identical for every thread count.
+MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only when the
+call's largest n gives POOL_MIN_LOGITS logits per head; slots are indexed
+by replicate, so the outputs are bit-identical for every thread count.
 
 Besides the engine and the sweep drivers, the module keeps the
 leading-order ``theoretical_bias_variance`` at one query and
@@ -41,6 +43,7 @@ standard errors.
 from __future__ import annotations
 
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,11 +74,15 @@ __all__ = [
 ]
 
 
-#: Q * n logits per attend_many call below which replicates run serially, as
-#: short calls pass the interpreter lock between threads more than they overlap.
-#: 2 threads against 1 on 2 vCPUs, sweep-hdi and sweep-arch head sets, Q = 64:
+#: Q * max(n) logits below which an engine call runs its replicates serially,
+#: as short attend_many calls pass the interpreter lock between threads more
+#: than they overlap; a call over several n pools from its largest, since each
+#: replicate task then also runs the long calls.  2 threads against 1 on
+#: 2 vCPUs, sweep-hdi and sweep-arch head sets, Q = 64, one n per call:
 #: 0.5-0.6x at 16k logits, 0.9x at 48k, 1.0-1.3x at 64k (break-even), 1.35x at 80k.
 POOL_MIN_LOGITS = 1 << 16
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def worker_count() -> int:
@@ -162,35 +169,37 @@ class DecompositionReport:
     degenerate_weights: int
 
 
-def _head_tensor(task, head_sets, n, R, Q, master_seed):
-    """One (E[r, h, q], queries, degenerate count per head) per head set;
-    heads with equal wq, wk and wv run once per replicate."""
+def _head_tensor(task, head_sets, R, Q, master_seed):
+    """One (E[r, h, q], queries, degenerate count per head) per ``(n, heads)``
+    set; heads with equal n, wq, wk and wv run once per replicate."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
-    slots = {}   # head bytes -> (head, [(set, index in set), ...])
-    for s, heads in enumerate(head_sets):
+    slots = {}   # n -> head bytes -> (head, [(set, index in set), ...])
+    for s, (n, heads) in enumerate(head_sets):
         for h, head in enumerate(heads):
             key = (head.wq.shape, head.wq.a.tobytes(), head.wk.a.tobytes(), head.wv.tobytes())
-            slots.setdefault(key, (head, []))[1].append((s, h))
-    Es = [np.empty((R, len(heads), Q)) for heads in head_sets]
-    degenerate = [np.zeros((R, len(heads)), dtype=np.int64) for heads in head_sets]
+            slots.setdefault(n, {}).setdefault(key, (head, []))[1].append((s, h))
+    Es = [np.empty((R, len(heads), Q)) for _, heads in head_sets]
+    degenerate = [np.zeros((R, len(heads)), dtype=np.int64) for _, heads in head_sets]
 
     def run_replicate(r: int) -> None:
-        data = sample_dataset(task, n, derive_seed(master_seed, "data", r))
-        for head, targets in slots.values():
-            est, count = attend_many(head, queries, data)
-            if not np.all(np.isfinite(est)):
-                q_bad = int(np.flatnonzero(~np.isfinite(est))[0])
-                h = targets[0][1]
-                raise ReplicateFailure(
-                    f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
-                    replicate=r, head=h, query=q_bad,
-                )
-            for s, h in targets:
-                Es[s][r, h] = est
-                degenerate[s][r, h] = count
+        for n, by_head in slots.items():
+            data = sample_dataset(task, n, derive_seed(master_seed, "data", r))
+            for head, targets in by_head.values():
+                est, count = attend_many(head, queries, data)
+                if not np.all(np.isfinite(est)):
+                    q_bad = int(np.flatnonzero(~np.isfinite(est))[0])
+                    h = targets[0][1]
+                    raise ReplicateFailure(
+                        f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
+                        replicate=r, head=h, query=q_bad,
+                    )
+                for s, h in targets:
+                    Es[s][r, h] = est
+                    degenerate[s][r, h] = count
+            del data   # one dataset alive per worker
 
     workers = worker_count()
-    if workers > 1 and R > 1 and Q * n >= POOL_MIN_LOGITS:
+    if workers > 1 and R > 1 and Q * max(slots) >= POOL_MIN_LOGITS:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_replicate, range(R)))
     else:
@@ -211,18 +220,23 @@ def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
     # replicate-level influence statistics for the standard errors
     sqrt_R = np.sqrt(R)
     pair_t = np.einsum("rhq,rgq->rhg", Ec, Ec) / Q * (R / (R - 1))
+    sq_err = E - m_q
+    sq_err *= sq_err                                         # (E - m_q)^2
     per_head = dict(
         per_head_bias=(Ebar - m_q).mean(axis=1),
         per_head_var=np.einsum("hhq->hq", Cq).mean(axis=1),
-        per_head_mse=((E - m_q) ** 2).mean(axis=(0, 2)),
+        per_head_mse=sq_err.mean(axis=(0, 2)),
         cross_cov=Cq.mean(axis=2),
         cov_stderr=pair_t.std(axis=0, ddof=1) / sqrt_R,
         degenerate_weights=int(degenerate.sum()),
     )
     per_head_se = {
         "per_head_bias": Ec.mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
-        "per_head_mse": ((E - m_q) ** 2).mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
+        "per_head_mse": sq_err.mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
     }
+    # Ec is read only through Ec^2 R/(R-1) from here on: square it in place
+    Ec *= Ec
+    Ec *= R / (R - 1)
 
     reports = []
     for alphas in alpha_sets:
@@ -238,7 +252,7 @@ def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
         mse_direct = float(mse_replicates.mean())
         identity_residual = abs(mse_direct - (ensemble_bias_sq + variance_term + covariance_term))
 
-        t_var = np.einsum("h,rhq->r", alphas**2, Ec**2 * (R / (R - 1))) / Q
+        t_var = np.einsum("h,rhq->r", alphas**2, Ec) / Q
         Yc = Y - Ybar
         t_s2y = (Yc**2 * (R / (R - 1))).mean(axis=1)
         t_cov = t_s2y - t_var
@@ -263,29 +277,41 @@ def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
     return reports
 
 
-def _reports(task, points, n, R, Q, master_seed) -> list[DecompositionReport]:
-    """One report per ``(heads, alphas)`` point, all on the same replicates.
+def _outside_stacklevel() -> int:
+    """``stacklevel`` that attributes a warning issued by this function's
+    caller to the first frame outside the package (walked by hand: Python
+    before 3.12 has no ``skip_file_prefixes``)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
-    Points that hold the same heads object share one engine tensor and one
+
+def _reports(task, points, R, Q, master_seed) -> list[DecompositionReport]:
+    """One report per ``(n, heads, alphas)`` point, all on the same replicates.
+
+    Points with the same n and heads object share one engine tensor and one
     reduction; each distinct tensor with degenerate softmax rows warns once.
     """
-    _check_sizes(n, R, Q)
-    groups = {}   # id(heads) -> (heads, [alphas of each point holding them])
-    for heads, alphas in points:
-        groups.setdefault(id(heads), (heads, []))[1].append(alphas)
-    tensors = _head_tensor(task, [heads for heads, _ in groups.values()], n, R, Q, master_seed)
+    groups = {}   # (n, id(heads)) -> (n, heads, [alphas of each point holding them])
+    for n, heads, alphas in points:
+        _check_sizes(n, R, Q)
+        groups.setdefault((n, id(heads)), (n, heads, []))[2].append(alphas)
+    tensors = _head_tensor(task, [(n, heads) for n, heads, _ in groups.values()],
+                           R, Q, master_seed)
     m_q = task.mean(tensors[0][1])   # every head set shares the quadrature queries
     reports = {}
-    for (key, (heads, alpha_sets)), (E, _, degenerate) in zip(groups.items(), tensors):
+    for key, (n, heads, alpha_sets) in groups.items():
+        E, _, degenerate = tensors.pop(0)   # released once reduced
         if degenerate.any():
             warnings.warn(
                 f"{degenerate.sum()} softmax weight vectors were degenerate "
                 f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) at n={n}, "
                 f"H={len(heads)}, d_k={heads[0].d_k}; per head {degenerate.tolist()}",
-                RuntimeWarning, stacklevel=2,
+                RuntimeWarning, stacklevel=_outside_stacklevel(),
             )
         reports[key] = iter(_decompose_tensor(E, degenerate, m_q, alpha_sets))
-    return [next(reports[id(heads)]) for heads, _ in points]
+    return [next(reports[n, id(heads)]) for n, heads, _ in points]
 
 
 def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
@@ -296,8 +322,9 @@ def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
     and the cross-replicate moments estimate bias against the known mean
     function, per-head variances and the cross-head covariance matrix.
     """
-    [report] = _reports(plan.task, [(plan.resolve_projection().heads, plan.weights.alphas)],
-                        plan.n, plan.R, plan.Q, plan.master_seed)
+    [report] = _reports(plan.task, [(plan.n, plan.resolve_projection().heads,
+                                     plan.weights.alphas)],
+                        plan.R, plan.Q, plan.master_seed)
     return report
 
 
@@ -430,8 +457,8 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
     projs = [plan.resolve_projection(mix=mix) for mix in mix_grid]
-    reports = _reports(plan.task, [(proj.heads, plan.weights.alphas) for proj in projs],
-                       plan.n, plan.R, plan.Q, plan.master_seed)
+    reports = _reports(plan.task, [(plan.n, proj.heads, plan.weights.alphas) for proj in projs],
+                       plan.R, plan.Q, plan.master_seed)
     rows = []
     mse_replicates = {}   # mix -> per-replicate MSE, for the paired endpoint contrast
     for mix, proj, report in zip(mix_grid, projs, reports):
@@ -479,7 +506,7 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
     H = proj.H
     uniform = make_weights("uniform", H).alphas
 
-    [pilot] = _reports(plan.task, [(proj.heads, uniform)], plan.n, max(2, plan.R // 2),
+    [pilot] = _reports(plan.task, [(plan.n, proj.heads, uniform)], max(2, plan.R // 2),
                        plan.Q, derive_seed(plan.master_seed, "pilot"))
     order = np.argsort(pilot.per_head_mse, kind="stable")
     heads = tuple(proj.heads[h] for h in order)
@@ -491,8 +518,8 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
     for rho in rho_grid:
         schemes.append(("geometric", rho, make_weights("geometric", H, rho=rho).alphas))
     # one ordered-heads tuple for every scheme: the engine runs each head once
-    reports = _reports(plan.task, [(heads, alphas) for _, _, alphas in schemes],
-                       plan.n, plan.R, plan.Q, plan.master_seed)
+    reports = _reports(plan.task, [(plan.n, heads, alphas) for _, _, alphas in schemes],
+                       plan.R, plan.Q, plan.master_seed)
 
     base = reports[0]
     # float-noise floor: identical heads give diffs of order eps * mse

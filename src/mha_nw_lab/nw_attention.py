@@ -10,7 +10,8 @@ the Nadaraya-Watson estimator with bandwidth 1/sqrt(d_k): larger d_k, sharper
 kernel.  ``attend_many`` shifts each logit row by its max, exponentiates in
 place and divides e . v by s = sum_i e_i (Milakov & Gimelshein, 2018).  As
 max e = 1, a row's entropy is at least log s, so the degenerate screen sums
--w log w only over rows with log s below twice DEGENERATE_ENTROPY_NATS.
+-w log w only over rows with log s below twice DEGENERATE_ENTROPY_NATS, and
+not at all when no row is that sharp.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
@@ -28,6 +29,8 @@ __all__ = ["HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_referen
 
 #: softmax weight vectors with entropy below this many nats count as degenerate
 DEGENERATE_ENTROPY_NATS = 1e-6
+#: rows with softmax mass s below this have log s < 2 DEGENERATE_ENTROPY_NATS
+_SHARP_MASS = np.exp(2.0 * DEGENERATE_ENTROPY_NATS)
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,12 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset,
     np.exp(e, out=e)
     s = e.sum(axis=1)
     estimates = (e @ v) / s
-    sharp = s < np.exp(2.0 * DEGENERATE_ENTROPY_NATS)   # entropy >= log s, see above
-    w = e[sharp] / s[sharp, None]
-    entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
-    degenerate = int(np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS))
+    sharp = s < _SHARP_MASS   # entropy >= log s, see above
+    degenerate = 0
+    if sharp.any():
+        w = e[sharp] / s[sharp, None]
+        entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
+        degenerate = int(np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS))
     if return_weights:
         return estimates, degenerate, e / s[:, None]
     return estimates, degenerate

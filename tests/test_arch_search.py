@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 import mha_nw_lab as lab
-from mha_nw_lab import arch_search
+from mha_nw_lab import arch_search, decomposition
 from mha_nw_lab.arch_search import (
     enumerate_allocations,
     scaling_trend,
@@ -10,7 +12,7 @@ from mha_nw_lab.arch_search import (
 )
 from mha_nw_lab.decomposition import spearman
 from mha_nw_lab.errors import EmptySweep, ShapeMismatch
-from mha_nw_lab.synthetic import RegressionTask
+from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -133,6 +135,50 @@ class TestScalingTrend:
         assert all(flat for _, _, _, flat in trend.rows)
         assert all(dk == 1 and H == 8 for _, dk, H, flat in trend.rows)
         assert trend.nondecreasing
+
+    def test_one_engine_call_draws_each_size_once_per_replicate(self, sine_task,
+                                                                 monkeypatch):
+        calls, draws = [], []
+        engine = decomposition._head_tensor
+
+        def counting_engine(*args):
+            calls.append(args)
+            return engine(*args)
+
+        def counting_draw(task, n, seed):
+            draws.append((n, seed))
+            return sample_dataset(task, n, seed)
+
+        monkeypatch.setattr(decomposition, "_head_tensor", counting_engine)
+        monkeypatch.setattr(decomposition, "sample_dataset", counting_draw)
+        scaling_trend(sine_task, 8, [50, 100, 200], R=6, Q=8, seed=4)
+        assert len(calls) == 1
+        assert sorted(draws) == sorted(
+            (n, derive_seed(4, "data", r)) for n in (50, 100, 200) for r in range(6))
+
+    def test_trend_equals_one_sweep_per_size(self, sine_task):
+        trend = scaling_trend(sine_task, 8, [50, 100, 200], R=6, Q=8, seed=4)
+        for n in (50, 100, 200):
+            assert trend.sweeps[n] == sweep_architectures(sine_task, 8, n, R=6, Q=8, seed=4)
+
+    def test_pool_runs_the_whole_trend_from_the_largest_n(self, sine_task, monkeypatch):
+        # Q * max(n) = 8 * 200 logits reach the gate; n = 50 and 100 alone would not
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
+        threads = []
+
+        def recording_draw(task, n, seed):
+            threads.append(threading.get_ident())
+            return sample_dataset(task, n, seed)
+
+        monkeypatch.setattr(decomposition, "sample_dataset", recording_draw)
+        trends = []
+        for gate, pooled in ((8 * 200, True), (8 * 200 + 1, False)):
+            monkeypatch.setattr(decomposition, "POOL_MIN_LOGITS", gate)
+            threads.clear()
+            trends.append(scaling_trend(sine_task, 8, [50, 100, 200], R=6, Q=8, seed=4))
+            assert len(threads) == 18
+            assert all((t != threading.get_ident()) == pooled for t in threads)
+        assert trends[0].sweeps == trends[1].sweeps
 
     def test_directional_run(self, sine_task):
         trend = scaling_trend(sine_task, 8, [100, 300, 900], R=40, Q=24, seed=9,

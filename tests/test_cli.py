@@ -143,15 +143,20 @@ class TestConfigValidation:
         ("sweep-hdi", lambda c: c["projection"].update(mix=1.0),
          "subcommand: projection.mix"),
         ("optimize-proj", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
-        ("sweep-arch", lambda c: c.update(budget_D=0), "budget must be >= 1, got 0"),
-        ("sweep-arch", lambda c: c.update(budget_D=-4), "budget must be >= 1, got -4"),
+        ("sweep-arch", lambda c: c.update(budget_D=0), "budget_D must be >= 1, got 0"),
+        ("sweep-arch", lambda c: c.update(budget_D=-4), "budget_D must be >= 1, got -4"),
+        ("sweep-arch", lambda c: (c.pop("n"), c.update(n_grid=[50, 50, 70])),
+         "n_grid must be strictly ascending, got [50, 50, 70]"),
+        ("sweep-arch", lambda c: (c.pop("n"), c.update(n_grid=[50, 100])),
+         "n_grid needs >= 3 sample sizes, got 2"),
         ("optimize-proj", lambda c: c.update(master_seed=-1),
          "master_seed must be nonnegative"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
             "hdi-projection-mix", "optimize-task-sigma", "arch-budget-zero",
-            "arch-budget-negative", "optimize-negative-seed"])
+            "arch-budget-negative", "arch-n-grid-repeat", "arch-n-grid-two-sizes",
+            "optimize-negative-seed"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                command, edit, fragment):
         config = small_config(command, tmp_path / "out")

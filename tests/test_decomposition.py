@@ -100,7 +100,7 @@ class TestAgainstBruteForce:
         report = mc_decompose(plan)
         proj = plan.resolve_projection()
 
-        [(E, queries, _)] = _head_tensor(quad_task, [proj.heads], plan.n, plan.R,
+        [(E, queries, _)] = _head_tensor(quad_task, [(plan.n, proj.heads)], plan.R,
                                          plan.Q, plan.master_seed)
         m_q = quad_task.mean(queries)
         R, H, Q = E.shape
@@ -230,32 +230,54 @@ class TestReplicateEngine:
         return calls
 
     def test_joint_call_equals_one_call_per_set(self, quad_task):
-        sets = self.head_sets(quad_task)
-        joint = _head_tensor(quad_task, sets, 60, 6, 8, 21)
+        sets = [(60, heads) for heads in self.head_sets(quad_task)]
+        joint = _head_tensor(quad_task, sets, 6, 8, 21)
         assert joint[2][2].sum() > 0   # the sharp set has degenerate counts to compare
-        for heads, (E, queries, degenerate) in zip(sets, joint):
-            [(E1, queries1, degenerate1)] = _head_tensor(quad_task, [heads], 60, 6, 8, 21)
+        for head_set, (E, queries, degenerate) in zip(sets, joint):
+            [(E1, queries1, degenerate1)] = _head_tensor(quad_task, [head_set], 6, 8, 21)
             np.testing.assert_array_equal(E, E1)
             np.testing.assert_array_equal(queries, queries1)
             np.testing.assert_array_equal(degenerate, degenerate1)
 
+    def test_joint_call_over_sizes_equals_one_call_per_size(self, quad_task):
+        sizes = (60, 90, 120)
+        sets = [(n, heads) for n in sizes for heads in self.head_sets(quad_task)]
+        joint = _head_tensor(quad_task, sets, 6, 8, 21)
+        assert all(joint[s][2].sum() > 0 for s in (2, 5, 8))   # the sharp sets
+        for n in sizes:
+            per_size = _head_tensor(quad_task, [(m, heads) for m, heads in sets if m == n],
+                                    6, 8, 21)
+            for (E, queries, degenerate), (E1, queries1, degenerate1) in zip(
+                    [t for (m, _), t in zip(sets, joint) if m == n], per_size):
+                np.testing.assert_array_equal(E, E1)
+                np.testing.assert_array_equal(queries, queries1)
+                np.testing.assert_array_equal(degenerate, degenerate1)
+
     def test_each_dataset_is_drawn_once_per_call(self, quad_task, monkeypatch):
         draws = self.counting(monkeypatch, "sample_dataset", sample_dataset)
-        _head_tensor(quad_task, self.head_sets(quad_task), 60, 6, 8, 21)
+        _head_tensor(quad_task, [(60, heads) for heads in self.head_sets(quad_task)],
+                     6, 8, 21)
         assert len(draws) == 6
         assert len({seed for _, _, seed in draws}) == 6
+
+    def test_each_size_is_drawn_once_per_replicate(self, quad_task, monkeypatch):
+        draws = self.counting(monkeypatch, "sample_dataset", sample_dataset)
+        heads = self.head_sets(quad_task)[1]
+        _head_tensor(quad_task, [(60, heads), (90, heads), (60, heads[:2])], 6, 8, 21)
+        assert sorted((n, seed) for _, n, seed in draws) == sorted(
+            (n, derive_seed(21, "data", r)) for n in (60, 90) for r in range(6))
 
     def test_identical_heads_run_once_per_replicate(self, quad_task, monkeypatch):
         heads = self.head_sets(quad_task)[0]
         evals = self.counting(monkeypatch, "attend_many", attend_many)
-        [(E, _, _)] = _head_tensor(quad_task, [heads], 60, 6, 8, 21)
+        [(E, _, _)] = _head_tensor(quad_task, [(60, heads)], 6, 8, 21)
         assert len(evals) == 6
         for h in range(1, 4):
             np.testing.assert_array_equal(E[:, h], E[:, 0])
 
     def test_estimates_equal_single_query_attend(self, quad_task):
         heads = self.head_sets(quad_task)[1]
-        [(E, queries, _)] = _head_tensor(quad_task, [heads], 60, 3, 4, 21)
+        [(E, queries, _)] = _head_tensor(quad_task, [(60, heads)], 3, 4, 21)
         for r in range(3):
             data = sample_dataset(quad_task, 60, derive_seed(21, "data", r))
             single = [[attend(head, x, data).estimate for x in queries] for head in heads]
@@ -267,7 +289,7 @@ class TestReplicateEngine:
         distinct = self.head_sets(quad_task)[1]
         bad = HeadConfig(wq=distinct[1].wq, wk=distinct[1].wk, wv=np.full(8, 1e308))
         with pytest.raises(ReplicateFailure) as excinfo:
-            _head_tensor(quad_task, [distinct, (distinct[0], bad)], 50, 4, 4, 1)
+            _head_tensor(quad_task, [(50, distinct), (50, (distinct[0], bad))], 4, 4, 1)
         assert excinfo.value.replicate == 0
         assert excinfo.value.head == 1
         assert 0 <= excinfo.value.query < 4
@@ -283,9 +305,9 @@ class TestReplicateFailure:
         heads = tuple(
             HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base.heads
         )
-        points = [(heads, make_weights("uniform", 2).alphas)]
+        points = [(50, heads, make_weights("uniform", 2).alphas)]
         with pytest.raises(ReplicateFailure) as excinfo:
-            decomposition._reports(quad_task, points, n=50, R=4, Q=4, master_seed=1)
+            decomposition._reports(quad_task, points, R=4, Q=4, master_seed=1)
         err = excinfo.value
         assert err.replicate == 0
         assert 0 <= err.head < 2 and 0 <= err.query < 4
@@ -310,6 +332,14 @@ class TestDegenerateScreen:
         assert "at n=50, H=2, d_k=1; per head [" in message
         per_head = [int(c) for c in message.split("per head [")[1].rstrip("]").split(",")]
         assert len(per_head) == 2 and sum(per_head) == report.degenerate_weights
+
+    def test_warning_names_the_first_caller_outside_the_package(self):
+        # not the library line that issues it, which moves with every edit
+        task = lab.make_task("quadratic", 4, 1.0, "gaussian")
+        plan = quick_plan(task, p=4, d_k=1, H=2, n=50, R=10, Q=8, master=3, gain=200.0)
+        with pytest.warns(RuntimeWarning, match="degenerate") as record:
+            mc_decompose(plan)
+        assert [w.filename for w in record] == [__file__]
 
 
 @pytest.fixture(scope="module")
@@ -360,7 +390,7 @@ class TestTheoreticalBiasVariance:
         master = 11
         queries = sample_queries(task, Q, derive_seed(master, "query"))
 
-        [(E, _, _)] = _head_tensor(task, [[head]], n, R, Q, master)
+        [(E, _, _)] = _head_tensor(task, [(n, [head])], R, Q, master)
         mc_bias = E[:, 0, :].mean(axis=0) - task.mean(queries)
         checked = 0
         for i in range(Q):
