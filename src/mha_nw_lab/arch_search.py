@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _reports
+from .decomposition import _reports, noise_floor
 from .errors import EmptySweep, ShapeMismatch
 from .mha import make_weights
 from .nw_attention import HeadConfig
@@ -114,7 +114,7 @@ def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
             seed: int, query_gain: float) -> dict[int, ArchSweepResult]:
     """One budget sweep per sample size from a single replicate-engine call.
 
-    The allocations are built once; every (allocation, n) pair is one point,
+    The allocations are built once; every (allocation, n) pair is one head set,
     so each n sees the same datasets at every allocation.
     """
     if D > task.p:
@@ -131,7 +131,7 @@ def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
             wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
             heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
         points.append((tuple(heads), make_weights("uniform", H).alphas))
-    reports = _reports(task, [(n, heads, alphas) for n in n_grid for heads, alphas in points],
+    reports = _reports(task, [(n, heads, [alphas]) for n in n_grid for heads, alphas in points],
                        R, Q, seed)
     A = len(points)
     return {n: _summarise(points, reports[i * A:(i + 1) * A], n, D)
@@ -151,7 +151,7 @@ def _summarise(points, reports, n: int, D: int) -> ArchSweepResult:
         if row.mse < best.mse or (row.mse == best.mse and row.H > best.H):
             best = row
     mses = np.array([row.mse for row in rows])
-    flat = bool(mses.max() - mses.min() <= 1e-12 * max(1.0, abs(mses.max())))
+    flat = bool(mses.max() - mses.min() <= noise_floor(mses.max()))
     c1, c2, fit_residual = _fit_budget_model(
         np.array([row.d_k for row in rows]), mses, n, D
     )

@@ -38,6 +38,7 @@ from .decomposition import (
     FamilySpec,
     hdi_sweep,
     mc_decompose,
+    noise_floor,
     weighting_compare,
     worker_count,
 )
@@ -56,8 +57,6 @@ DEFAULT_GATES = {
     "arch_interior": True,        # strict interior argmin at the largest n
     "arch_nondecreasing": True,   # d_k* non-decreasing in n
 }
-#: float-noise floor used when a gate compares against a vanishing stderr
-RESIDUAL_FLOOR = 1e-12
 
 _REQUIRED = object()
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
@@ -177,7 +176,7 @@ def _build_plan(config: Config, reads_mix: bool = True,
         H=config.read("projection.H", int),
         mix=config.read("projection.mix", float, 1.0) if reads_mix else 1.0,
         query_gain=config.read("projection.query_gain", float, 1.0),
-        noise_scales=tuple(noise_scales) if noise_scales else None,
+        noise_scales=None if noise_scales is None else tuple(noise_scales),
     )
     weights = (_build_weights(config, projection.H) if reads_weights
                else make_weights("uniform", projection.H))
@@ -323,7 +322,7 @@ def cmd_decompose(config: Config, out: Path) -> int:
     report = mc_decompose(plan)
     residual_limit = max(
         gates["residual_sigma"] * report.stderr["identity_residual"],
-        RESIDUAL_FLOOR * max(1.0, abs(report.mse_direct)),
+        noise_floor(report.mse_direct),
     )
     ok = report.identity_residual <= residual_limit
 
@@ -355,8 +354,7 @@ def cmd_decompose(config: Config, out: Path) -> int:
             for h2 in range(h + 1, H):
                 target = report.per_head_var[h] if mix == 0.0 else 0.0
                 gap = abs(report.cross_cov[h, h2] - target)
-                se = max(report.cov_stderr[h, h2],
-                         RESIDUAL_FLOOR * max(1.0, abs(report.mse_direct)))
+                se = max(report.cov_stderr[h, h2], noise_floor(report.mse_direct))
                 worst = max(worst, gap / se)
         verdicts.append((
             "cov_equals_variance" if mix == 0.0 else "cov_vanishes",

@@ -22,17 +22,16 @@ the replicate-level influence statistics; the residual's standard error is
 propagated conservatively as the quadrature sum of the component errors.
 
 ``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
-alphas)`` points, one weighted ensemble at one sample size each, and get one
-``DecompositionReport`` per point.  Behind it, ``_head_tensor`` is the one
-replicate-major engine: for a list of ``(n, heads)`` sets, one pool task per
-replicate draws that replicate's dataset once per distinct n (the same draw
-at that n whatever else the call holds) and runs each distinct head once
-on it, writing the estimates into every slot that holds the (n, head)
-pair.  Points with the same n and heads object share one tensor, and
-``_decompose_tensor`` reduces it once for all their weight vectors.
-MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only when the
-call's largest n gives POOL_MIN_LOGITS logits per head; slots are indexed
-by replicate, so the outputs are bit-identical for every thread count.
+alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
+input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
+one pool task per replicate draws that replicate's dataset once per distinct
+n (the same draw at that n whatever else the call holds) and runs each
+distinct head once on it, writing the estimates into every set's tensor that
+holds the (n, head) pair; ``_decompose_tensor`` reduces each tensor once for
+all the set's weight vectors.  MHA_NW_LAB_THREADS caps the replicate pool
+(0 = auto), used only when the call's largest n gives POOL_MIN_LOGITS logits
+per head; slots are indexed by replicate, so the outputs are bit-identical
+for every thread count.
 
 Besides the engine and the sweep drivers, the module keeps the
 leading-order ``theoretical_bias_variance`` at one query and
@@ -83,6 +82,11 @@ __all__ = [
 POOL_MIN_LOGITS = 1 << 16
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def noise_floor(x: float) -> float:
+    """Float-noise floor at magnitude ``x``: differences below it are rounding."""
+    return 1e-12 * max(1.0, abs(x))
 
 
 def worker_count() -> int:
@@ -170,8 +174,9 @@ class DecompositionReport:
 
 
 def _head_tensor(task, head_sets, R, Q, master_seed):
-    """One (E[r, h, q], queries, degenerate count per head) per ``(n, heads)``
-    set; heads with equal n, wq, wk and wv run once per replicate."""
+    """The shared quadrature queries, and one (E[r, h, q], degenerate count
+    per head) per ``(n, heads)`` set; heads with equal n, wq, wk and wv run
+    once per replicate."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     slots = {}   # n -> head bytes -> (head, [(set, index in set), ...])
     for s, (n, heads) in enumerate(head_sets):
@@ -205,7 +210,7 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     else:
         for r in range(R):
             run_replicate(r)
-    return [(E, queries, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
+    return queries, [(E, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
 
 
 def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
@@ -287,22 +292,21 @@ def _outside_stacklevel() -> int:
     return level
 
 
-def _reports(task, points, R, Q, master_seed) -> list[DecompositionReport]:
-    """One report per ``(n, heads, alphas)`` point, all on the same replicates.
+def _reports(task, sets, R, Q, master_seed) -> list[DecompositionReport]:
+    """One report per weight vector of each ``(n, heads, alpha_sets)`` set,
+    in input order, all on the same replicates.
 
-    Points with the same n and heads object share one engine tensor and one
-    reduction; each distinct tensor with degenerate softmax rows warns once.
+    Each set is one engine tensor and one reduction for all its weight
+    vectors; a set with degenerate softmax rows warns once.
     """
-    groups = {}   # (n, id(heads)) -> (n, heads, [alphas of each point holding them])
-    for n, heads, alphas in points:
+    for n, _, _ in sets:
         _check_sizes(n, R, Q)
-        groups.setdefault((n, id(heads)), (n, heads, []))[2].append(alphas)
-    tensors = _head_tensor(task, [(n, heads) for n, heads, _ in groups.values()],
-                           R, Q, master_seed)
-    m_q = task.mean(tensors[0][1])   # every head set shares the quadrature queries
-    reports = {}
-    for key, (n, heads, alpha_sets) in groups.items():
-        E, _, degenerate = tensors.pop(0)   # released once reduced
+    queries, tensors = _head_tensor(task, [(n, heads) for n, heads, _ in sets],
+                                    R, Q, master_seed)
+    m_q = task.mean(queries)
+    reports = []
+    for n, heads, alpha_sets in sets:
+        E, degenerate = tensors.pop(0)   # released once reduced
         if degenerate.any():
             warnings.warn(
                 f"{degenerate.sum()} softmax weight vectors were degenerate "
@@ -310,8 +314,8 @@ def _reports(task, points, R, Q, master_seed) -> list[DecompositionReport]:
                 f"H={len(heads)}, d_k={heads[0].d_k}; per head {degenerate.tolist()}",
                 RuntimeWarning, stacklevel=_outside_stacklevel(),
             )
-        reports[key] = iter(_decompose_tensor(E, degenerate, m_q, alpha_sets))
-    return [next(reports[n, id(heads)]) for n, heads, _ in points]
+        reports += _decompose_tensor(E, degenerate, m_q, alpha_sets)
+    return reports
 
 
 def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
@@ -323,7 +327,7 @@ def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
     function, per-head variances and the cross-head covariance matrix.
     """
     [report] = _reports(plan.task, [(plan.n, plan.resolve_projection().heads,
-                                     plan.weights.alphas)],
+                                     [plan.weights.alphas])],
                         plan.R, plan.Q, plan.master_seed)
     return report
 
@@ -433,6 +437,12 @@ def bootstrap_stderr(values: np.ndarray, seed: int, resamples: int = 200) -> flo
     return float(values[idx].mean(axis=1).std(ddof=1))
 
 
+def _paired(a: DecompositionReport, b: DecompositionReport) -> tuple[float, float]:
+    """Mean and stderr of the per-replicate MSE contrast ``a - b`` (shared replicates)."""
+    paired = a.mse_replicates - b.mse_replicates
+    return float(paired.mean()), float(paired.std(ddof=1) / np.sqrt(paired.shape[0]))
+
+
 @dataclass(frozen=True)
 class HdiSweepResult:
     """Diversity sweep rows plus the monotonicity statistics."""
@@ -451,28 +461,22 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     paired endpoint contrast uses the per-replicate MSE difference.
     """
     mix_grid = [float(m) for m in mix_grid]
-    if not mix_grid or any(not 0.0 <= m <= 1.0 for m in mix_grid):
+    if len(mix_grid) < 2:
+        raise ShapeMismatch(f"mix_grid needs >= 2 mixes, got {mix_grid}")
+    if any(not 0.0 <= m <= 1.0 for m in mix_grid):
         raise ShapeMismatch(f"mix_grid must lie in [0, 1], got {mix_grid}")
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
     projs = [plan.resolve_projection(mix=mix) for mix in mix_grid]
-    reports = _reports(plan.task, [(plan.n, proj.heads, plan.weights.alphas) for proj in projs],
+    reports = _reports(plan.task, [(plan.n, proj.heads, [plan.weights.alphas]) for proj in projs],
                        plan.R, plan.Q, plan.master_seed)
-    rows = []
-    mse_replicates = {}   # mix -> per-replicate MSE, for the paired endpoint contrast
-    for mix, proj, report in zip(mix_grid, projs, reports):
-        literal, normalized = hdi_indices(proj)
-        rows.append((mix, literal, normalized, report.mse_direct,
-                     report.stderr["mse_direct"]))
-        mse_replicates[mix] = report.mse_replicates
-
+    rows = [(mix, *hdi_indices(proj), report.mse_direct, report.stderr["mse_direct"])
+            for mix, proj, report in zip(mix_grid, projs, reports)]
     rho = spearman([r[2] for r in rows], [r[3] for r in rows])
-    diff = diff_se = None
-    if 0.0 in mse_replicates and 1.0 in mse_replicates:
-        paired = mse_replicates[0.0] - mse_replicates[1.0]
-        diff = float(paired.mean())
-        diff_se = float(paired.std(ddof=1) / np.sqrt(paired.shape[0]))
+    by_mix = dict(zip(mix_grid, reports))   # a repeated mix pairs its last row
+    diff, diff_se = (_paired(by_mix[0.0], by_mix[1.0]) if 0.0 in by_mix and 1.0 in by_mix
+                     else (None, None))
     return HdiSweepResult(rows=rows, spearman=rho, endpoint_diff=diff,
                           endpoint_diff_stderr=diff_se)
 
@@ -500,39 +504,33 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
     beats uniform by more than ``sigma`` paired standard errors or not.
     """
     rho_grid = [float(r) for r in rho_grid]
+    if not rho_grid:
+        raise ShapeMismatch("rho_grid needs >= 1 rho, got []")
     if any(not 0.0 < r <= 1.0 for r in rho_grid):
         raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
     proj = plan.resolve_projection()
     H = proj.H
     uniform = make_weights("uniform", H).alphas
 
-    [pilot] = _reports(plan.task, [(plan.n, proj.heads, uniform)], max(2, plan.R // 2),
+    [pilot] = _reports(plan.task, [(plan.n, proj.heads, [uniform])], max(2, plan.R // 2),
                        plan.Q, derive_seed(plan.master_seed, "pilot"))
     order = np.argsort(pilot.per_head_mse, kind="stable")
     heads = tuple(proj.heads[h] for h in order)
 
-    schemes: list[tuple[str, float | None, np.ndarray]] = [
-        ("uniform", None, uniform),
-        ("fibonacci", None, make_weights("fibonacci", H).alphas),
-    ]
-    for rho in rho_grid:
-        schemes.append(("geometric", rho, make_weights("geometric", H, rho=rho).alphas))
-    # one ordered-heads tuple for every scheme: the engine runs each head once
-    reports = _reports(plan.task, [(plan.n, heads, alphas) for _, _, alphas in schemes],
+    schemes = [("uniform", None, uniform), ("fibonacci", None, make_weights("fibonacci", H).alphas)]
+    schemes += [("geometric", rho, make_weights("geometric", H, rho=rho).alphas) for rho in rho_grid]
+    reports = _reports(plan.task, [(plan.n, heads, [alphas for _, _, alphas in schemes])],
                        plan.R, plan.Q, plan.master_seed)
 
     base = reports[0]
-    # float-noise floor: identical heads give diffs of order eps * mse
-    floor = 1e-12 * max(1.0, abs(base.mse_direct))
+    floor = noise_floor(base.mse_direct)
     rows = []
     best = ("uniform", None, base.mse_direct)
     beats = False
     margin = 0.0
     for (name, rho, _), report in zip(schemes, reports):
         mse = report.mse_direct
-        paired = report.mse_replicates - base.mse_replicates
-        diff = float(paired.mean())
-        diff_se = float(paired.std(ddof=1)) / np.sqrt(plan.R)
+        diff, diff_se = _paired(report, base)
         rows.append((name, rho, mse, report.stderr["mse_direct"], diff, diff_se))
         if mse < best[2] - floor:
             best = (name, rho, mse)

@@ -151,20 +151,30 @@ class TestConfigValidation:
          "n_grid needs >= 3 sample sizes, got 2"),
         ("optimize-proj", lambda c: c.update(master_seed=-1),
          "master_seed must be nonnegative"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[0.5]), "mix_grid needs >= 2 mixes, got [0.5]"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[]), "mix_grid needs >= 2 mixes, got []"),
+        ("weights-compare", lambda c: c.update(rho_grid=[]), "rho_grid needs >= 1 rho, got []"),
+        ("weights-compare", lambda c: c["projection"].update(noise_scales=[]),
+         "noise_scales has 0 entries for H = 4 heads"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
             "hdi-projection-mix", "optimize-task-sigma", "arch-budget-zero",
             "arch-budget-negative", "arch-n-grid-repeat", "arch-n-grid-two-sizes",
-            "optimize-negative-seed"])
+            "optimize-negative-seed", "mix-grid-one", "mix-grid-empty", "rho-grid-empty",
+            "noise-scales-empty"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
-                                                               command, edit, fragment):
+                                                               monkeypatch, command, edit,
+                                                               fragment):
+        draws = []
+        monkeypatch.setattr(decomposition, "sample_dataset", lambda *args: draws.append(args))
         config = small_config(command, tmp_path / "out")
         edit(config)
         path = write_config(tmp_path, config)
         assert cli.main([command, "--config", str(path)]) == 1
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert not draws   # rejected before any Monte-Carlo work
 
     def test_missing_output_dir(self, tmp_path, capsys):
         config = small_decompose_config(tmp_path / "out")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ class TestAgainstBruteForce:
         report = mc_decompose(plan)
         proj = plan.resolve_projection()
 
-        [(E, queries, _)] = _head_tensor(quad_task, [(plan.n, proj.heads)], plan.R,
+        queries, [(E, _)] = _head_tensor(quad_task, [(plan.n, proj.heads)], plan.R,
                                          plan.Q, plan.master_seed)
         m_q = quad_task.mean(queries)
         R, H, Q = E.shape
@@ -231,10 +233,10 @@ class TestReplicateEngine:
 
     def test_joint_call_equals_one_call_per_set(self, quad_task):
         sets = [(60, heads) for heads in self.head_sets(quad_task)]
-        joint = _head_tensor(quad_task, sets, 6, 8, 21)
-        assert joint[2][2].sum() > 0   # the sharp set has degenerate counts to compare
-        for head_set, (E, queries, degenerate) in zip(sets, joint):
-            [(E1, queries1, degenerate1)] = _head_tensor(quad_task, [head_set], 6, 8, 21)
+        queries, joint = _head_tensor(quad_task, sets, 6, 8, 21)
+        assert joint[2][1].sum() > 0   # the sharp set has degenerate counts to compare
+        for head_set, (E, degenerate) in zip(sets, joint):
+            queries1, [(E1, degenerate1)] = _head_tensor(quad_task, [head_set], 6, 8, 21)
             np.testing.assert_array_equal(E, E1)
             np.testing.assert_array_equal(queries, queries1)
             np.testing.assert_array_equal(degenerate, degenerate1)
@@ -242,15 +244,15 @@ class TestReplicateEngine:
     def test_joint_call_over_sizes_equals_one_call_per_size(self, quad_task):
         sizes = (60, 90, 120)
         sets = [(n, heads) for n in sizes for heads in self.head_sets(quad_task)]
-        joint = _head_tensor(quad_task, sets, 6, 8, 21)
-        assert all(joint[s][2].sum() > 0 for s in (2, 5, 8))   # the sharp sets
+        queries, joint = _head_tensor(quad_task, sets, 6, 8, 21)
+        assert all(joint[s][1].sum() > 0 for s in (2, 5, 8))   # the sharp sets
         for n in sizes:
-            per_size = _head_tensor(quad_task, [(m, heads) for m, heads in sets if m == n],
-                                    6, 8, 21)
-            for (E, queries, degenerate), (E1, queries1, degenerate1) in zip(
+            queries1, per_size = _head_tensor(
+                quad_task, [(m, heads) for m, heads in sets if m == n], 6, 8, 21)
+            np.testing.assert_array_equal(queries, queries1)
+            for (E, degenerate), (E1, degenerate1) in zip(
                     [t for (m, _), t in zip(sets, joint) if m == n], per_size):
                 np.testing.assert_array_equal(E, E1)
-                np.testing.assert_array_equal(queries, queries1)
                 np.testing.assert_array_equal(degenerate, degenerate1)
 
     def test_each_dataset_is_drawn_once_per_call(self, quad_task, monkeypatch):
@@ -270,18 +272,37 @@ class TestReplicateEngine:
     def test_identical_heads_run_once_per_replicate(self, quad_task, monkeypatch):
         heads = self.head_sets(quad_task)[0]
         evals = self.counting(monkeypatch, "attend_many", attend_many)
-        [(E, _, _)] = _head_tensor(quad_task, [(60, heads)], 6, 8, 21)
+        _, [(E, _)] = _head_tensor(quad_task, [(60, heads)], 6, 8, 21)
         assert len(evals) == 6
         for h in range(1, 4):
             np.testing.assert_array_equal(E[:, h], E[:, 0])
 
     def test_estimates_equal_single_query_attend(self, quad_task):
         heads = self.head_sets(quad_task)[1]
-        [(E, queries, _)] = _head_tensor(quad_task, [(60, heads)], 3, 4, 21)
+        queries, [(E, _)] = _head_tensor(quad_task, [(60, heads)], 3, 4, 21)
         for r in range(3):
             data = sample_dataset(quad_task, 60, derive_seed(21, "data", r))
             single = [[attend(head, x, data).estimate for x in queries] for head in heads]
             np.testing.assert_allclose(E[r], single, rtol=1e-12, atol=1e-15)
+
+    def test_reports_follow_the_sets_in_input_order(self, quad_task, monkeypatch):
+        identical, distinct, sharp = self.head_sets(quad_task)
+        uniform = make_weights("uniform", 4).alphas
+        three = [uniform, make_weights("fibonacci", 4).alphas,
+                 make_weights("geometric", 4, rho=0.5).alphas]
+        sets = [(90, distinct, three), (60, identical, [uniform]), (60, sharp, [three[2]]),
+                (90, identical, three[1:2])]
+        reductions = self.counting(monkeypatch, "_decompose_tensor", _decompose_tensor)
+        with pytest.warns(RuntimeWarning, match="degenerate") as record:
+            joint = decomposition._reports(quad_task, sets, 6, 8, 21)
+        assert [len(alpha_sets) for *_, alpha_sets in reductions] == [3, 1, 1, 1]
+        assert len(record) == 1 and "at n=60, H=4" in str(record[0].message)
+        alone = [report for head_set in sets
+                 for report in decomposition._reports(quad_task, [head_set], 6, 8, 21)]
+        assert len(joint) == len(alone) == 6
+        for got, want in zip(joint, alone):
+            for field in dataclasses.fields(got):
+                np.testing.assert_equal(getattr(got, field.name), getattr(want, field.name))
 
     def test_failure_names_the_head_inside_its_set(self, quad_task):
         from mha_nw_lab.errors import ReplicateFailure
@@ -305,9 +326,9 @@ class TestReplicateFailure:
         heads = tuple(
             HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base.heads
         )
-        points = [(50, heads, make_weights("uniform", 2).alphas)]
+        sets = [(50, heads, [make_weights("uniform", 2).alphas])]
         with pytest.raises(ReplicateFailure) as excinfo:
-            decomposition._reports(quad_task, points, R=4, Q=4, master_seed=1)
+            decomposition._reports(quad_task, sets, R=4, Q=4, master_seed=1)
         err = excinfo.value
         assert err.replicate == 0
         assert 0 <= err.head < 2 and 0 <= err.query < 4
@@ -390,7 +411,7 @@ class TestTheoreticalBiasVariance:
         master = 11
         queries = sample_queries(task, Q, derive_seed(master, "query"))
 
-        [(E, _, _)] = _head_tensor(task, [(n, [head])], R, Q, master)
+        _, [(E, _)] = _head_tensor(task, [(n, [head])], R, Q, master)
         mc_bias = E[:, 0, :].mean(axis=0) - task.mean(queries)
         checked = 0
         for i in range(Q):
