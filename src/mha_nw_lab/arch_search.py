@@ -204,7 +204,8 @@ def scaling_trend(
     """Sweep the budget at each sample size and report how d_k* moves.
 
     Every (allocation, n) pair runs in one replicate-engine call; replicate
-    r draws its dataset at each n from the same seed as a single sweep would.
+    r draws one dataset at the largest n, and each smaller n reads its first
+    n inputs, those a single sweep at that n would draw.
     Verdicts are directional: the argmin head dimension should be
     non-decreasing in n and grow strictly slower than n itself.  The least
     squares slope of d_k* against log n is emitted as data, not asserted.

@@ -36,6 +36,7 @@ from .arch_search import scaling_trend, sweep_architectures
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
+    _check_mix_grid,
     hdi_sweep,
     mc_decompose,
     noise_floor,
@@ -394,18 +395,22 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
     gates = _gates(config, "spearman_max", "endpoint_sigma")
     mix_grid = config.read("mix_grid", [float])
     config.reject_unread()
+    mix_grid = _check_mix_grid(mix_grid)
+    # a repeated mix ties the rank gate; the endpoint gate pairs mix 0 with mix 1
+    if len(set(mix_grid)) < len(mix_grid):
+        raise ConfigError(f"config field mix_grid repeats a mix, got {mix_grid}")
+    if not {0.0, 1.0} <= set(mix_grid):
+        raise ConfigError(f"config field mix_grid must hold 0.0 and 1.0, got {mix_grid}")
     result = hdi_sweep(plan, mix_grid)
     ok_spearman = result.spearman <= gates["spearman_max"]
+    limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
+    ok_endpoint = result.endpoint_diff > limit
     payload = {"command": "sweep-hdi", "master_seed": plan.master_seed,
-               **_fields(result), "gate_spearman": ok_spearman}
+               **_fields(result), "gate_spearman": ok_spearman, "gate_endpoint": ok_endpoint}
     verdicts = [("spearman", ok_spearman,
-                 f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}")]
-    if result.endpoint_diff is not None:
-        limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
-        ok_endpoint = result.endpoint_diff > limit
-        payload["gate_endpoint"] = ok_endpoint
-        verdicts.append(("endpoint_diff", ok_endpoint,
-                         f"diff = {result.endpoint_diff:.4e} vs {limit:.4e}"))
+                 f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}"),
+                ("endpoint_diff", ok_endpoint,
+                 f"diff = {result.endpoint_diff:.4e} vs {limit:.4e}")]
     return _publish(out, config, ["mix", "hdi", "hdi_normalized", "mse", "stderr"],
                     result.rows, payload, verdicts)
 
@@ -415,24 +420,26 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
     gates = _gates(config, "weighting_sigma")
     rho_grid = config.read("rho_grid", [float])
     config.reject_unread()
-    result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
-    payload = {"command": "weights-compare", "master_seed": plan.master_seed,
-               **_fields(result)}
     # expected verdict follows the construction: heterogeneous value
     # noise -> geometric should win; identical heads -> it must not
     spec = plan.projection
-    verdicts = []
+    if not spec.noise_scales and spec.mix != 0.0:
+        raise ConfigError("config field projection.mix must be 0 when projection.noise_scales "
+                          f"is unset, or weights-compare has no gate; got {spec.mix}")
+    result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
+    payload = {"command": "weights-compare", "master_seed": plan.master_seed,
+               **_fields(result)}
     if spec.noise_scales:
         ok = result.geometric_beats_uniform
         payload["gate_geometric_beats_uniform"] = ok
-        verdicts.append(("geometric_beats_uniform", ok,
-                         f"margin {result.best_margin_sigmas:.2f} sigma vs "
-                         f"{gates['weighting_sigma']:.1f} required"))
-    elif spec.mix == 0.0:
+        verdicts = [("geometric_beats_uniform", ok,
+                     f"margin {result.best_margin_sigmas:.2f} sigma vs "
+                     f"{gates['weighting_sigma']:.1f} required")]
+    else:
         ok = not result.geometric_beats_uniform
         payload["gate_uniform_not_beaten"] = ok
-        verdicts.append(("uniform_not_beaten", ok,
-                         f"best margin {result.best_margin_sigmas:.2f} sigma"))
+        verdicts = [("uniform_not_beaten", ok,
+                     f"best margin {result.best_margin_sigmas:.2f} sigma")]
     best = (f"best scheme: {result.best_scheme}"
             + (f" (rho = {result.best_rho})" if result.best_rho else ""))
     return _publish(
@@ -459,15 +466,10 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     else:
         trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
         sweeps = trend.sweeps
-    rows = []
-    for n, sweep in sorted(sweeps.items()):
-        for row in sweep.rows:
-            rows.append([n, row.H, row.d_k, row.mse, row.stderr,
-                         row.bias_sq, row.var_term])
+    rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
+            for n, sweep in sorted(sweeps.items()) for row in sweep.rows]
     largest = max(sweeps)
-    plot_lines = [
-        f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows
-    ]
+    plot_lines = [f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows]
     payload = {
         "command": "sweep-arch",
         "master_seed": seed,
@@ -478,10 +480,8 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     }
     verdicts = []
     if trend is not None:
-        payload["trend_rows"] = [list(r) for r in trend.rows]
-        payload["nondecreasing"] = trend.nondecreasing
-        payload["sublinear"] = trend.sublinear
-        payload["log_slope"] = trend.log_slope
+        payload.update(trend_rows=[list(r) for r in trend.rows], nondecreasing=trend.nondecreasing,
+                       sublinear=trend.sublinear, log_slope=trend.log_slope)
         if gates["arch_nondecreasing"]:
             verdicts.append(("dk_nondecreasing", trend.nondecreasing,
                              f"d_k* sequence {[r[1] for r in trend.rows]}"))

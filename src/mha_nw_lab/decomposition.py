@@ -24,14 +24,14 @@ propagated conservatively as the quadrature sum of the component errors.
 ``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
 input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
-one pool task per replicate draws that replicate's dataset once per distinct
-n (the same draw at that n whatever else the call holds) and runs each
-distinct head once on it, writing the estimates into every set's tensor that
-holds the (n, head) pair; ``_decompose_tensor`` reduces each tensor once for
-all the set's weight vectors.  MHA_NW_LAB_THREADS caps the replicate pool
-(0 = auto), used only when the call's largest n gives POOL_MIN_LOGITS logits
-per head; slots are indexed by replicate, so the outputs are bit-identical
-for every thread count.
+one pool task per replicate draws that replicate's dataset once, at the
+call's largest n, and runs each distinct head on it in one ``attend_many``
+pass over every n it is held at (a smaller n reads a prefix of the inputs),
+writing the estimates into every set's tensor that holds the (n, head) pair;
+``_decompose_tensor`` reduces each tensor once for all the set's weight
+vectors.  MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only
+when the call's largest n gives POOL_MIN_LOGITS logits per head; slots are
+indexed by replicate, so the outputs are bit-identical for every thread count.
 
 Besides the engine and the sweep drivers, the module keeps the
 leading-order ``theoretical_bias_variance`` at one query and
@@ -76,7 +76,7 @@ __all__ = [
 #: Q * max(n) logits below which an engine call runs its replicates serially,
 #: as short attend_many calls pass the interpreter lock between threads more
 #: than they overlap; a call over several n pools from its largest, since each
-#: replicate task then also runs the long calls.  2 threads against 1 on
+#: head's pass then covers it.  2 threads against 1 on
 #: 2 vCPUs, sweep-hdi and sweep-arch head sets, Q = 64, one n per call:
 #: 0.5-0.6x at 16k logits, 0.9x at 48k, 1.0-1.3x at 64k (break-even), 1.35x at 80k.
 POOL_MIN_LOGITS = 1 << 16
@@ -175,36 +175,39 @@ class DecompositionReport:
 
 def _head_tensor(task, head_sets, R, Q, master_seed):
     """The shared quadrature queries, and one (E[r, h, q], degenerate count
-    per head) per ``(n, heads)`` set; heads with equal n, wq, wk and wv run
-    once per replicate."""
+    per head) per ``(n, heads)`` set.  Each replicate draws one dataset, at the
+    largest n; its first n inputs are those a draw at a smaller n makes, and
+    heads read only inputs.  Heads with equal wq, wk and wv run once, in one
+    pass over every n they are held at."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
-    slots = {}   # n -> head bytes -> (head, [(set, index in set), ...])
+    slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
     for s, (n, heads) in enumerate(head_sets):
         for h, head in enumerate(heads):
             key = (head.wq.shape, head.wq.a.tobytes(), head.wk.a.tobytes(), head.wv.tobytes())
-            slots.setdefault(n, {}).setdefault(key, (head, []))[1].append((s, h))
+            slots.setdefault(key, (head, {}))[1].setdefault(n, []).append((s, h))
+    N = max(n for n, _ in head_sets)
     Es = [np.empty((R, len(heads), Q)) for _, heads in head_sets]
     degenerate = [np.zeros((R, len(heads)), dtype=np.int64) for _, heads in head_sets]
 
     def run_replicate(r: int) -> None:
-        for n, by_head in slots.items():
-            data = sample_dataset(task, n, derive_seed(master_seed, "data", r))
-            for head, targets in by_head.values():
-                est, count = attend_many(head, queries, data)
-                if not np.all(np.isfinite(est)):
-                    q_bad = int(np.flatnonzero(~np.isfinite(est))[0])
-                    h = targets[0][1]
-                    raise ReplicateFailure(
-                        f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
-                        replicate=r, head=h, query=q_bad,
-                    )
-                for s, h in targets:
-                    Es[s][r, h] = est
+        data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
+        for head, by_n in slots.values():
+            sizes = sorted(by_n)
+            est, counts = attend_many(head, queries, data, sizes)
+            if not np.all(np.isfinite(est)):
+                i, q_bad = (int(a) for a in np.argwhere(~np.isfinite(est))[0])
+                h = by_n[sizes[i]][0][1]
+                raise ReplicateFailure(
+                    f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
+                    replicate=r, head=h, query=q_bad,
+                )
+            for n, est_n, count in zip(sizes, est, counts):
+                for s, h in by_n[n]:
+                    Es[s][r, h] = est_n
                     degenerate[s][r, h] = count
-            del data   # one dataset alive per worker
 
     workers = worker_count()
-    if workers > 1 and R > 1 and Q * max(slots) >= POOL_MIN_LOGITS:
+    if workers > 1 and R > 1 and Q * N >= POOL_MIN_LOGITS:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_replicate, range(R)))
     else:
@@ -453,6 +456,16 @@ class HdiSweepResult:
     endpoint_diff_stderr: float | None
 
 
+def _check_mix_grid(mix_grid) -> list[float]:
+    """The mixes as floats, if there are at least two, all in [0, 1]."""
+    mix_grid = [float(m) for m in mix_grid]
+    if len(mix_grid) < 2:
+        raise ShapeMismatch(f"mix_grid needs >= 2 mixes, got {mix_grid}")
+    if any(not 0.0 <= m <= 1.0 for m in mix_grid):
+        raise ShapeMismatch(f"mix_grid must lie in [0, 1], got {mix_grid}")
+    return mix_grid
+
+
 def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     """Run the decomposition across a mix grid with common random numbers.
 
@@ -460,11 +473,7 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     rows reflect the projection geometry rather than sampling noise; the
     paired endpoint contrast uses the per-replicate MSE difference.
     """
-    mix_grid = [float(m) for m in mix_grid]
-    if len(mix_grid) < 2:
-        raise ShapeMismatch(f"mix_grid needs >= 2 mixes, got {mix_grid}")
-    if any(not 0.0 <= m <= 1.0 for m in mix_grid):
-        raise ShapeMismatch(f"mix_grid must lie in [0, 1], got {mix_grid}")
+    mix_grid = _check_mix_grid(mix_grid)
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 

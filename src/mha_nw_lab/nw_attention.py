@@ -7,11 +7,12 @@ space and kernel-averages the projected values:
     estimate = sum_i e_i v_i / sum_i e_i,   e_i = exp(q . k_i / sqrt(d_k))
 
 the Nadaraya-Watson estimator with bandwidth 1/sqrt(d_k): larger d_k, sharper
-kernel.  ``attend_many`` shifts each logit row by its max, exponentiates in
-place and divides e . v by s = sum_i e_i (Milakov & Gimelshein, 2018).  As
-max e = 1, a row's entropy is at least log s, so the degenerate screen sums
--w log w only over rows with log s below twice DEGENERATE_ENTROPY_NATS, and
-not at all when no row is that sharp.
+kernel.  ``attend_many`` runs one head on every prefix xs[:n] of a dataset in
+one pass over the column segments between sizes, merged by the online-softmax
+rescale (Milakov & Gimelshein, 2018; Dao et al., 2022).  A logit row is shifted
+by its max only where exp could overflow or underflow.  As max w =
+e^(max - shift) / s, a row's entropy is at least log s + shift - max, and only
+rows where that is below 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
@@ -29,8 +30,9 @@ __all__ = ["HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_referen
 
 #: softmax weight vectors with entropy below this many nats count as degenerate
 DEGENERATE_ENTROPY_NATS = 1e-6
-#: rows with softmax mass s below this have log s < 2 DEGENERATE_ENTROPY_NATS
-_SHARP_MASS = np.exp(2.0 * DEGENERATE_ENTROPY_NATS)
+#: logit rows whose max m has |m| up to this are exponentiated unshifted:
+#: e^m is then a normal float and n e^m cannot overflow
+_RAW_LOGIT_MAX = 600.0
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,13 @@ class AttentionOutput:
     weights: np.ndarray
 
 
-def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset,
+def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None,
                 return_weights: bool = False):
-    """Estimates of one head at Q query points, fused as in the module doc.
-
-    Returns ``(estimates, degenerate)``: the (Q,) estimates and the count of
-    rows with entropy below DEGENERATE_ENTROPY_NATS, then the Q x n weights
-    e / s when ``return_weights`` is set (``attend`` reads them from here).
+    """Estimates of one head at Q query points on each prefix ``data.xs[:n]``,
+    n in the ascending ``sizes``, fused as in the module doc: the (len(sizes), Q)
+    estimates and per-size counts of rows with entropy below
+    DEGENERATE_ENTROPY_NATS.  Without ``sizes`` (n = data.n), the (Q,) estimates
+    and an int, then the Q x n weights e / s if ``return_weights`` (for ``attend``).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != head.p or data.p != head.p:
@@ -96,24 +98,42 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset,
             f"attend: head expects R^{head.p}, got query dim {queries.shape[1]} "
             f"and data dim {data.p}"
         )
+    bounds = [data.n] if sizes is None else [int(n) for n in sizes]
+    if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
+        raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")
     q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, bandwidth folded in
-    k = data.xs @ head.wk.a                        # n x d_k
-    v = data.xs @ head.wv                          # n
-    # Q x n logits; BLAS with inner dimension 1 is ~6x slower than broadcasting
-    e = q * k.T if head.d_k == 1 else q @ k.T
-    # max-subtraction keeps exp() in range for |logits| beyond ~700
-    e -= e.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    s = e.sum(axis=1)
-    estimates = (e @ v) / s
-    sharp = s < _SHARP_MASS   # entropy >= log s, see above
-    degenerate = 0
-    if sharp.any():
-        w = e[sharp] / s[sharp, None]
-        entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
-        degenerate = int(np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS))
-    if return_weights:
-        return estimates, degenerate, e / s[:, None]
+    # keys and values per segment, so the first prefix rounds as a one-size call
+    k = np.empty((bounds[-1], head.d_k))
+    estimates, degenerate = np.empty((len(bounds), q.shape[0])), np.zeros(len(bounds), int)
+    for j, (start, stop) in enumerate(zip([0] + bounds, bounds)):
+        k_j = np.matmul(data.xs[start:stop], head.wk.a, out=k[start:stop])
+        # Q x segment logits; BLAS with inner dimension 1 is ~6x slower than broadcasting
+        e = q * k_j.T if head.d_k == 1 else q @ k_j.T
+        top_j = e.max(axis=1)
+        far = np.abs(top_j) > _RAW_LOGIT_MAX
+        shift_j = 0.0
+        if far.any():
+            shift_j = np.where(far, top_j, 0.0)
+            e[far] -= top_j[far, None]
+        np.exp(e, out=e)
+        s_j, ev_j = e.sum(axis=1), e @ (data.xs[start:stop] @ head.wv)
+        if j == 0:
+            shift, s, ev, top = shift_j, s_j, ev_j, top_j
+        else:   # rescale to the larger shift; both factors are 1 where neither side shifts
+            new = np.maximum(shift, shift_j)
+            old, add = np.exp(shift - new), np.exp(shift_j - new)
+            shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
+            top = np.maximum(top, top_j)
+        estimates[j] = ev / s
+        sharp = np.flatnonzero(np.log(s) - top < 2.0 * DEGENERATE_ENTROPY_NATS - shift)
+        if sharp.size:   # exact entropy over the prefix, only for the screened rows
+            w = q[sharp] * k[:stop].T if head.d_k == 1 else q[sharp] @ k[:stop].T
+            w = np.exp(w - w.max(axis=1, keepdims=True))
+            w /= w.sum(axis=1, keepdims=True)
+            entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
+            degenerate[j] = np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+    if sizes is None:
+        return (estimates[0], int(degenerate[0])) + ((e / s[:, None],) if return_weights else ())
     return estimates, degenerate
 
 

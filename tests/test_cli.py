@@ -49,6 +49,7 @@ def small_config(command, out_dir):
     if command == "weights-compare":   # compares its own weight schemes
         del config["weights"]
         config["rho_grid"] = [0.5, 1.0]
+        config["projection"]["mix"] = 0.0   # identical heads: the uniform-not-beaten gate
     return config
 
 
@@ -156,13 +157,24 @@ class TestConfigValidation:
         ("weights-compare", lambda c: c.update(rho_grid=[]), "rho_grid needs >= 1 rho, got []"),
         ("weights-compare", lambda c: c["projection"].update(noise_scales=[]),
          "noise_scales has 0 entries for H = 4 heads"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[0.5, 0.5]),
+         "config field mix_grid repeats a mix, got [0.5, 0.5]"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 0.5, 0.5, 1.0]),
+         "config field mix_grid repeats a mix"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[0.2, 0.5, 0.8]),
+         "config field mix_grid must hold 0.0 and 1.0, got [0.2, 0.5, 0.8]"),
+        ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 0.5]),
+         "config field mix_grid must hold 0.0 and 1.0"),
+        ("weights-compare", lambda c: c["projection"].update(mix=0.5),
+         "config field projection.mix must be 0 when projection.noise_scales is unset"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
             "hdi-projection-mix", "optimize-task-sigma", "arch-budget-zero",
             "arch-budget-negative", "arch-n-grid-repeat", "arch-n-grid-two-sizes",
             "optimize-negative-seed", "mix-grid-one", "mix-grid-empty", "rho-grid-empty",
-            "noise-scales-empty"])
+            "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
+            "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                monkeypatch, command, edit,
                                                                fragment):
@@ -367,7 +379,8 @@ class TestReportJson:
          {"command", "master_seed", "n", "R", "Q", "gate_identity"}),
         ("sweep-hdi", decomposition.HdiSweepResult,
          {"command", "master_seed", "gate_spearman", "gate_endpoint"}),
-        ("weights-compare", decomposition.WeightingCompareResult, {"command", "master_seed"}),
+        ("weights-compare", decomposition.WeightingCompareResult,
+         {"command", "master_seed", "gate_uniform_not_beaten"}),
         ("hdi", DiversityReport, {"command", "weight_file", "H", "p", "d_k"}),
     ])
     def test_every_result_field_is_reported(self, tmp_path, command, result_type, metadata):

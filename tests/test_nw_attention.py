@@ -163,6 +163,81 @@ class TestFusedKernel:
         near = (entropy >= DEGENERATE_ENTROPY_NATS) & (entropy < 2 * DEGENERATE_ENTROPY_NATS)
         assert np.count_nonzero(near) > 0
 
+    def test_degenerate_count_per_prefix_matches_full_entropy(self):
+        rng = np.random.default_rng(17)
+        entropies = []
+        for trial in range(300):
+            p = int(rng.integers(2, 6))
+            d_k = int(rng.integers(1, 4))
+            gain = 10.0 ** rng.uniform(0.0, 3.0) if trial % 3 else 1.0
+            head = make_head(p, d_k, seed=trial, query_gain=gain)
+            xs = rng.standard_normal((int(rng.integers(1, 60)), p))
+            sizes = np.unique(rng.integers(1, xs.shape[0] + 1, size=3))
+            queries = rng.standard_normal((16, p))
+            estimates, degenerate = attend_many(head, queries, make_data(xs), sizes)
+            assert estimates.shape == (len(sizes), 16)
+            for j, n in enumerate(sizes):
+                entropy = full_entropy(head, queries, xs[:n])
+                assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+                alone, _ = attend_many(head, queries, make_data(xs[:n]))
+                if j == 0:   # the first prefix is the one-size pass itself
+                    np.testing.assert_array_equal(estimates[j], alone)
+                else:
+                    np.testing.assert_allclose(estimates[j], alone, rtol=1e-12, atol=1e-15)
+                entropies.append(entropy)
+        entropy = np.concatenate(entropies)
+        assert np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS) > 100
+        assert np.count_nonzero(entropy > 1.0) > 100
+        near = (entropy >= DEGENERATE_ENTROPY_NATS) & (entropy < 2 * DEGENERATE_ENTROPY_NATS)
+        assert np.count_nonzero(near) > 0
+
+    @staticmethod
+    def offset_head(rng, p=5, d_k=3):
+        """A head whose logit for query x and point x_i is x[0] * x_i[0] / sqrt(d_k)
+        plus the logit of coordinates 2.., which also carry the value; points
+        set coordinate 1 to 1, which adds 3 to every value and no logit."""
+        wq = np.zeros((p, d_k))
+        wk = np.zeros((p, d_k))
+        wq[0, 0] = wk[0, 0] = 1.0
+        wq[2:, 1:] = rng.standard_normal((p - 2, d_k - 1))
+        wk[2:, 1:] = 0.5 * rng.standard_normal((p - 2, d_k - 1))
+        wv = np.concatenate([[0.0, 3.0], rng.standard_normal(p - 2)])
+        return HeadConfig(wq=Matrix(wq), wk=Matrix(wk), wv=wv), wq, wk, wv
+
+    def test_rows_with_and_without_the_shift_in_one_block(self):
+        rng = np.random.default_rng(31)
+        head, wq, wk, wv = self.offset_head(rng)
+        d_k, n = 3, 25
+        xs = np.column_stack([np.ones(n), np.ones(n), rng.standard_normal((n, 3))])
+        offsets = np.array([650.0, 0.0, -650.0, 300.0, 601.0, -599.0, -601.0, 599.0])
+        queries = np.column_stack([offsets * np.sqrt(d_k), rng.standard_normal((8, 4))])
+        estimates, _ = attend_many(head, queries, make_data(xs), [9, 25])
+        rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
+        for j, m in enumerate([9, 25]):
+            for q in range(8):
+                expected = nw_reference(offsets[q] + rest[q, :m], xs[:m] @ wv)
+                assert estimates[j, q] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("first, later", [(601.0, 599.0), (-601.0, -599.0),
+                                              (700.0, 598.0), (-700.0, -598.0)])
+    def test_shifted_first_segment_merges_with_unshifted_later_ones(self, first, later):
+        # points 0..9 carry offset `first` (row max beyond the raw-exp range),
+        # points 10.. carry `later` (inside it), so the prefixes merge a shifted
+        # segment with unshifted ones
+        rng = np.random.default_rng(int(first) + 5000)
+        head, wq, wk, wv = self.offset_head(rng)
+        d_k, n = 3, 40
+        column = np.where(np.arange(n) < 10, first, later)
+        xs = np.column_stack([column, np.ones(n), 0.1 * rng.standard_normal((n, 3))])
+        queries = np.column_stack([np.full(6, np.sqrt(d_k)), rng.standard_normal((6, 4))])
+        sizes = [10, 25, 40]
+        estimates, _ = attend_many(head, queries, make_data(xs), sizes)
+        rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
+        for j, m in enumerate(sizes):
+            for q in range(6):
+                expected = nw_reference(column[:m] + rest[q, :m], xs[:m] @ wv)
+                assert estimates[j, q] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
     @pytest.mark.parametrize("shift", [-1000.0, -700.0, 700.0, 1000.0])
     def test_estimates_match_reference_under_logit_shift(self, shift):
         # coordinate 0 is a constant 1 that only the shift column sees, so

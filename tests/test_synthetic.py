@@ -99,6 +99,16 @@ class TestSampling:
         assert a.ys.tobytes() == b.ys.tobytes()
         assert a.eps.tobytes() == b.eps.tobytes()
 
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    def test_smaller_draw_is_a_prefix_of_a_larger_one(self, law):
+        # the replicate engine draws once at the largest n and reads each
+        # smaller n as the first n input points (heads read no responses)
+        task = make_task("quadratic", 3, 1.0, law)
+        for n, N in ((1, 2), (7, 50), (250, 1000), (1000, 4000)):
+            for seed in (0, 12345, derive_seed(9, "data", 3)):
+                small, large = sample_dataset(task, n, seed), sample_dataset(task, N, seed)
+                np.testing.assert_array_equal(small.xs, large.xs[:n])
+
     def test_residual_variance_chi_square_interval(self):
         # 99% chi-square band for n = 10^4, sigma = 1 is [0.94, 1.06]
         task = make_task("linear", 2, 1.0, "gaussian")
