@@ -36,7 +36,6 @@ from .arch_search import scaling_trend, sweep_architectures
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
-    _check_mix_grid,
     hdi_sweep,
     mc_decompose,
     noise_floor,
@@ -395,12 +394,6 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
     gates = _gates(config, "spearman_max", "endpoint_sigma")
     mix_grid = config.read("mix_grid", [float])
     config.reject_unread()
-    mix_grid = _check_mix_grid(mix_grid)
-    # a repeated mix ties the rank gate; the endpoint gate pairs mix 0 with mix 1
-    if len(set(mix_grid)) < len(mix_grid):
-        raise ConfigError(f"config field mix_grid repeats a mix, got {mix_grid}")
-    if not {0.0, 1.0} <= set(mix_grid):
-        raise ConfigError(f"config field mix_grid must hold 0.0 and 1.0, got {mix_grid}")
     result = hdi_sweep(plan, mix_grid)
     ok_spearman = result.spearman <= gates["spearman_max"]
     limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
@@ -466,10 +459,15 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     else:
         trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
         sweeps = trend.sweeps
-    rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
-            for n, sweep in sorted(sweeps.items()) for row in sweep.rows]
+    rows = []
+    for n, sweep in sorted(sweeps.items()):
+        for row in sweep.rows:
+            rows.append([n, row.H, row.d_k, row.mse, row.stderr,
+                         row.bias_sq, row.var_term])
     largest = max(sweeps)
-    plot_lines = [f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows]
+    plot_lines = [
+        f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows
+    ]
     payload = {
         "command": "sweep-arch",
         "master_seed": seed,
@@ -480,8 +478,10 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     }
     verdicts = []
     if trend is not None:
-        payload.update(trend_rows=[list(r) for r in trend.rows], nondecreasing=trend.nondecreasing,
-                       sublinear=trend.sublinear, log_slope=trend.log_slope)
+        payload["trend_rows"] = [list(r) for r in trend.rows]
+        payload["nondecreasing"] = trend.nondecreasing
+        payload["sublinear"] = trend.sublinear
+        payload["log_slope"] = trend.log_slope
         if gates["arch_nondecreasing"]:
             verdicts.append(("dk_nondecreasing", trend.nondecreasing,
                              f"d_k* sequence {[r[1] for r in trend.rows]}"))

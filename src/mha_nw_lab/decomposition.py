@@ -452,18 +452,8 @@ class HdiSweepResult:
 
     rows: list                           # (mix, hdi, hdi_normalized, mse, stderr)
     spearman: float
-    endpoint_diff: float | None          # mse(mix=0) - mse(mix=1)
-    endpoint_diff_stderr: float | None
-
-
-def _check_mix_grid(mix_grid) -> list[float]:
-    """The mixes as floats, if there are at least two, all in [0, 1]."""
-    mix_grid = [float(m) for m in mix_grid]
-    if len(mix_grid) < 2:
-        raise ShapeMismatch(f"mix_grid needs >= 2 mixes, got {mix_grid}")
-    if any(not 0.0 <= m <= 1.0 for m in mix_grid):
-        raise ShapeMismatch(f"mix_grid must lie in [0, 1], got {mix_grid}")
-    return mix_grid
+    endpoint_diff: float                 # mse(mix=0) - mse(mix=1)
+    endpoint_diff_stderr: float
 
 
 def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
@@ -473,7 +463,16 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     rows reflect the projection geometry rather than sampling noise; the
     paired endpoint contrast uses the per-replicate MSE difference.
     """
-    mix_grid = _check_mix_grid(mix_grid)
+    mix_grid = [float(m) for m in mix_grid]
+    if len(mix_grid) < 2:
+        raise ShapeMismatch(f"mix_grid needs >= 2 mixes, got {mix_grid}")
+    if any(not 0.0 <= m <= 1.0 for m in mix_grid):
+        raise ShapeMismatch(f"mix_grid must lie in [0, 1], got {mix_grid}")
+    # a repeated mix ties the rank gate; the endpoint contrast pairs mix 0 with mix 1
+    if len(set(mix_grid)) < len(mix_grid):
+        raise ShapeMismatch(f"mix_grid repeats a mix, got {mix_grid}")
+    if not {0.0, 1.0} <= set(mix_grid):
+        raise ShapeMismatch(f"mix_grid must hold 0.0 and 1.0, got {mix_grid}")
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
@@ -483,9 +482,8 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     rows = [(mix, *hdi_indices(proj), report.mse_direct, report.stderr["mse_direct"])
             for mix, proj, report in zip(mix_grid, projs, reports)]
     rho = spearman([r[2] for r in rows], [r[3] for r in rows])
-    by_mix = dict(zip(mix_grid, reports))   # a repeated mix pairs its last row
-    diff, diff_se = (_paired(by_mix[0.0], by_mix[1.0]) if 0.0 in by_mix and 1.0 in by_mix
-                     else (None, None))
+    by_mix = dict(zip(mix_grid, reports))
+    diff, diff_se = _paired(by_mix[0.0], by_mix[1.0])
     return HdiSweepResult(rows=rows, spearman=rho, endpoint_diff=diff,
                           endpoint_diff_stderr=diff_se)
 

@@ -98,6 +98,8 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
             f"attend: head expects R^{head.p}, got query dim {queries.shape[1]} "
             f"and data dim {data.p}"
         )
+    if return_weights and sizes is not None:
+        raise ShapeMismatch(f"attend: return_weights needs a one-size call, got sizes {sizes}")
     bounds = [data.n] if sizes is None else [int(n) for n in sizes]
     if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
         raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")

@@ -158,13 +158,13 @@ class TestConfigValidation:
         ("weights-compare", lambda c: c["projection"].update(noise_scales=[]),
          "noise_scales has 0 entries for H = 4 heads"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.5, 0.5]),
-         "config field mix_grid repeats a mix, got [0.5, 0.5]"),
+         "mix_grid repeats a mix, got [0.5, 0.5]"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 0.5, 0.5, 1.0]),
-         "config field mix_grid repeats a mix"),
+         "mix_grid repeats a mix"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.2, 0.5, 0.8]),
-         "config field mix_grid must hold 0.0 and 1.0, got [0.2, 0.5, 0.8]"),
+         "mix_grid must hold 0.0 and 1.0, got [0.2, 0.5, 0.8]"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 0.5]),
-         "config field mix_grid must hold 0.0 and 1.0"),
+         "mix_grid must hold 0.0 and 1.0"),
         ("weights-compare", lambda c: c["projection"].update(mix=0.5),
          "config field projection.mix must be 0 when projection.noise_scales is unset"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",

@@ -263,6 +263,14 @@ class TestFusedKernel:
             expected = nw_reference(oracle_shift + rest[q], xs @ wv)
             assert estimates[q] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("sizes, return_weights", [([5, 3], False), ([3, 3], False),
+                                                        ([0, 4], False), ([4, 9], False),
+                                                        ([3, 6], True)])
+    def test_bad_sizes_and_weights_of_many_sizes_are_rejected(self, sizes, return_weights):
+        data = make_data(np.random.default_rng(4).standard_normal((6, 2)))
+        with pytest.raises(ShapeMismatch):
+            attend_many(make_head(2, 1), np.zeros((3, 2)), data, sizes, return_weights)
+
     def test_attend_weights_are_a_distribution(self):
         rng = np.random.default_rng(8)
         for trial in range(200):
