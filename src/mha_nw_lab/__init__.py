@@ -8,7 +8,7 @@ and sweeps head geometry (diversity, weighting, dimension allocation).
 
 __version__ = "0.1.0"
 
-from .arch_search import enumerate_allocations, scaling_trend, sweep_architectures
+from .arch_search import enumerate_allocations, scaling_trend
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
@@ -47,5 +47,5 @@ __all__ = [
     "make_projection_family", "optimize_projections", "load_weight_file",
     "ExperimentPlan", "FamilySpec", "mc_decompose", "theoretical_bias_variance",
     "hdi_sweep", "weighting_compare",
-    "enumerate_allocations", "sweep_architectures", "scaling_trend",
+    "enumerate_allocations", "scaling_trend",
 ]

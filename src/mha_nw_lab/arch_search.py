@@ -34,7 +34,6 @@ __all__ = [
     "ArchSweepResult",
     "ScalingTrendResult",
     "enumerate_allocations",
-    "sweep_architectures",
     "scaling_trend",
 ]
 
@@ -161,28 +160,6 @@ def _summarise(points, reports, n: int, D: int) -> ArchSweepResult:
     )
 
 
-def sweep_architectures(
-    task: RegressionTask,
-    D: int,
-    n: int,
-    R: int,
-    Q: int,
-    seed: int,
-    query_gain: float = 9.0,
-) -> ArchSweepResult:
-    """Evaluate every divisor allocation of the budget D under shared seeds.
-
-    Each allocation slices H mutually orthogonal d_k-frames from one common
-    p x D orthonormal frame and runs the Monte-Carlo decomposition with
-    uniform weights; all allocations share one replicate-engine call, so
-    they see the same datasets.  Each allocation records its MSE row.
-    The argmin breaks exact ties toward larger H (many small heads).  A
-    budget above p raises ``EmptySweep`` and one below 1 ``ShapeMismatch``,
-    both before the frame is drawn.
-    """
-    return _sweeps(task, D, [n], R, Q, seed, query_gain)[n]
-
-
 @dataclass(frozen=True)
 class ScalingTrendResult:
     rows: list[tuple[int, int, int, bool]]   # (n, d_k*, H*, flat)
@@ -203,12 +180,19 @@ def scaling_trend(
 ) -> ScalingTrendResult:
     """Sweep the budget at each sample size and report how d_k* moves.
 
-    Every (allocation, n) pair runs in one replicate-engine call; replicate
-    r draws one dataset at the largest n, and each smaller n reads its first
-    n inputs, those a single sweep at that n would draw.
-    Verdicts are directional: the argmin head dimension should be
-    non-decreasing in n and grow strictly slower than n itself.  The least
-    squares slope of d_k* against log n is emitted as data, not asserted.
+    Each allocation slices H mutually orthogonal d_k-frames from one common
+    p x D orthonormal frame and runs the Monte-Carlo decomposition with
+    uniform weights.  Every (allocation, n) pair runs in one replicate-engine
+    call, so all allocations see the same datasets; replicate r draws one
+    dataset at the largest n, and each smaller n reads its first n inputs,
+    those a single sweep at that n would draw.  Each sweep's argmin breaks
+    exact ties toward larger H (many small heads).  A grid of fewer than 3
+    sizes or not strictly ascending, or a budget below 1, raises
+    ``ShapeMismatch`` and a budget above p ``EmptySweep``, all before the
+    frame is drawn.  Verdicts are directional: the argmin head dimension
+    should be non-decreasing in n and grow strictly slower than n itself.
+    The least squares slope of d_k* against log n is emitted as data, not
+    asserted.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 3:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch_search import scaling_trend, sweep_architectures
+from .arch_search import scaling_trend
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
@@ -450,24 +450,23 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     Q = config.read("Q", int)
     seed = config.read("master_seed", int)
     query_gain = config.read("projection.query_gain", float, 9.0)
-    n_grid = config.read("n_grid", [int], None)
-    n = config.read("n", int) if n_grid is None else None
+    n_grid = config.read("n_grid", [int])
     config.reject_unread()
-    if n_grid is None:
-        sweeps = {n: sweep_architectures(task, D, n, R, Q, seed, query_gain=query_gain)}
-        trend = None
-    else:
-        trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
-        sweeps = trend.sweeps
-    rows = []
-    for n, sweep in sorted(sweeps.items()):
-        for row in sweep.rows:
-            rows.append([n, row.H, row.d_k, row.mse, row.stderr,
-                         row.bias_sq, row.var_term])
+    if not (gates["arch_interior"] or gates["arch_nondecreasing"]):
+        raise ConfigError("config fields gates.arch_interior and gates.arch_nondecreasing "
+                          "are both false, so sweep-arch has no gate")
+    # a budget outside 1..p is left to scaling_trend, which names budget_D
+    if gates["arch_interior"] and 1 <= D <= task.p and all(D % d_k for d_k in range(2, D)):
+        raise ConfigError(f"config field gates.arch_interior must be false for budget_D = {D}, "
+                          "which has no divisor strictly between 1 and D, so no allocation "
+                          "is interior")
+    trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
+    sweeps = trend.sweeps
+    rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
+            for n, sweep in sweeps.items() for row in sweep.rows]
     largest = max(sweeps)
-    plot_lines = [
-        f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in sweeps[largest].rows
-    ]
+    final = sweeps[largest]
+    plot_lines = [f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in final.rows]
     payload = {
         "command": "sweep-arch",
         "master_seed": seed,
@@ -475,24 +474,22 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
         "argmin": {n: [sweeps[n].argmin_H, sweeps[n].argmin_dk] for n in sweeps},
         "fit": {n: [sweeps[n].c1, sweeps[n].c2, sweeps[n].fit_residual] for n in sweeps},
         "flat": {n: sweeps[n].flat for n in sweeps},
+        "trend_rows": [list(r) for r in trend.rows],
+        "nondecreasing": trend.nondecreasing,
+        "sublinear": trend.sublinear,
+        "log_slope": trend.log_slope,
     }
     verdicts = []
-    if trend is not None:
-        payload["trend_rows"] = [list(r) for r in trend.rows]
-        payload["nondecreasing"] = trend.nondecreasing
-        payload["sublinear"] = trend.sublinear
-        payload["log_slope"] = trend.log_slope
-        if gates["arch_nondecreasing"]:
-            verdicts.append(("dk_nondecreasing", trend.nondecreasing,
-                             f"d_k* sequence {[r[1] for r in trend.rows]}"))
-    final = sweeps[largest]
+    if gates["arch_nondecreasing"]:
+        verdicts.append(("dk_nondecreasing", trend.nondecreasing,
+                         f"d_k* sequence {[r[1] for r in trend.rows]}"))
     if gates["arch_interior"] and not final.flat:
         interior = final.argmin_dk not in (1, D)
         payload["gate_interior"] = interior
         verdicts.append(("interior_argmin", interior,
                          f"argmin d_k = {final.argmin_dk} at n = {largest}"))
     lines = [f"n = {n}: argmin (H, d_k) = ({sweep.argmin_H}, {sweep.argmin_dk})"
-             + ("  [flat]" if sweep.flat else "") for n, sweep in sorted(sweeps.items())]
+             + ("  [flat]" if sweep.flat else "") for n, sweep in sweeps.items()]
     return _publish(
         out, config, ["n", "H", "d_k", "mse", "stderr", "bias_sq", "var_term"],
         rows, payload, verdicts, lines, [("dk_mse.dat", "\n".join(plot_lines) + "\n")],

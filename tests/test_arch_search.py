@@ -6,11 +6,7 @@ import pytest
 
 import mha_nw_lab as lab
 from mha_nw_lab import arch_search, decomposition
-from mha_nw_lab.arch_search import (
-    enumerate_allocations,
-    scaling_trend,
-    sweep_architectures,
-)
+from mha_nw_lab.arch_search import enumerate_allocations, scaling_trend
 from mha_nw_lab.decomposition import spearman
 from mha_nw_lab.errors import EmptySweep, ShapeMismatch
 from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset
@@ -50,6 +46,11 @@ class TestEnumerateAllocations:
             enumerate_allocations(0)
 
 
+def one_sweep(task, D, n, R, Q, seed, query_gain=9.0):
+    """The budget sweep at the one sample size n."""
+    return arch_search._sweeps(task, D, [n], R, Q, seed, query_gain)[n]
+
+
 @pytest.fixture(scope="module")
 def sine_task():
     return lab.make_task("sine_mixture", 8, 1.0, "gaussian")
@@ -57,18 +58,18 @@ def sine_task():
 
 class TestSweepArchitectures:
     def test_rows_cover_divisors(self, sine_task):
-        sweep = sweep_architectures(sine_task, 8, n=150, R=30, Q=16, seed=3)
+        sweep = one_sweep(sine_task, 8, n=150, R=30, Q=16, seed=3)
         assert [(r.H, r.d_k) for r in sweep.rows] == [(8, 1), (4, 2), (2, 4), (1, 8)]
 
     def test_rows_reproduce_identity(self, sine_task):
-        sweep = sweep_architectures(sine_task, 8, n=150, R=30, Q=16, seed=3)
+        sweep = one_sweep(sine_task, 8, n=150, R=30, Q=16, seed=3)
         for row in sweep.rows:
             decomposed = row.bias_sq + row.var_term + row.cov_term
             assert decomposed == pytest.approx(row.mse, rel=1e-10)
 
     def test_determinism(self, sine_task):
-        a = sweep_architectures(sine_task, 8, n=120, R=20, Q=8, seed=5)
-        b = sweep_architectures(sine_task, 8, n=120, R=20, Q=8, seed=5)
+        a = one_sweep(sine_task, 8, n=120, R=20, Q=8, seed=5)
+        b = one_sweep(sine_task, 8, n=120, R=20, Q=8, seed=5)
         assert [(r.H, r.d_k, r.mse, r.stderr) for r in a.rows] == \
                [(r.H, r.d_k, r.mse, r.stderr) for r in b.rows]
         assert (a.argmin_H, a.argmin_dk) == (b.argmin_H, b.argmin_dk)
@@ -81,9 +82,9 @@ class TestSweepArchitectures:
 
         monkeypatch.setattr(arch_search, "enumerate_allocations", unreachable)
         with pytest.raises(EmptySweep, match=f"D = {10**12}: .* p = 8"):
-            sweep_architectures(sine_task, 10**12, n=100, R=10, Q=8, seed=1)
+            one_sweep(sine_task, 10**12, n=100, R=10, Q=8, seed=1)
         with pytest.raises(EmptySweep, match="D = 16"):
-            sweep_architectures(sine_task, 16, n=100, R=10, Q=8, seed=1)
+            one_sweep(sine_task, 16, n=100, R=10, Q=8, seed=1)
 
     def test_flat_zero_mean_noiseless_task_ties_to_max_H(self):
         # mean identically zero and sigma = 0: every allocation estimates an
@@ -93,7 +94,7 @@ class TestSweepArchitectures:
             param_seed=0, heteroscedastic=False, lipschitz_L=0.0,
             params={"amplitude": 0.0, "scale": 1.5},
         )
-        sweep = sweep_architectures(task, 8, n=60, R=10, Q=8, seed=2)
+        sweep = one_sweep(task, 8, n=60, R=10, Q=8, seed=2)
         assert sweep.flat
         mses = {row.mse for row in sweep.rows}
         assert mses == {0.0}
@@ -104,14 +105,13 @@ class TestSweepArchitectures:
         # negligible; the sweep is then pure bias comparison and the argmin
         # lands at the largest feasible d_k
         task = lab.make_task("sine_mixture", 8, 0.0, "gaussian")
-        sweep = sweep_architectures(task, 8, n=3000, R=40, Q=24, seed=7,
-                                    query_gain=2.0)
+        sweep = one_sweep(task, 8, n=3000, R=40, Q=24, seed=7, query_gain=2.0)
         for row in sweep.rows:
             assert row.var_term <= 0.05 * row.bias_sq
         assert sweep.argmin_dk == 8
 
     def test_fit_nonnegative(self, sine_task):
-        sweep = sweep_architectures(sine_task, 8, n=150, R=30, Q=16, seed=3)
+        sweep = one_sweep(sine_task, 8, n=150, R=30, Q=16, seed=3)
         assert sweep.c1 >= 0.0 and sweep.c2 >= 0.0
 
 
@@ -160,10 +160,10 @@ class TestScalingTrend:
         trend = scaling_trend(sine_task, 8, [50, 100, 200], R=6, Q=8, seed=4)
         # the smallest n is the first column segment of every head's pass, so it
         # is bit-equal; a larger n merges segments and moves in the last bits
-        assert trend.sweeps[50] == sweep_architectures(sine_task, 8, 50, R=6, Q=8, seed=4)
+        assert trend.sweeps[50] == one_sweep(sine_task, 8, 50, R=6, Q=8, seed=4)
         for n in (100, 200):
             got = trend.sweeps[n]
-            want = sweep_architectures(sine_task, 8, n, R=6, Q=8, seed=4)
+            want = one_sweep(sine_task, 8, n, R=6, Q=8, seed=4)
             assert (got.argmin_H, got.argmin_dk, got.flat) == (
                 want.argmin_H, want.argmin_dk, want.flat)
             np.testing.assert_allclose([dataclasses.astuple(r) for r in got.rows],
@@ -205,8 +205,7 @@ class TestFitSanity:
     def test_rank_correlation_with_interior_argmin(self):
         # full-size configuration: >= 4 allocations and an interior optimum
         task = lab.make_task("sine_mixture", 16, 1.0, "gaussian")
-        sweep = sweep_architectures(task, 16, n=1000, R=60, Q=48, seed=1,
-                                    query_gain=9.0)
+        sweep = one_sweep(task, 16, n=1000, R=60, Q=48, seed=1, query_gain=9.0)
         assert sweep.argmin_dk not in (1, 16)
         dks = np.array([row.d_k for row in sweep.rows], dtype=float)
         fitted = sweep.c1 * dks**-2.0 + sweep.c2 * dks**(dks / 2.0 + 1.0) / (1000 * 16)

@@ -36,8 +36,8 @@ def small_config(command, out_dir):
     if command == "sweep-arch":
         task = {"family": "sine_mixture", "p": 8, "sigma": 1.0, "input_law": "gaussian"}
         return {"version": 1, "task": task, "budget_D": 7,
-                "n": 100, "R": 20, "Q": 8, "master_seed": 3,
-                "gates": {"arch_interior": False, "arch_nondecreasing": False},
+                "n_grid": [50, 100, 200], "R": 20, "Q": 8, "master_seed": 3,
+                "gates": {"arch_interior": False, "arch_nondecreasing": True},
                 "output_dir": str(out_dir)}
     if command == "optimize-proj":
         return {"version": 1, "task": {"p": 8}, "projection": {"d_k": 2, "H": 4},
@@ -130,7 +130,7 @@ class TestConfigValidation:
          "subcommand: gates.spearman_max"),
         ("decompose", lambda c: c["weights"].update(rho=0.5), "subcommand: weights.rho"),
         ("sweep-arch", lambda c: c.update(projection={"H": 4}), "subcommand: projection.H"),
-        ("sweep-arch", lambda c: c.update(n_grid=[50, 100, 200]), "subcommand: n"),
+        ("sweep-arch", lambda c: c.update(n=100), "subcommand: n"),
         ("optimize-proj", lambda c: c.update(R=40), "subcommand: R"),
         ("decompose", lambda c: c.update(
             projection={"weight_file": str(FIXTURES / "weights_orthogonal.json")}),
@@ -146,9 +146,9 @@ class TestConfigValidation:
         ("optimize-proj", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
         ("sweep-arch", lambda c: c.update(budget_D=0), "budget_D must be >= 1, got 0"),
         ("sweep-arch", lambda c: c.update(budget_D=-4), "budget_D must be >= 1, got -4"),
-        ("sweep-arch", lambda c: (c.pop("n"), c.update(n_grid=[50, 50, 70])),
+        ("sweep-arch", lambda c: c.update(n_grid=[50, 50, 70]),
          "n_grid must be strictly ascending, got [50, 50, 70]"),
-        ("sweep-arch", lambda c: (c.pop("n"), c.update(n_grid=[50, 100])),
+        ("sweep-arch", lambda c: c.update(n_grid=[50, 100]),
          "n_grid needs >= 3 sample sizes, got 2"),
         ("optimize-proj", lambda c: c.update(master_seed=-1),
          "master_seed must be nonnegative"),
@@ -167,6 +167,12 @@ class TestConfigValidation:
          "mix_grid must hold 0.0 and 1.0"),
         ("weights-compare", lambda c: c["projection"].update(mix=0.5),
          "config field projection.mix must be 0 when projection.noise_scales is unset"),
+        ("sweep-arch", lambda c: c["gates"].update(arch_nondecreasing=False),
+         "config fields gates.arch_interior and gates.arch_nondecreasing are both false"),
+        ("sweep-arch", lambda c: c["gates"].update(arch_interior=True),
+         "config field gates.arch_interior must be false for budget_D = 7"),
+        ("sweep-arch", lambda c: (c.update(budget_D=1), c["gates"].update(arch_interior=True)),
+         "config field gates.arch_interior must be false for budget_D = 1"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
@@ -174,7 +180,8 @@ class TestConfigValidation:
             "arch-budget-negative", "arch-n-grid-repeat", "arch-n-grid-two-sizes",
             "optimize-negative-seed", "mix-grid-one", "mix-grid-empty", "rho-grid-empty",
             "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
-            "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate"])
+            "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate",
+            "arch-no-gate", "arch-interior-prime-budget", "arch-interior-budget-1"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                monkeypatch, command, edit,
                                                                fragment):
@@ -479,20 +486,24 @@ class TestOtherCommands:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["final_objective"] <= 1e-8
 
-    def test_sweep_arch_prime_budget_two_rows(self, tmp_path):
+    def test_sweep_arch_prime_budget_two_rows(self, tmp_path, capsys):
         config = {
             "version": 1,
             "task": {"family": "sine_mixture", "p": 8, "sigma": 1.0, "input_law": "gaussian"},
             "budget_D": 7,
-            "n": 100, "R": 20, "Q": 8,
+            "n_grid": [50, 100, 200], "R": 20, "Q": 8,
             "master_seed": 3,
-            "gates": {"arch_interior": False},
+            "gates": {"arch_interior": False, "arch_nondecreasing": True},
             "output_dir": str(tmp_path / "out"),
         }
         path = write_config(tmp_path, config)
         assert cli.main(["sweep-arch", "--config", str(path)]) == 0
-        rows = (tmp_path / "out" / "table.csv").read_text().strip().splitlines()
-        assert len(rows) == 3  # header + (7,1) + (1,7)
+        assert "GATE dk_nondecreasing: PASS" in capsys.readouterr().out
+        with open(tmp_path / "out" / "table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        # (7, 1) and (1, 7) at each n
+        assert [(r["n"], r["H"], r["d_k"]) for r in rows] == [
+            (n, H, d_k) for n in ("50", "100", "200") for H, d_k in (("7", "1"), ("1", "7"))]
 
     def test_sweep_hdi_gate_verdict_line(self, tmp_path, capsys):
         config = small_config("sweep-hdi", tmp_path / "out")
