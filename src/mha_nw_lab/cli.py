@@ -5,16 +5,17 @@ Usage: ``mha-nw-lab <subcommand> --config <path> [--seed N] [--out DIR]``.
 Each subcommand reads its config fields, computes, then hands the results
 to ``_publish``, which writes the echoed config, a flat CSV, a JSON report
 and a MANIFEST of content hashes; nothing is written before the results
-exist.  The JSON report of ``decompose``, ``sweep-hdi``, ``weights-compare``
-and ``hdi`` is the command's metadata and gate flags plus every field of
-its result dataclass (``_fields``).  Exit codes: 0 success, 1 usage or data
-error, 2 scientific-gate failure.  The fields a subcommand reads are its
-schema: each is type-checked, and any other field exits 1, named, before
-any Monte-Carlo work.
+exist.  Every JSON report is the command's metadata and every field of its
+result dataclass (``_fields``), plus a ``gates`` map ``{name: ok}`` made from
+the verdicts that ``_publish`` prints as ``GATE`` lines.  Exit codes: 0
+success, 1 usage or data error, 2 scientific-gate failure.  The fields a
+subcommand reads are its schema: each is type-checked, and any other field
+exits 1, named, before any Monte-Carlo work.
 
 Concurrent invocations must target distinct output directories; a lock
-file inside the directory guards the write phase.  ``MHA_NW_LAB_THREADS`` caps the
-replicate-level worker pool (0 = auto) and must be a nonnegative integer.
+file inside the directory, holding the writer's pid, guards the write phase.
+``MHA_NW_LAB_THREADS`` caps the replicate-level worker pool (0 = auto) and
+must be a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch_search import scaling_trend
+from .arch_search import _sweep_value_vector, scaling_trend
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
@@ -96,7 +97,7 @@ class Config(dict):
         self.fields_read: set[str] = set()
 
     def read(self, field: str, kind, default=_REQUIRED):
-        """The value at dotted ``field`` (``"task.sigma"``) checked as ``kind``."""
+        """The value at dotted ``field`` (``"task.p"``) checked as ``kind``."""
         *sections, key = field.split(".")
         section, where = self, ""
         for name in sections:
@@ -147,12 +148,11 @@ def load_config(path) -> Config:
 
 
 def _build_task(config: Config):
+    # noiseless: heads average projected inputs, never responses
     return make_task(
-        family=config.read("task.family", str), p=config.read("task.p", int),
-        sigma=config.read("task.sigma", float),
+        family=config.read("task.family", str), p=config.read("task.p", int), sigma=0.0,
         input_law=config.read("task.input_law", str),
         param_seed=config.read("task.param_seed", int, 0),
-        heteroscedastic=config.read("task.heteroscedastic", bool, False),
     )
 
 
@@ -209,10 +209,15 @@ class RunDirectory:
         try:
             fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            pid = _dead_pid(self.lock)
+            if pid is not None:
+                raise ConfigError(f"output directory {self.out} has a stale lock: pid {pid}, "
+                                  f"which wrote it, is not running (remove {self.lock})")
             raise ConfigError(
                 f"output directory {self.out} is locked by another run "
                 f"(remove {self.lock} if stale)"
             )
+        os.write(fd, str(os.getpid()).encode())
         os.close(fd)
         return self
 
@@ -251,6 +256,18 @@ class RunDirectory:
         return manifest
 
 
+def _dead_pid(lock: Path) -> int | None:
+    """The pid written in ``lock`` if no process has it, else None."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8"))
+        os.kill(pid, 0)   # signal 0 sends nothing: it only checks that the pid exists
+    except (ProcessLookupError, OverflowError):
+        return pid
+    except (OSError, ValueError):   # no pid in the lock, or another user's process
+        return None
+    return None
+
+
 def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # numpy 2 reprs its scalars as np.float64(...)
@@ -260,10 +277,10 @@ def _cell(value) -> str:
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.generic):   # numpy scalars, np.bool_ included
+        return obj.item()
+    if dataclasses.is_dataclass(obj):
+        return _jsonify(_fields(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -290,7 +307,8 @@ def _publish(out: Path | None, config: Config | None, header: list[str], rows,
              payload: dict, verdicts=(), lines=(), files=()) -> int:
     """Write config.json, table.csv, the ``(name, text)`` files, report.json and
     MANIFEST into ``out`` (unless None), then print a GATE line per ``(gate, ok,
-    detail)`` verdict and the other ``lines``; 0, or 2 if a gate failed."""
+    detail)`` verdict and the other ``lines``; 0, or 2 if a gate failed.
+    report.json is ``payload`` plus the verdicts as a ``gates`` map {gate: ok}."""
     if out is not None:
         try:
             with RunDirectory(out) as rundir:
@@ -299,8 +317,9 @@ def _publish(out: Path | None, config: Config | None, header: list[str], rows,
                 rundir.write_csv("table.csv", header, rows)
                 for name, text in files:
                     rundir.write_text(name, text)
-                rundir.write_text("report.json",
-                                  _json_text({**payload, "code_version": __version__}))
+                gates = {gate: ok for gate, ok, _ in verdicts}
+                rundir.write_text("report.json", _json_text(
+                    {**payload, "gates": gates, "code_version": __version__}))
                 rundir.finish_manifest()
         except OSError as exc:
             raise ConfigError(f"output directory {out}: {exc.strerror or exc}")
@@ -326,22 +345,18 @@ def cmd_decompose(config: Config, out: Path) -> int:
     )
     ok = report.identity_residual <= residual_limit
 
-    rows = []
     H = report.per_head_bias.shape[0]
-    for h in range(H):
-        rows.append(["head", h, None, report.per_head_bias[h],
-                     report.per_head_var[h], None, report.per_head_mse[h],
-                     None, None, None])
-    for h in range(H):
-        for h2 in range(h + 1, H):
-            rows.append(["pair", h, h2, None, None, report.cross_cov[h, h2],
-                         None, report.cov_stderr[h, h2], None, None])
+    pairs = [(h, h2) for h in range(H) for h2 in range(h + 1, H)]
+    rows = [["head", h, None, report.per_head_bias[h], report.per_head_var[h], None,
+             report.per_head_mse[h], None, None, None] for h in range(H)]
+    rows += [["pair", h, h2, None, None, report.cross_cov[h, h2], None,
+              report.cov_stderr[h, h2], None, None] for h, h2 in pairs]
     rows.append(["ensemble", None, None, report.ensemble_bias_sq,
                  report.variance_term, report.covariance_term,
                  report.mse_direct, report.stderr["mse_direct"],
                  report.identity_residual, report.degenerate_weights])
     payload = {"command": "decompose", "master_seed": plan.master_seed,
-               "n": plan.n, "R": plan.R, "Q": plan.Q, **_fields(report), "gate_identity": ok}
+               "n": plan.n, "R": plan.R, "Q": plan.Q, **_fields(report)}
     verdicts = [("identity_residual", ok,
                  f"residual {report.identity_residual:.3e} vs limit {residual_limit:.3e}")]
     # constructively orthogonal families must show vanishing cross-head
@@ -349,13 +364,9 @@ def cmd_decompose(config: Config, out: Path) -> int:
     # per-head variance
     mix = plan.projection.mix
     if mix in (0.0, 1.0) and H > 1:
-        worst = 0.0
-        for h in range(H):
-            for h2 in range(h + 1, H):
-                target = report.per_head_var[h] if mix == 0.0 else 0.0
-                gap = abs(report.cross_cov[h, h2] - target)
-                se = max(report.cov_stderr[h, h2], noise_floor(report.mse_direct))
-                worst = max(worst, gap / se)
+        floor = noise_floor(report.mse_direct)
+        worst = max(abs(report.cross_cov[h, h2] - (report.per_head_var[h] if mix == 0.0 else 0.0))
+                    / max(report.cov_stderr[h, h2], floor) for h, h2 in pairs)
         verdicts.append((
             "cov_equals_variance" if mix == 0.0 else "cov_vanishes",
             worst <= gates["cov_sigma"],
@@ -398,8 +409,7 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
     ok_spearman = result.spearman <= gates["spearman_max"]
     limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
     ok_endpoint = result.endpoint_diff > limit
-    payload = {"command": "sweep-hdi", "master_seed": plan.master_seed,
-               **_fields(result), "gate_spearman": ok_spearman, "gate_endpoint": ok_endpoint}
+    payload = {"command": "sweep-hdi", "master_seed": plan.master_seed, **_fields(result)}
     verdicts = [("spearman", ok_spearman,
                  f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}"),
                 ("endpoint_diff", ok_endpoint,
@@ -424,13 +434,11 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
                **_fields(result)}
     if spec.noise_scales:
         ok = result.geometric_beats_uniform
-        payload["gate_geometric_beats_uniform"] = ok
         verdicts = [("geometric_beats_uniform", ok,
                      f"margin {result.best_margin_sigmas:.2f} sigma vs "
                      f"{gates['weighting_sigma']:.1f} required")]
     else:
         ok = not result.geometric_beats_uniform
-        payload["gate_uniform_not_beaten"] = ok
         verdicts = [("uniform_not_beaten", ok,
                      f"best margin {result.best_margin_sigmas:.2f} sigma")]
     best = (f"best scheme: {result.best_scheme}"
@@ -460,6 +468,11 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
         raise ConfigError(f"config field gates.arch_interior must be false for budget_D = {D}, "
                           "which has no divisor strictly between 1 and D, so no allocation "
                           "is interior")
+    if not _sweep_value_vector(task).any():
+        raise ConfigError(f"config fields task.family and task.input_law give a task with no "
+                          f"linear component ({task.family} under the {task.input_law} law), "
+                          "so every sweep-arch head has value vector 0 and every allocation "
+                          "ties: no gate could tell them apart")
     trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
     sweeps = trend.sweeps
     rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
@@ -467,25 +480,13 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     largest = max(sweeps)
     final = sweeps[largest]
     plot_lines = [f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in final.rows]
-    payload = {
-        "command": "sweep-arch",
-        "master_seed": seed,
-        "budget_D": D,
-        "argmin": {n: [sweeps[n].argmin_H, sweeps[n].argmin_dk] for n in sweeps},
-        "fit": {n: [sweeps[n].c1, sweeps[n].c2, sweeps[n].fit_residual] for n in sweeps},
-        "flat": {n: sweeps[n].flat for n in sweeps},
-        "trend_rows": [list(r) for r in trend.rows],
-        "nondecreasing": trend.nondecreasing,
-        "sublinear": trend.sublinear,
-        "log_slope": trend.log_slope,
-    }
+    payload = {"command": "sweep-arch", "master_seed": seed, "budget_D": D, **_fields(trend)}
     verdicts = []
     if gates["arch_nondecreasing"]:
         verdicts.append(("dk_nondecreasing", trend.nondecreasing,
                          f"d_k* sequence {[r[1] for r in trend.rows]}"))
-    if gates["arch_interior"] and not final.flat:
+    if gates["arch_interior"]:
         interior = final.argmin_dk not in (1, D)
-        payload["gate_interior"] = interior
         verdicts.append(("interior_argmin", interior,
                          f"argmin d_k = {final.argmin_dk} at n = {largest}"))
     lines = [f"n = {n}: argmin (H, d_k) = ({sweep.argmin_H}, {sweep.argmin_dk})"
@@ -513,13 +514,8 @@ def cmd_optimize_proj(config: Config, out: Path) -> int:
     )
     final = trace[-1]
     ok = final <= gates["optimizer_objective"]
-    payload = {
-        "command": "optimize-proj",
-        "master_seed": seed,
-        "final_objective": final,
-        "steps_accepted": len(trace) - 1,
-        "gate_objective": ok,
-    }
+    payload = {"command": "optimize-proj", "master_seed": seed, "final_objective": final,
+               "steps_accepted": len(trace) - 1}
     verdict = ("optimizer_objective", ok,
                f"final J = {final:.3e} vs {gates['optimizer_objective']:.1e}")
     return _publish(out, config, ["step", "objective"], list(enumerate(trace)),

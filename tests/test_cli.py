@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mha_nw_lab import cli, decomposition
+from mha_nw_lab import arch_search, cli, decomposition
 from mha_nw_lab.diversity import DiversityReport
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -20,7 +21,7 @@ FIXTURES = CONFIG_DIR / "fixtures"
 def small_decompose_config(out_dir, **overrides):
     config = {
         "version": 1,
-        "task": {"family": "quadratic", "p": 8, "sigma": 1.0, "input_law": "gaussian"},
+        "task": {"family": "quadratic", "p": 8, "input_law": "gaussian"},
         "projection": {"d_k": 2, "H": 4, "mix": 1.0, "query_gain": 4.0},
         "weights": {"kind": "uniform"},
         "n": 120, "R": 40, "Q": 12,
@@ -34,7 +35,7 @@ def small_decompose_config(out_dir, **overrides):
 def small_config(command, out_dir):
     """A small config that ``command`` runs to completion."""
     if command == "sweep-arch":
-        task = {"family": "sine_mixture", "p": 8, "sigma": 1.0, "input_law": "gaussian"}
+        task = {"family": "sine_mixture", "p": 8, "input_law": "gaussian"}
         return {"version": 1, "task": task, "budget_D": 7,
                 "n_grid": [50, 100, 200], "R": 20, "Q": 8, "master_seed": 3,
                 "gates": {"arch_interior": False, "arch_nondecreasing": True},
@@ -57,6 +58,12 @@ def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return path
+
+
+def printed_gates(stdout: str) -> dict:
+    """The ``GATE name: PASS|FAIL`` lines of ``stdout`` as {name: passed}."""
+    lines = [line.split(":")[0:2] for line in stdout.splitlines() if line.startswith("GATE ")]
+    return {name[len("GATE "):]: verdict.split()[0] == "PASS" for name, verdict in lines}
 
 
 class TestConfigValidation:
@@ -110,11 +117,11 @@ class TestConfigValidation:
         ("n", lambda c: c.update(n="abc")),
         ("gates.residual_sigma", lambda c: c.update(gates={"residual_sigma": "4"})),
         ("R", lambda c: c.update(R=2.9)),
-        ("task.sigma", lambda c: c["task"].update(sigma=float("nan"))),
-        ("task.sigma", lambda c: c["task"].update(sigma=10**400)),
+        ("projection.query_gain", lambda c: c["projection"].update(query_gain=float("nan"))),
+        ("projection.query_gain", lambda c: c["projection"].update(query_gain=10**400)),
         ("projection.noise_scales[1]",
          lambda c: c["projection"].update(noise_scales=[0.0, "1", 2.0, 3.0])),
-    ], ids=["n-text", "gate-text", "R-fraction", "sigma-nan", "sigma-huge-int",
+    ], ids=["n-text", "gate-text", "R-fraction", "query-gain-nan", "query-gain-huge-int",
             "noise-scale-text"])
     def test_mistyped_field_named_before_any_output(self, tmp_path, capsys, field, edit):
         config = small_decompose_config(tmp_path / "out")
@@ -173,6 +180,12 @@ class TestConfigValidation:
          "config field gates.arch_interior must be false for budget_D = 7"),
         ("sweep-arch", lambda c: (c.update(budget_D=1), c["gates"].update(arch_interior=True)),
          "config field gates.arch_interior must be false for budget_D = 1"),
+        ("decompose", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
+        ("sweep-arch", lambda c: c["task"].update(heteroscedastic=True),
+         "subcommand: task.heteroscedastic"),
+        ("sweep-arch", lambda c: c["task"].update(family="quadratic"),
+         "config fields task.family and task.input_law give a task with no linear component "
+         "(quadratic under the gaussian law)"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
@@ -181,7 +194,8 @@ class TestConfigValidation:
             "optimize-negative-seed", "mix-grid-one", "mix-grid-empty", "rho-grid-empty",
             "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
             "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate",
-            "arch-no-gate", "arch-interior-prime-budget", "arch-interior-budget-1"])
+            "arch-no-gate", "arch-interior-prime-budget", "arch-interior-budget-1",
+            "task-sigma", "task-heteroscedastic", "arch-zero-skeleton"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                monkeypatch, command, edit,
                                                                fragment):
@@ -211,7 +225,7 @@ class TestDecomposeCommand:
         for name in ("config.json", "report.json", "table.csv", "MANIFEST"):
             assert (out / name).exists()
         report = json.loads((out / "report.json").read_text())
-        assert report["gate_identity"] is True
+        assert report["gates"] == {"identity_residual": True, "cov_vanishes": True}
         assert report["code_version"]
 
     def test_manifest_hashes_match(self, tmp_path):
@@ -267,6 +281,33 @@ class TestDecomposeCommand:
         path = write_config(tmp_path, small_decompose_config(out))
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert "locked" in capsys.readouterr().err
+
+    def test_lock_names_its_writer_while_held(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_decompose_config(out))
+        write = cli.RunDirectory.write_text
+        held = []
+
+        def watched(self, name, text):
+            held.append((self.lock.read_text(), os.getpid()))
+            return write(self, name, text)
+
+        monkeypatch.setattr(cli.RunDirectory, "write_text", watched)
+        assert cli.main(["decompose", "--config", str(path)]) == 0
+        assert held and all(text == str(pid) for text, pid in held)
+
+    def test_stale_lock_names_its_pid_and_stays(self, tmp_path, capsys):
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(str(finished.pid))
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"stale lock: pid {finished.pid}" in err and "not running" in err
+        assert (out / ".lock").read_text() == str(finished.pid)
+        assert not (out / "MANIFEST").exists()
 
     @pytest.mark.parametrize("command", ["decompose", "hdi"])
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
@@ -353,14 +394,16 @@ class TestDecomposeCommand:
             tables.append((out / "table.csv").read_bytes())
         assert tables[0] == tables[1]
 
-    def test_gate_failure_exits_2(self, tmp_path):
+    def test_gate_failure_exits_2(self, tmp_path, capsys):
         # an unattainable rank-correlation gate forces the failure path
         out = tmp_path / "run"
         config = small_config("sweep-hdi", out)
         config["gates"] = {"spearman_max": -1.01}
         path = write_config(tmp_path, config)
         assert cli.main(["sweep-hdi", "--config", str(path)]) == 2
-        assert (out / "report.json").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["gates"]["spearman"] is False
+        assert report["gates"] == printed_gates(capsys.readouterr().out)
 
 
 class TestTableCells:
@@ -382,15 +425,16 @@ class TestTableCells:
 
 class TestReportJson:
     @pytest.mark.parametrize("command, result_type, metadata", [
-        ("decompose", decomposition.DecompositionReport,
-         {"command", "master_seed", "n", "R", "Q", "gate_identity"}),
-        ("sweep-hdi", decomposition.HdiSweepResult,
-         {"command", "master_seed", "gate_spearman", "gate_endpoint"}),
-        ("weights-compare", decomposition.WeightingCompareResult,
-         {"command", "master_seed", "gate_uniform_not_beaten"}),
+        ("decompose", decomposition.DecompositionReport, {"command", "master_seed", "n", "R", "Q"}),
+        ("sweep-hdi", decomposition.HdiSweepResult, {"command", "master_seed"}),
+        ("weights-compare", decomposition.WeightingCompareResult, {"command", "master_seed"}),
         ("hdi", DiversityReport, {"command", "weight_file", "H", "p", "d_k"}),
+        ("sweep-arch", arch_search.ScalingTrendResult, {"command", "master_seed", "budget_D"}),
+        ("optimize-proj", None,
+         {"command", "master_seed", "final_objective", "steps_accepted"}),
     ])
-    def test_every_result_field_is_reported(self, tmp_path, command, result_type, metadata):
+    def test_every_result_field_is_reported(self, tmp_path, capsys, command, result_type,
+                                            metadata):
         out = tmp_path / "out"
         if command == "hdi":
             argv = ["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json")]
@@ -398,9 +442,39 @@ class TestReportJson:
             argv = [command, "--config", str(write_config(tmp_path, small_config(command, out)))]
         assert cli.main(argv + ["--out", str(out)]) in (0, 2)
         report = json.loads((out / "report.json").read_text())
-        fields = {f.name for f in dataclasses.fields(result_type)}
+        fields = {f.name for f in dataclasses.fields(result_type)} if result_type else set()
         omitted = {"mse_replicates", "principal_angles"}
-        assert set(report) == (fields - omitted) | metadata | {"code_version"}
+        assert set(report) == (fields - omitted) | metadata | {"gates", "code_version"}
+        assert report["gates"] == printed_gates(capsys.readouterr().out)
+        assert report["gates"] or command == "hdi"
+
+    def test_nested_results_keep_every_field(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_config("sweep-arch", out))
+        assert cli.main(["sweep-arch", "--config", str(path)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        sweep_fields = {f.name for f in dataclasses.fields(arch_search.ArchSweepResult)}
+        row_fields = {f.name for f in dataclasses.fields(arch_search.ArchRow)}
+        assert sorted(report["sweeps"], key=int) == ["50", "100", "200"]
+        for sweep in report["sweeps"].values():
+            assert set(sweep) == sweep_fields
+            assert all(set(row) == row_fields for row in sweep["rows"])
+        assert [row[0] for row in report["rows"]] == [50, 100, 200]
+
+    def test_numpy_scalars_and_nested_dataclasses_serialise(self):
+        @dataclasses.dataclass
+        class Inner:
+            value: float
+            mse_replicates: list
+
+        @dataclasses.dataclass
+        class Outer:
+            flag: object
+            inner: Inner
+
+        text = cli._json_text({"r": Outer(np.bool_(True), Inner(np.float64(0.5), [1.0])),
+                               "k": np.int64(3)})
+        assert json.loads(text) == {"r": {"flag": True, "inner": {"value": 0.5}}, "k": 3}
 
 
 class TestHdiCommand:
@@ -489,7 +563,7 @@ class TestOtherCommands:
     def test_sweep_arch_prime_budget_two_rows(self, tmp_path, capsys):
         config = {
             "version": 1,
-            "task": {"family": "sine_mixture", "p": 8, "sigma": 1.0, "input_law": "gaussian"},
+            "task": {"family": "sine_mixture", "p": 8, "input_law": "gaussian"},
             "budget_D": 7,
             "n_grid": [50, 100, 200], "R": 20, "Q": 8,
             "master_seed": 3,
@@ -504,6 +578,22 @@ class TestOtherCommands:
         # (7, 1) and (1, 7) at each n
         assert [(r["n"], r["H"], r["d_k"]) for r in rows] == [
             (n, H, d_k) for n in ("50", "100", "200") for H, d_k in (("7", "1"), ("1", "7"))]
+
+    def test_flat_sweep_still_evaluates_the_interior_gate(self, tmp_path, capsys, monkeypatch):
+        trend = cli.scaling_trend
+
+        def all_flat(*args, **kwargs):
+            result = trend(*args, **kwargs)
+            sweeps = {n: dataclasses.replace(s, flat=True) for n, s in result.sweeps.items()}
+            return dataclasses.replace(result, sweeps=sweeps)
+
+        monkeypatch.setattr(cli, "scaling_trend", all_flat)
+        config = small_config("sweep-arch", tmp_path / "out")
+        config.update(budget_D=8, gates={"arch_interior": True, "arch_nondecreasing": False})
+        code = cli.main(["sweep-arch", "--config", str(write_config(tmp_path, config))])
+        out = capsys.readouterr().out
+        assert "GATE interior_argmin: " in out and "[flat]" in out
+        assert code == (0 if "GATE interior_argmin: PASS" in out else 2)
 
     def test_sweep_hdi_gate_verdict_line(self, tmp_path, capsys):
         config = small_config("sweep-hdi", tmp_path / "out")
