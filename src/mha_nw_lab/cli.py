@@ -5,7 +5,8 @@ Usage: ``mha-nw-lab <subcommand> --config <path> [--seed N] [--out DIR]``.
 Each subcommand reads its config fields, computes, then hands the results
 to ``_publish``, which writes the echoed config, a flat CSV, a JSON report
 and a MANIFEST of content hashes; nothing is written before the results
-exist.  Every JSON report is the command's metadata and every field of its
+exist, and the files are staged, then moved into place together, MANIFEST
+last.  Every JSON report is the command's metadata and every field of its
 result dataclass (``_fields``), plus a ``gates`` map ``{name: ok}`` made from
 the verdicts that ``_publish`` prints as ``GATE`` lines.  Exit codes: 0
 success, 1 usage or data error, 2 scientific-gate failure.  The fields a
@@ -27,6 +28,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -197,12 +199,18 @@ def _gates(config: Config, *names: str) -> dict:
 
 
 class RunDirectory:
-    """Locked output directory that removes partial results on failure."""
+    """Locked output directory that is published whole or not at all.
+
+    Files are written under ``.stage``; ``finish_manifest`` moves them into
+    place with ``os.replace``, ``MANIFEST`` last, so a directory holds a
+    complete run exactly when it holds a ``MANIFEST``.  On exit the stage,
+    whatever is left of it, and the lock are removed.
+    """
 
     def __init__(self, out: Path):
         self.out = Path(out)
-        self.written: list[Path] = []
         self.lock = self.out / ".lock"
+        self.stage = self.out / ".stage"
 
     def __enter__(self) -> "RunDirectory":
         self.out.mkdir(parents=True, exist_ok=True)
@@ -219,41 +227,43 @@ class RunDirectory:
             )
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
+        try:
+            shutil.rmtree(self.stage, ignore_errors=True)   # left by a killed run
+            self.stage.mkdir()
+        except OSError:
+            self.lock.unlink()
+            raise
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is not None:
-            for path in self.written:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        shutil.rmtree(self.stage, ignore_errors=True)
         self.lock.unlink(missing_ok=True)
 
     def write_text(self, name: str, text: str) -> Path:
-        path = self.out / name
+        path = self.stage / name
         path.write_text(text, encoding="utf-8")
-        self.written.append(path)
         return path
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        path = self.out / name
+        path = self.stage / name
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow(["" if v is None else _cell(v) for v in row])
-        self.written.append(path)
         return path
 
     def finish_manifest(self) -> Path:
-        lines = []
-        for path in sorted(self.written, key=lambda p: p.name):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            lines.append(f"{digest}  {path.name}")
-        manifest = self.out / "MANIFEST"
+        """Hash the staged files into MANIFEST, then publish them, MANIFEST last."""
+        staged = sorted(self.stage.iterdir())
+        lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+                 for path in staged]
+        manifest = self.stage / "MANIFEST"
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return manifest
+        (self.out / "MANIFEST").unlink(missing_ok=True)   # the old run is now incomplete
+        for path in staged + [manifest]:
+            os.replace(path, self.out / path.name)
+        return self.out / "MANIFEST"
 
 
 def _dead_pid(lock: Path) -> int | None:

@@ -1,9 +1,11 @@
 """Synthetic regression tasks with known ground truth.
 
-Each task family is analytic, so the mean function, its gradient and its
-Hessian trace are available in closed form; the decomposition module needs
-them for the theoretical bias formula and for bias measurement against the
-true estimand.
+Each task family is analytic, so the mean function, its gradient, its
+Hessian trace and its linear skeleton E[X m(X)] under either input law are
+available in closed form; the decomposition module needs the derivatives
+for the theoretical bias formula and for bias measurement against the true
+estimand, and the architecture sweep the skeleton as its value direction.
+``sample_dataset`` and ``sample_queries`` are the only Monte-Carlo draws.
 
 Seed discipline: experiment layers derive all sampling seeds through
 ``derive_seed(master, domain, index)``.  Domains keep dataset replicates,
@@ -34,11 +36,6 @@ __all__ = [
 FAMILIES = ("linear", "quadratic", "sine_mixture", "radial")
 INPUT_LAWS = ("gaussian", "uniform")
 
-#: number of samples used for the numeric Lipschitz check at construction
-_L_CHECK_SAMPLES = 10_000
-#: samples for the Monte-Carlo linear-skeleton fallback under the uniform law
-_SKELETON_SAMPLES = 200_000
-
 
 def derive_seed(master_seed: int, domain: str, index: int | None = None) -> int:
     """Stable 63-bit seed for (master, domain[, index]).
@@ -61,11 +58,7 @@ def _sample_law(law: str, count: int, p: int, rng: np.random.Generator) -> np.nd
 
 @dataclass(frozen=True)
 class RegressionTask:
-    """Ground-truth regression problem: mean function, noise, input law.
-
-    ``lipschitz_L`` is an analytic upper bound of ||grad m|| over the input
-    law's 6-sigma support, verified numerically at construction.
-    """
+    """Ground-truth regression problem: mean function, noise, input law."""
 
     family: str
     p: int
@@ -73,7 +66,6 @@ class RegressionTask:
     input_law: str
     param_seed: int
     heteroscedastic: bool
-    lipschitz_L: float
     params: dict = field(repr=False)
 
     # -- mean function and derivatives ------------------------------------
@@ -144,20 +136,32 @@ class RegressionTask:
     def linear_skeleton(self) -> np.ndarray:
         """E[X m(X)]: the L2-optimal linear value direction for this task.
 
-        Closed form under the gaussian law; seeded Monte-Carlo under the
-        uniform law (deterministic given the task).
+        Exact under both laws.  Both are symmetric, so the even families
+        (quadratic, radial) give exact zeros.  Under U[-1,1]^p a coordinate
+        has E[U^2] = 1/3, E[e^{iaU}] = sin(a)/a and E[U sin(aU)] =
+        (sin a - a cos a)/a^2, so each sine row omega adds, at coordinate i,
+        the last of these at a = omega_i times the product over k != i of
+        sin(omega_k)/omega_k.
         """
-        if self.input_law == "gaussian":
-            if self.family == "linear":
-                return self.params["beta"].copy()
-            if self.family == "quadratic" or self.family == "radial":
-                return np.zeros(self.p)  # even mean function, odd integrand
-            omega = self.params["omega"]
+        if self.family == "quadratic" or self.family == "radial":
+            return np.zeros(self.p)  # even mean function, odd integrand
+        gaussian = self.input_law == "gaussian"
+        if self.family == "linear":
+            beta = self.params["beta"]
+            return beta.copy() if gaussian else beta / 3.0
+        omega = self.params["omega"]
+        if gaussian:
             damp = np.exp(-0.5 * (omega * omega).sum(axis=1))
             return (damp[:, None] * omega).sum(axis=0)
-        rng = np.random.default_rng(derive_seed(self.param_seed, "skeleton"))
-        xs = _sample_law(self.input_law, _SKELETON_SAMPLES, self.p, rng)
-        return (xs * self.mean(xs)[:, None]).mean(axis=0)
+        sinc = np.sinc(omega / np.pi)   # sin(a)/a, 1 at a = 0
+        # (sin a - a cos a)/a^2 cancels for small a; its series a/3 - a^3/30 is 0 at a = 0
+        small = np.abs(omega) < 1e-2
+        a = np.where(small, 1.0, omega)
+        odd = np.where(small, omega / 3.0 - omega**3 / 30.0, (np.sin(a) - a * np.cos(a)) / a**2)
+        # others[j, i] = prod over k != i of sinc[j, k], taken directly, not as a
+        # quotient: sinc vanishes at multiples of pi
+        others = np.where(np.eye(self.p, dtype=bool), 1.0, sinc[:, None, :]).prod(axis=2)
+        return (odd * others).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -192,11 +196,6 @@ class Dataset:
         return self.xs.shape[1]
 
 
-def _support_radius(law: str, p: int) -> float:
-    # 6-sigma box corner for the gaussian law, unit box corner for uniform
-    return 6.0 * np.sqrt(p) if law == "gaussian" else np.sqrt(p)
-
-
 def make_task(
     family: str,
     p: int,
@@ -207,8 +206,7 @@ def make_task(
 ) -> RegressionTask:
     """Construct a task with analytically known m, grad m, Hessian.
 
-    Family parameters are drawn deterministically from ``param_seed``; the
-    recorded Lipschitz bound is checked against 10^4 sampled gradients.
+    Family parameters are drawn deterministically from ``param_seed``.
     """
     if family not in FAMILIES:
         raise UnsupportedFamily(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -224,42 +222,28 @@ def make_task(
         beta = rng.standard_normal(p)
         beta /= np.linalg.norm(beta)
         params = {"beta": beta}
-        lip = float(np.linalg.norm(beta))
     elif family == "quadratic":
         b = rng.standard_normal((p, p))
         A = (b + b.T) / (2.0 * np.sqrt(p))
         params = {"A": A}
-        spectral = float(np.max(np.abs(np.linalg.eigvalsh(A))))
-        lip = 2.0 * spectral * _support_radius(input_law, p)
     elif family == "sine_mixture":
         j = min(p, 3)
         dirs = rng.standard_normal((j, p))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         omega = dirs * np.linspace(0.8, 1.6, j)[:, None]
         params = {"omega": omega}
-        lip = float(np.linalg.norm(omega, axis=1).sum())
     else:  # radial
         params = {"amplitude": 2.0, "scale": 1.5}
-        lip = float(params["amplitude"] / params["scale"] * np.exp(-0.5))
 
-    task = RegressionTask(
+    return RegressionTask(
         family=family,
         p=p,
         sigma=float(sigma),
         input_law=input_law,
         param_seed=int(param_seed),
         heteroscedastic=bool(heteroscedastic),
-        lipschitz_L=lip,
         params=params,
     )
-    check = _sample_law(input_law, _L_CHECK_SAMPLES, p, np.random.default_rng(derive_seed(param_seed, "lipcheck")))
-    grad_norms = np.linalg.norm(task.gradient(check), axis=1)
-    if grad_norms.max() > lip * (1.0 + 1e-12):
-        raise UnsupportedFamily(
-            f"internal: Lipschitz bound {lip:.6g} violated by sampled gradient "
-            f"{grad_norms.max():.6g} for family {family!r}"
-        )
-    return task
 
 
 def sample_dataset(task: RegressionTask, n: int, seed: int) -> Dataset:

@@ -91,7 +91,7 @@ class TestSweepArchitectures:
         # exact zero, rows tie exactly, tie-break selects the largest H
         task = RegressionTask(
             family="radial", p=8, sigma=0.0, input_law="gaussian",
-            param_seed=0, heteroscedastic=False, lipschitz_L=0.0,
+            param_seed=0, heteroscedastic=False,
             params={"amplitude": 0.0, "scale": 1.5},
         )
         sweep = one_sweep(task, 8, n=60, R=10, Q=8, seed=2)
@@ -129,7 +129,7 @@ class TestScalingTrend:
     def test_flat_task_verdict(self):
         task = RegressionTask(
             family="radial", p=8, sigma=0.0, input_law="gaussian",
-            param_seed=0, heteroscedastic=False, lipschitz_L=0.0,
+            param_seed=0, heteroscedastic=False,
             params={"amplitude": 0.0, "scale": 1.5},
         )
         trend = scaling_trend(task, 8, [50, 100, 200], R=8, Q=8, seed=2)

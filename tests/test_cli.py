@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -186,6 +187,12 @@ class TestConfigValidation:
         ("sweep-arch", lambda c: c["task"].update(family="quadratic"),
          "config fields task.family and task.input_law give a task with no linear component "
          "(quadratic under the gaussian law)"),
+        ("sweep-arch", lambda c: c["task"].update(family="quadratic", input_law="uniform"),
+         "config fields task.family and task.input_law give a task with no linear component "
+         "(quadratic under the uniform law)"),
+        ("sweep-arch", lambda c: c["task"].update(family="radial", input_law="uniform"),
+         "config fields task.family and task.input_law give a task with no linear component "
+         "(radial under the uniform law)"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
@@ -195,7 +202,8 @@ class TestConfigValidation:
             "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
             "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate",
             "arch-no-gate", "arch-interior-prime-budget", "arch-interior-budget-1",
-            "task-sigma", "task-heteroscedastic", "arch-zero-skeleton"])
+            "task-sigma", "task-heteroscedastic", "arch-zero-skeleton",
+            "arch-zero-skeleton-uniform-quadratic", "arch-zero-skeleton-uniform-radial"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                monkeypatch, command, edit,
                                                                fragment):
@@ -229,7 +237,6 @@ class TestDecomposeCommand:
         assert report["code_version"]
 
     def test_manifest_hashes_match(self, tmp_path):
-        import hashlib
         out = tmp_path / "run"
         path = write_config(tmp_path, small_decompose_config(out))
         cli.main(["decompose", "--config", str(path)])
@@ -338,6 +345,45 @@ class TestDecomposeCommand:
         assert f"error: output directory {out}: No space left on device" in \
             capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", ["config.json", "table.csv", "report.json", "MANIFEST"])
+    def test_failed_write_leaves_the_previous_run_intact(self, tmp_path, capsys, monkeypatch,
+                                                         failing):
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert set(before) == {"config.json", "table.csv", "report.json", "MANIFEST"}
+
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if failing == "table.csv":
+            monkeypatch.setattr(csv, "writer", full_disk)
+        else:
+            write_text = Path.write_text
+            monkeypatch.setattr(Path, "write_text", lambda self, *args, **kwargs: (
+                full_disk() if self.name == failing else write_text(self, *args, **kwargs)))
+        assert cli.main(["decompose", "--config", str(path), "--seed", "6"]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        monkeypatch.undo()
+        # no .stage, no .lock, and the first run byte for byte, MANIFEST verifying
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        for line in before["MANIFEST"].decode().splitlines():
+            digest, name = line.split("  ")
+            assert hashlib.sha256(before[name]).hexdigest() == digest
+
+    def test_stage_left_by_a_killed_run_is_cleared(self, tmp_path):
+        out = tmp_path / "run"
+        (out / ".stage").mkdir(parents=True)
+        (out / ".stage" / "table.csv").write_text("partial\n")
+        (out / ".stage" / "leftover.txt").write_text("partial\n")
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "MANIFEST", "config.json", "report.json", "table.csv"]
+        assert "leftover.txt" not in (out / "MANIFEST").read_text()
+        assert (out / "table.csv").read_text().startswith("record,")
 
     def test_lock_removed_after_success(self, tmp_path):
         out = tmp_path / "run"

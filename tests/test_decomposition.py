@@ -397,8 +397,7 @@ def aligned_fixture():
     s = np.diag([1.0, 0.6])
     task = RegressionTask(
         family="quadratic", p=p, sigma=1.0, input_law="gaussian",
-        param_seed=0, heteroscedastic=False,
-        lipschitz_L=2.0 * 6 * np.sqrt(p), params={"A": u @ s @ u.T},
+        param_seed=0, heteroscedastic=False, params={"A": u @ s @ u.T},
     )
     head = HeadConfig(wq=Matrix(u), wk=Matrix(u),
                       wv=0.1 * rng.standard_normal(p))

@@ -4,6 +4,8 @@ import pytest
 from mha_nw_lab.errors import ShapeMismatch, UnsupportedFamily
 from mha_nw_lab.synthetic import (
     FAMILIES,
+    INPUT_LAWS,
+    RegressionTask,
     derive_seed,
     make_task,
     sample_dataset,
@@ -35,25 +37,6 @@ class TestMakeTask:
         assert np.allclose(a, a.T)
         x = np.zeros(3)
         assert task.hessian_trace(x) == pytest.approx(2.0 * np.trace(a))
-
-    def test_sine_lipschitz_bound_from_gradient_maximization(self):
-        task = make_task("sine_mixture", 4, 1.0, "gaussian")
-        omega = task.params["omega"]
-        expected_L = np.linalg.norm(omega, axis=1).sum()
-        assert task.lipschitz_L == pytest.approx(expected_L)
-        # numeric maximization oracle over 10^4 fresh samples
-        rng = np.random.default_rng(777)
-        xs = rng.standard_normal((10_000, 4))
-        grad_norms = np.linalg.norm(task.gradient(xs), axis=1)
-        assert grad_norms.max() <= task.lipschitz_L
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("law", ["gaussian", "uniform"])
-    def test_lipschitz_holds_on_law_samples(self, family, law):
-        task = make_task(family, 3, 0.5, law)
-        rng = np.random.default_rng(99)
-        xs = rng.standard_normal((5000, 3)) if law == "gaussian" else rng.uniform(-1, 1, (5000, 3))
-        assert np.linalg.norm(task.gradient(xs), axis=1).max() <= task.lipschitz_L * (1 + 1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_derivatives_match_finite_differences(self, family):
@@ -158,9 +141,10 @@ class TestSkeleton:
         task = make_task("linear", 3, 1.0, "gaussian")
         np.testing.assert_allclose(task.linear_skeleton(), task.params["beta"])
 
-    def test_even_families_have_zero_skeleton(self):
+    @pytest.mark.parametrize("law", INPUT_LAWS)
+    def test_even_families_have_zero_skeleton(self, law):
         for family in ("quadratic", "radial"):
-            task = make_task(family, 3, 1.0, "gaussian")
+            task = make_task(family, 3, 1.0, law)
             np.testing.assert_array_equal(task.linear_skeleton(), np.zeros(3))
 
     def test_sine_gaussian_skeleton_matches_mc(self):
@@ -169,6 +153,26 @@ class TestSkeleton:
         xs = rng.standard_normal((400_000, 3))
         mc = (xs * task.mean(xs)[:, None]).mean(axis=0)
         np.testing.assert_allclose(task.linear_skeleton(), mc, atol=5e-3)
+
+    @pytest.mark.parametrize("family", ["linear", "sine_mixture"])
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_uniform_closed_form_matches_mc(self, family, p):
+        task = make_task(family, p, 1.0, "uniform")
+        rng = np.random.default_rng(23)
+        xs = rng.uniform(-1.0, 1.0, (1_000_000, p))
+        terms = xs * task.mean(xs)[:, None]
+        stderr = terms.std(axis=0, ddof=1) / np.sqrt(len(xs))
+        assert np.all(np.abs(task.linear_skeleton() - terms.mean(axis=0)) <= 4.0 * stderr)
+
+    def test_uniform_sine_skeleton_limits(self):
+        # a = 0 takes the limits 0 (own coordinate) and 1 (the others'
+        # factor); at a = pi, (sin a - a cos a)/a^2 = 1/pi and sin(a)/a = 0;
+        # at a = 1e-9 the quotient cancels to 0 in floats, the series gives a/3
+        omega = np.array([[0.0, np.pi, 1.0], [1e-9, 0.0, 0.0]])
+        task = RegressionTask(family="sine_mixture", p=3, sigma=0.0, input_law="uniform",
+                              param_seed=0, heteroscedastic=False, params={"omega": omega})
+        np.testing.assert_allclose(task.linear_skeleton(),
+                                   [1e-9 / 3.0, np.sin(1.0) / np.pi, 0.0], atol=1e-15)
 
     def test_uniform_skeleton_deterministic(self):
         task = make_task("sine_mixture", 3, 1.0, "uniform")
