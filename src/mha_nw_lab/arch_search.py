@@ -4,7 +4,10 @@ Every allocation uses constructively orthogonal key frames sliced from one
 shared p x D orthonormal frame, so the covariance terms vanish by design
 and the sweep isolates the bias/variance allocation trade-off.  Each
 allocation spends the whole budget, so the budget must lie in 1 <= D <= p
-and then every divisor allocation is feasible.  The swept
+and then every divisor allocation is feasible.  Every head's value vector
+is the task's unit linear skeleton, so a task with none (quadratic and
+radial, under either input law) is rejected before any draw: its heads
+would all estimate 0 and every allocation would tie.  The swept
 MSE curve is summarised by a two-parameter fit
 
     mse(d_k) ~ c1 * d_k^(-2) + c2 * d_k^(d_k/2 + 1) / (n D)
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _reports, noise_floor
-from .errors import EmptySweep, ShapeMismatch
+from .errors import EmptySweep, ShapeMismatch, UnsupportedFamily
 from .mha import make_weights
 from .nw_attention import HeadConfig
 from .synthetic import RegressionTask, derive_seed
@@ -67,20 +70,6 @@ class ArchSweepResult:
     flat: bool
 
 
-def _sweep_value_vector(task: RegressionTask) -> np.ndarray:
-    """Skeleton value direction; zero when the task has no linear component.
-
-    A zero value vector collapses every head to the constant-zero estimate,
-    so allocations tie exactly and the sweep reports a flat curve, which is
-    the honest answer for tasks a linear value channel cannot track.
-    """
-    wv = task.linear_skeleton()
-    norm = np.linalg.norm(wv)
-    if norm < 1e-12:
-        return np.zeros(task.p)
-    return wv / norm
-
-
 def _fit_budget_model(dks: np.ndarray, mses: np.ndarray, n: int, D: int):
     """Nonnegative least squares on the two-term budget model."""
     f1 = dks.astype(np.float64) ** -2.0
@@ -114,15 +103,23 @@ def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
     """One budget sweep per sample size from a single replicate-engine call.
 
     The allocations are built once; every (allocation, n) pair is one head set,
-    so each n sees the same datasets at every allocation.
+    so each n sees the same datasets at every allocation.  The budget and the
+    task's linear skeleton are checked before the frame is drawn.
     """
     if D > task.p:
         raise EmptySweep(f"no feasible allocation for budget_D = {D}: "
                          f"H * d_k = D exceeds the input dimension p = {task.p}")
     allocations = enumerate_allocations(D)
+    wv = task.linear_skeleton()
+    norm = np.linalg.norm(wv)
+    if norm < 1e-12:
+        raise UnsupportedFamily(
+            f"task.family and task.input_law give a task with no linear component "
+            f"({task.family} under the {task.input_law} law), so every sweep head would "
+            "have value vector 0 and every allocation would tie: no sweep can tell them apart")
+    wv = wv / norm
     rng = np.random.default_rng(derive_seed(seed, "frame"))
     frame = qr_orthonormalize(rng.standard_normal((task.p, D)))
-    wv = _sweep_value_vector(task)
     points = []   # (heads, uniform alphas) per allocation
     for H, d_k in allocations:
         heads = []
@@ -188,8 +185,9 @@ def scaling_trend(
     those a single sweep at that n would draw.  Each sweep's argmin breaks
     exact ties toward larger H (many small heads).  A grid of fewer than 3
     sizes or not strictly ascending, or a budget below 1, raises
-    ``ShapeMismatch`` and a budget above p ``EmptySweep``, all before the
-    frame is drawn.  Verdicts are directional: the argmin head dimension
+    ``ShapeMismatch``, a budget above p ``EmptySweep``, and a task whose
+    linear skeleton is zero ``UnsupportedFamily``, all before the frame is
+    drawn.  Verdicts are directional: the argmin head dimension
     should be non-decreasing in n and grow strictly slower than n itself.
     The least squares slope of d_k* against log n is emitted as data, not
     asserted.

@@ -6,7 +6,8 @@ Each subcommand reads its config fields, computes, then hands the results
 to ``_publish``, which writes the echoed config, a flat CSV, a JSON report
 and a MANIFEST of content hashes; nothing is written before the results
 exist, and the files are staged, then moved into place together, MANIFEST
-last.  Every JSON report is the command's metadata and every field of its
+last, removing any file the previous MANIFEST listed that this run does not
+write.  Every JSON report is the command's metadata and every field of its
 result dataclass (``_fields``), plus a ``gates`` map ``{name: ok}`` made from
 the verdicts that ``_publish`` prints as ``GATE`` lines.  Exit codes: 0
 success, 1 usage or data error, 2 scientific-gate failure.  The fields a
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch_search import _sweep_value_vector, scaling_trend
+from .arch_search import enumerate_allocations, scaling_trend
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
@@ -254,13 +255,21 @@ class RunDirectory:
         return path
 
     def finish_manifest(self) -> Path:
-        """Hash the staged files into MANIFEST, then publish them, MANIFEST last."""
+        """Hash the staged files into MANIFEST, then publish them, MANIFEST last.
+
+        A file the previous MANIFEST lists and this run does not write is
+        removed; files no MANIFEST lists are left alone."""
         staged = sorted(self.stage.iterdir())
         lines = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
                  for path in staged]
         manifest = self.stage / "MANIFEST"
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (self.out / "MANIFEST").unlink(missing_ok=True)   # the old run is now incomplete
+        old = self.out / "MANIFEST"
+        listed = old.read_text(encoding="utf-8").splitlines() if old.is_file() else []
+        old.unlink(missing_ok=True)   # the old run is now incomplete
+        for name in {line.partition("  ")[2] for line in listed} - {path.name for path in staged}:
+            if name and Path(name).name == name:   # a plain name inside out, never a path
+                (self.out / name).unlink(missing_ok=True)
         for path in staged + [manifest]:
             os.replace(path, self.out / path.name)
         return self.out / "MANIFEST"
@@ -314,19 +323,17 @@ def _fields(result) -> dict:
 
 
 def _publish(out: Path | None, config: Config | None, header: list[str], rows,
-             payload: dict, verdicts=(), lines=(), files=()) -> int:
-    """Write config.json, table.csv, the ``(name, text)`` files, report.json and
-    MANIFEST into ``out`` (unless None), then print a GATE line per ``(gate, ok,
-    detail)`` verdict and the other ``lines``; 0, or 2 if a gate failed.
-    report.json is ``payload`` plus the verdicts as a ``gates`` map {gate: ok}."""
+             payload: dict, verdicts=(), lines=()) -> int:
+    """Write config.json, table.csv, report.json and MANIFEST into ``out`` (unless
+    None), then print a GATE line per ``(gate, ok, detail)`` verdict and the other
+    ``lines``; 0, or 2 if a gate failed.  report.json is ``payload`` plus the
+    verdicts as a ``gates`` map {gate: ok}."""
     if out is not None:
         try:
             with RunDirectory(out) as rundir:
                 if config is not None:
                     rundir.write_text("config.json", _json_text(config))
                 rundir.write_csv("table.csv", header, rows)
-                for name, text in files:
-                    rundir.write_text(name, text)
                 gates = {gate: ok for gate, ok, _ in verdicts}
                 rundir.write_text("report.json", _json_text(
                     {**payload, "gates": gates, "code_version": __version__}))
@@ -474,22 +481,17 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
         raise ConfigError("config fields gates.arch_interior and gates.arch_nondecreasing "
                           "are both false, so sweep-arch has no gate")
     # a budget outside 1..p is left to scaling_trend, which names budget_D
-    if gates["arch_interior"] and 1 <= D <= task.p and all(D % d_k for d_k in range(2, D)):
+    if (gates["arch_interior"] and 1 <= D <= task.p
+            and {d_k for _, d_k in enumerate_allocations(D)} <= {1, D}):
         raise ConfigError(f"config field gates.arch_interior must be false for budget_D = {D}, "
                           "which has no divisor strictly between 1 and D, so no allocation "
                           "is interior")
-    if not _sweep_value_vector(task).any():
-        raise ConfigError(f"config fields task.family and task.input_law give a task with no "
-                          f"linear component ({task.family} under the {task.input_law} law), "
-                          "so every sweep-arch head has value vector 0 and every allocation "
-                          "ties: no gate could tell them apart")
     trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
     sweeps = trend.sweeps
     rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
             for n, sweep in sweeps.items() for row in sweep.rows]
     largest = max(sweeps)
     final = sweeps[largest]
-    plot_lines = [f"{row.d_k} {row.mse!r} {row.stderr!r}" for row in final.rows]
     payload = {"command": "sweep-arch", "master_seed": seed, "budget_D": D, **_fields(trend)}
     verdicts = []
     if gates["arch_nondecreasing"]:
@@ -501,10 +503,8 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
                          f"argmin d_k = {final.argmin_dk} at n = {largest}"))
     lines = [f"n = {n}: argmin (H, d_k) = ({sweep.argmin_H}, {sweep.argmin_dk})"
              + ("  [flat]" if sweep.flat else "") for n, sweep in sweeps.items()]
-    return _publish(
-        out, config, ["n", "H", "d_k", "mse", "stderr", "bias_sq", "var_term"],
-        rows, payload, verdicts, lines, [("dk_mse.dat", "\n".join(plot_lines) + "\n")],
-    )
+    return _publish(out, config, ["n", "H", "d_k", "mse", "stderr", "bias_sq", "var_term"],
+                    rows, payload, verdicts, lines)
 
 
 def cmd_optimize_proj(config: Config, out: Path) -> int:
@@ -517,7 +517,11 @@ def cmd_optimize_proj(config: Config, out: Path) -> int:
         raise ConfigError(f"config field master_seed must be nonnegative for optimize-proj, "
                           f"got {seed}")
     steps = config.read("optimizer.steps", int, 5000)
+    if steps < 1:
+        raise ConfigError(f"config field optimizer.steps must be >= 1, got {steps}")
     step_size = config.read("optimizer.step_size", float, 1.0)
+    if step_size <= 0.0:
+        raise ConfigError(f"config field optimizer.step_size must be > 0, got {step_size}")
     config.reject_unread()
     proj, trace = optimize_projections(
         p=p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,

@@ -34,9 +34,7 @@ when the call's largest n gives POOL_MIN_LOGITS logits per head; slots are
 indexed by replicate, so the outputs are bit-identical for every thread count.
 
 Besides the engine and the sweep drivers, the module keeps the
-leading-order ``theoretical_bias_variance`` at one query and
-``bootstrap_stderr``, against which the tests check the influence-function
-standard errors.
+leading-order ``theoretical_bias_variance`` at one query.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ __all__ = [
     "weighting_compare",
     "WeightingCompareResult",
     "spearman",
-    "bootstrap_stderr",
 ]
 
 
@@ -427,17 +424,6 @@ def spearman(x, y) -> float:
     if denom == 0.0:
         return float("nan")
     return float((rx * ry).sum() / denom)
-
-
-def bootstrap_stderr(values: np.ndarray, seed: int, resamples: int = 200) -> float:
-    """Bootstrap stderr of the mean of replicate-level statistics.
-
-    Cross-checks the influence-function standard errors on small runs.
-    """
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    rng = np.random.default_rng(int(seed))
-    idx = rng.integers(0, values.shape[0], size=(resamples, values.shape[0]))
-    return float(values[idx].mean(axis=1).std(ddof=1))
 
 
 def _paired(a: DecompositionReport, b: DecompositionReport) -> tuple[float, float]:

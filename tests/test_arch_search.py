@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import mha_nw_lab as lab
 from mha_nw_lab import arch_search, decomposition
 from mha_nw_lab.arch_search import enumerate_allocations, scaling_trend
 from mha_nw_lab.decomposition import spearman
-from mha_nw_lab.errors import EmptySweep, ShapeMismatch
+from mha_nw_lab.errors import EmptySweep, ShapeMismatch, UnsupportedFamily
 from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -44,6 +45,13 @@ class TestEnumerateAllocations:
     def test_invalid_budget(self):
         with pytest.raises(ShapeMismatch):
             enumerate_allocations(0)
+
+
+def zero_mean_task():
+    """A radial task of amplitude 0: its mean, and so its skeleton, is 0."""
+    return RegressionTask(family="radial", p=8, sigma=0.0, input_law="gaussian",
+                          param_seed=0, heteroscedastic=False,
+                          params={"amplitude": 0.0, "scale": 1.5})
 
 
 def one_sweep(task, D, n, R, Q, seed, query_gain=9.0):
@@ -86,19 +94,15 @@ class TestSweepArchitectures:
         with pytest.raises(EmptySweep, match="D = 16"):
             one_sweep(sine_task, 16, n=100, R=10, Q=8, seed=1)
 
-    def test_flat_zero_mean_noiseless_task_ties_to_max_H(self):
-        # mean identically zero and sigma = 0: every allocation estimates an
-        # exact zero, rows tie exactly, tie-break selects the largest H
-        task = RegressionTask(
-            family="radial", p=8, sigma=0.0, input_law="gaussian",
-            param_seed=0, heteroscedastic=False,
-            params={"amplitude": 0.0, "scale": 1.5},
-        )
-        sweep = one_sweep(task, 8, n=60, R=10, Q=8, seed=2)
-        assert sweep.flat
-        mses = {row.mse for row in sweep.rows}
-        assert mses == {0.0}
-        assert (sweep.argmin_H, sweep.argmin_dk) == (8, 1)
+    def test_zero_skeleton_task_raises_before_any_draw(self, monkeypatch):
+        # mean identically zero: no value direction, so the sweep is refused
+        # before the frame or any dataset is drawn
+        draws = []
+        monkeypatch.setattr(arch_search, "qr_orthonormalize", lambda *a: draws.append(a))
+        monkeypatch.setattr(decomposition, "sample_dataset", lambda *a: draws.append(a))
+        with pytest.raises(UnsupportedFamily, match=r"\(radial under the gaussian law\)"):
+            one_sweep(zero_mean_task(), 8, n=60, R=10, Q=8, seed=2)
+        assert not draws
 
     def test_noiseless_smooth_task_bias_dominated(self):
         # moderate kernel gain plus large n makes the variance term
@@ -126,16 +130,17 @@ class TestScalingTrend:
         with pytest.raises(ShapeMismatch):
             scaling_trend(sine_task, 8, [400, 200, 100], R=10, Q=8, seed=1)
 
-    def test_flat_task_verdict(self):
-        task = RegressionTask(
-            family="radial", p=8, sigma=0.0, input_law="gaussian",
-            param_seed=0, heteroscedastic=False,
-            params={"amplitude": 0.0, "scale": 1.5},
-        )
-        trend = scaling_trend(task, 8, [50, 100, 200], R=8, Q=8, seed=2)
-        assert all(flat for _, _, _, flat in trend.rows)
-        assert all(dk == 1 and H == 8 for _, dk, H, flat in trend.rows)
-        assert trend.nondecreasing
+    @pytest.mark.parametrize("law", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("family", ["quadratic", "radial"])
+    def test_zero_skeleton_task_raises_before_any_draw(self, monkeypatch, family, law):
+        draws = []
+        monkeypatch.setattr(arch_search, "qr_orthonormalize", lambda *a: draws.append(a))
+        monkeypatch.setattr(decomposition, "sample_dataset", lambda *a: draws.append(a))
+        task = lab.make_task(family, 8, 0.0, law)
+        with pytest.raises(UnsupportedFamily, match=r"task\.family and task\.input_law .* "
+                                                    rf"\({family} under the {law} law\)"):
+            scaling_trend(task, 8, [50, 100, 200], R=8, Q=8, seed=2)
+        assert not draws
 
     def test_one_engine_call_draws_once_per_replicate_at_the_largest_n(self, sine_task,
                                                                        monkeypatch):
@@ -199,6 +204,20 @@ class TestScalingTrend:
         dks = [row[1] for row in trend.rows]
         assert all(1 <= dk <= 8 for dk in dks)
         assert len(trend.sweeps) == 3
+
+
+class TestSummarise:
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending-dk", "descending-dk"])
+    def test_exact_ties_go_to_the_larger_H_and_read_flat(self, order):
+        # every allocation with the same report: an exact tie at each row
+        points = [(tuple(SimpleNamespace(d_k=d_k) for _ in range(H)), None)
+                  for H, d_k in enumerate_allocations(8)][::order]
+        report = SimpleNamespace(mse_direct=0.25, stderr={"mse_direct": 0.01},
+                                 ensemble_bias_sq=0.2, variance_term=0.05, covariance_term=0.0)
+        sweep = arch_search._summarise(points, [report] * len(points), n=100, D=8)
+        assert {row.mse for row in sweep.rows} == {0.25}
+        assert (sweep.argmin_H, sweep.argmin_dk) == (8, 1)
+        assert sweep.flat
 
 
 class TestFitSanity:

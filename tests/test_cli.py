@@ -185,14 +185,25 @@ class TestConfigValidation:
         ("sweep-arch", lambda c: c["task"].update(heteroscedastic=True),
          "subcommand: task.heteroscedastic"),
         ("sweep-arch", lambda c: c["task"].update(family="quadratic"),
-         "config fields task.family and task.input_law give a task with no linear component "
+         "task.family and task.input_law give a task with no linear component "
          "(quadratic under the gaussian law)"),
         ("sweep-arch", lambda c: c["task"].update(family="quadratic", input_law="uniform"),
-         "config fields task.family and task.input_law give a task with no linear component "
+         "task.family and task.input_law give a task with no linear component "
          "(quadratic under the uniform law)"),
         ("sweep-arch", lambda c: c["task"].update(family="radial", input_law="uniform"),
-         "config fields task.family and task.input_law give a task with no linear component "
+         "task.family and task.input_law give a task with no linear component "
          "(radial under the uniform law)"),
+        ("sweep-arch", lambda c: c["task"].update(family="radial"),
+         "task.family and task.input_law give a task with no linear component "
+         "(radial under the gaussian law)"),
+        ("optimize-proj", lambda c: c.update(optimizer={"steps": 0}),
+         "config field optimizer.steps must be >= 1, got 0"),
+        ("optimize-proj", lambda c: c.update(optimizer={"steps": -3}),
+         "config field optimizer.steps must be >= 1, got -3"),
+        ("optimize-proj", lambda c: c.update(optimizer={"step_size": 0}),
+         "config field optimizer.step_size must be > 0, got 0.0"),
+        ("optimize-proj", lambda c: c.update(optimizer={"step_size": -1.0}),
+         "config field optimizer.step_size must be > 0, got -1.0"),
     ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
@@ -203,12 +214,16 @@ class TestConfigValidation:
             "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate",
             "arch-no-gate", "arch-interior-prime-budget", "arch-interior-budget-1",
             "task-sigma", "task-heteroscedastic", "arch-zero-skeleton",
-            "arch-zero-skeleton-uniform-quadratic", "arch-zero-skeleton-uniform-radial"])
+            "arch-zero-skeleton-uniform-quadratic", "arch-zero-skeleton-uniform-radial",
+            "arch-zero-skeleton-gaussian-radial", "optimize-steps-zero",
+            "optimize-steps-negative", "optimize-step-size-zero",
+            "optimize-step-size-negative"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                monkeypatch, command, edit,
                                                                fragment):
         draws = []
         monkeypatch.setattr(decomposition, "sample_dataset", lambda *args: draws.append(args))
+        monkeypatch.setattr(cli, "optimize_projections", lambda **kw: draws.append(kw))
         config = small_config(command, tmp_path / "out")
         edit(config)
         path = write_config(tmp_path, config)
@@ -384,6 +399,29 @@ class TestDecomposeCommand:
             "MANIFEST", "config.json", "report.json", "table.csv"]
         assert "leftover.txt" not in (out / "MANIFEST").read_text()
         assert (out / "table.csv").read_text().startswith("record,")
+
+    def test_publish_removes_what_the_previous_manifest_listed(self, tmp_path):
+        # a sweep-arch directory from a version that also wrote dk_mse.dat,
+        # reused by decompose, then by hdi, which writes no config.json
+        out = tmp_path / "run"
+        arch = write_config(tmp_path, small_config("sweep-arch", out), "arch.json")
+        assert cli.main(["sweep-arch", "--config", str(arch)]) == 0
+        stale = b"8 0.1 0.01\n"
+        (out / "dk_mse.dat").write_bytes(stale)
+        with open(out / "MANIFEST", "a", encoding="utf-8") as fh:
+            fh.write(f"{hashlib.sha256(stale).hexdigest()}  dk_mse.dat\n")
+        (out / "notes.txt").write_text("mine\n")   # listed by no MANIFEST
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "MANIFEST", "config.json", "notes.txt", "report.json", "table.csv"]
+        hdi = ["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json")]
+        assert cli.main(hdi + ["--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "MANIFEST", "notes.txt", "report.json", "table.csv"]
+        assert (out / "notes.txt").read_text() == "mine\n"
+        assert [line.split("  ")[1] for line in (out / "MANIFEST").read_text().splitlines()] \
+            == ["report.json", "table.csv"]
 
     def test_lock_removed_after_success(self, tmp_path):
         out = tmp_path / "run"

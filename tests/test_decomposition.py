@@ -11,7 +11,6 @@ from mha_nw_lab.decomposition import (
     FamilySpec,
     _decompose_tensor,
     _head_tensor,
-    bootstrap_stderr,
     hdi_sweep,
     mc_decompose,
     spearman,
@@ -25,6 +24,15 @@ from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset, sa
 from mha_nw_lab.tensor_core import Matrix
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+def bootstrap_stderr(values: np.ndarray, seed: int, resamples: int = 200) -> float:
+    """Bootstrap stderr of the mean of replicate-level statistics, an oracle
+    for the influence-function standard errors on small runs."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    rng = np.random.default_rng(int(seed))
+    idx = rng.integers(0, values.shape[0], size=(resamples, values.shape[0]))
+    return float(values[idx].mean(axis=1).std(ddof=1))
 
 
 def quick_plan(task, p=8, d_k=2, H=4, mix=1.0, n=300, R=120, Q=32, master=7,
