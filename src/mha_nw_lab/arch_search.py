@@ -7,16 +7,12 @@ allocation spends the whole budget, so the budget must lie in 1 <= D <= p
 and then every divisor allocation is feasible.  Every head's value vector
 is the task's unit linear skeleton, so a task with none (quadratic and
 radial, under either input law) is rejected before any draw: its heads
-would all estimate 0 and every allocation would tie.  The swept
-MSE curve is summarised by a two-parameter fit
-
-    mse(d_k) ~ c1 * d_k^(-2) + c2 * d_k^(d_k/2 + 1) / (n D)
-
-with nonnegative coefficients.  The scaling-trend driver runs the sweep at
-every size of a sample-size grid, all in one replicate-engine call, and
-reports directional verdicts (argmin head dimension non-decreasing and
-sublinear in n) rather than any exact exponent, which is not identifiable
-at desk scale.
+would all estimate 0 and every allocation would tie.  Each sweep reports
+its measured rows, its argmin and whether the curve is flat within noise.
+The scaling-trend driver runs the sweep at every size of a sample-size
+grid, all in one replicate-engine call, and reports directional verdicts
+(argmin head dimension non-decreasing and sublinear in n) rather than any
+exact exponent, which is not identifiable at desk scale.
 """
 
 from __future__ import annotations
@@ -64,38 +60,7 @@ class ArchSweepResult:
     rows: list[ArchRow]
     argmin_H: int
     argmin_dk: int
-    c1: float
-    c2: float
-    fit_residual: float
     flat: bool
-
-
-def _fit_budget_model(dks: np.ndarray, mses: np.ndarray, n: int, D: int):
-    """Nonnegative least squares on the two-term budget model."""
-    f1 = dks.astype(np.float64) ** -2.0
-    f2 = dks.astype(np.float64) ** (dks / 2.0 + 1.0) / (float(n) * D)
-    X = np.stack([f1, f2], axis=1)
-
-    def residual(c):
-        return float(np.linalg.norm(X @ c - mses))
-
-    best = None
-    coef, *_ = np.linalg.lstsq(X, mses, rcond=None)
-    candidates = []
-    if np.all(coef >= 0.0):
-        candidates.append(coef)
-    for j in (0, 1):
-        col = X[:, j]
-        cj = max(0.0, float(col @ mses) / float(col @ col))
-        single = np.zeros(2)
-        single[j] = cj
-        candidates.append(single)
-    candidates.append(np.zeros(2))
-    for c in candidates:
-        r = residual(c)
-        if best is None or r < best[1]:
-            best = (c, r)
-    return float(best[0][0]), float(best[0][1]), best[1]
 
 
 def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
@@ -130,12 +95,12 @@ def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
     reports = _reports(task, [(n, heads, [alphas]) for n in n_grid for heads, alphas in points],
                        R, Q, seed)
     A = len(points)
-    return {n: _summarise(points, reports[i * A:(i + 1) * A], n, D)
+    return {n: _summarise(points, reports[i * A:(i + 1) * A])
             for i, n in enumerate(n_grid)}
 
 
-def _summarise(points, reports, n: int, D: int) -> ArchSweepResult:
-    """Rows, argmin and budget-model fit of one sample size's sweep."""
+def _summarise(points, reports) -> ArchSweepResult:
+    """Rows, argmin and flatness of one sample size's sweep."""
     rows = [
         ArchRow(H=len(heads), d_k=heads[0].d_k, mse=report.mse_direct,
                 stderr=report.stderr["mse_direct"], bias_sq=report.ensemble_bias_sq,
@@ -148,13 +113,7 @@ def _summarise(points, reports, n: int, D: int) -> ArchSweepResult:
             best = row
     mses = np.array([row.mse for row in rows])
     flat = bool(mses.max() - mses.min() <= noise_floor(mses.max()))
-    c1, c2, fit_residual = _fit_budget_model(
-        np.array([row.d_k for row in rows]), mses, n, D
-    )
-    return ArchSweepResult(
-        rows=rows, argmin_H=best.H, argmin_dk=best.d_k,
-        c1=c1, c2=c2, fit_residual=fit_residual, flat=flat,
-    )
+    return ArchSweepResult(rows=rows, argmin_H=best.H, argmin_dk=best.d_k, flat=flat)
 
 
 @dataclass(frozen=True)
@@ -189,8 +148,9 @@ def scaling_trend(
     linear skeleton is zero ``UnsupportedFamily``, all before the frame is
     drawn.  Verdicts are directional: the argmin head dimension
     should be non-decreasing in n and grow strictly slower than n itself.
-    The least squares slope of d_k* against log n is emitted as data, not
-    asserted.
+    The slope of d_k* against log n is emitted as data, not asserted.  It
+    is the closed form (x . y) / (x . x) with x = log n and y = d_k*, each
+    centred, so a d_k* that does not move gives exactly 0.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 3:
@@ -205,9 +165,9 @@ def scaling_trend(
     ns = np.array(n_grid, dtype=np.float64)
     nondecreasing = bool(np.all(np.diff(dks) >= 0))
     sublinear = bool((dks[-1] / dks[0]) < (ns[-1] / ns[0]))
-    design = np.stack([np.ones_like(ns), np.log(ns)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, dks, rcond=None)
+    x = np.log(ns) - np.log(ns).mean()
+    y = dks - dks.mean()
     return ScalingTrendResult(
         rows=rows, nondecreasing=nondecreasing,
-        sublinear=sublinear, log_slope=float(coef[1]), sweeps=sweeps,
+        sublinear=sublinear, log_slope=float(x @ y / (x @ x)), sweeps=sweeps,
     )

@@ -87,11 +87,13 @@ def noise_floor(x: float) -> float:
 
 
 def worker_count() -> int:
-    """Worker pool size from MHA_NW_LAB_THREADS (0 or unset = auto)."""
+    """Worker pool size from MHA_NW_LAB_THREADS (0 or unset = auto: the CPUs
+    this process may run on, at most 8)."""
     raw = os.environ.get("MHA_NW_LAB_THREADS") or "0"
     if not (raw.isascii() and raw.isdigit()):
         raise ConfigError(f"MHA_NW_LAB_THREADS must be a nonnegative integer, got {raw!r}")
-    return int(raw) or min(8, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return int(raw) or min(8, cpus or 1)
 
 
 @dataclass(frozen=True)

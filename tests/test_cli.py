@@ -262,8 +262,8 @@ class TestDecomposeCommand:
 
     def test_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        p1 = write_config(tmp_path, small_decompose_config(out1), "c1.json")
-        p2 = write_config(tmp_path, small_decompose_config(out2), "c2.json")
+        p1 = write_config(tmp_path, small_decompose_config(out1), "a.json")
+        p2 = write_config(tmp_path, small_decompose_config(out2), "b.json")
         assert cli.main(["decompose", "--config", str(p1)]) == 0
         assert cli.main(["decompose", "--config", str(p2)]) == 0
         assert (out1 / "table.csv").read_bytes() == (out2 / "table.csv").read_bytes()

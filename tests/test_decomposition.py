@@ -204,6 +204,26 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.cross_cov, b.cross_cov)
 
 
+class TestWorkerCount:
+    @pytest.mark.parametrize("threads", [None, "0"])
+    def test_auto_counts_the_cpus_the_process_may_use(self, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("MHA_NW_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MHA_NW_LAB_THREADS", threads)
+        # e.g. under taskset -c 0 on a 2-CPU host: one usable CPU, not two
+        monkeypatch.setattr(decomposition.os, "cpu_count", lambda: 2)
+        for usable, want in (({0}, 1), (set(range(32)), 8)):
+            monkeypatch.setattr(decomposition.os, "sched_getaffinity", lambda pid: usable,
+                                raising=False)
+            assert decomposition.worker_count() == want
+        # a platform without affinity falls back to the CPU count, same cap
+        monkeypatch.delattr(decomposition.os, "sched_getaffinity")
+        for cpus, want in ((3, 3), (32, 8), (None, 1)):
+            monkeypatch.setattr(decomposition.os, "cpu_count", lambda: cpus)
+            assert decomposition.worker_count() == want
+
+
 class TestStderrMachinery:
     def test_influence_vs_bootstrap(self, orth_report):
         _, report = orth_report
