@@ -6,6 +6,14 @@ decomposition of their weighted ensembles on synthetic regression tasks,
 and sweeps head geometry (diversity, weighting, dimension allocation).
 """
 
+import os
+
+# The kernel's GEMMs are small and replicates run in worker processes, so BLAS
+# threads only contend with them: one per process unless the caller chose
+# (set before numpy loads; no effect if it already has).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from .arch_search import enumerate_allocations, scaling_trend

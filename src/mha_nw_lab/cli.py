@@ -16,7 +16,7 @@ exits 1, named, before any Monte-Carlo work.
 
 Concurrent invocations must target distinct output directories; a lock
 file inside the directory, holding the writer's pid, guards the write phase.
-``MHA_NW_LAB_THREADS`` caps the replicate-level worker pool (0 = auto) and
+``MHA_NW_LAB_THREADS`` caps the replicate worker processes (0 = auto) and
 must be a nonnegative integer.
 """
 
@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mha-nw-lab",
         description="Kernel-regression laboratory for multi-head attention ensembles.",
-        epilog="MHA_NW_LAB_THREADS caps replicate-level parallelism (0 = auto).",
+        epilog="MHA_NW_LAB_THREADS caps the replicate worker processes (0 = auto).",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -24,14 +24,15 @@ propagated conservatively as the quadrature sum of the component errors.
 ``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
 input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
-one pool task per replicate draws that replicate's dataset once, at the
-call's largest n, and runs each distinct head on it in one ``attend_many``
-pass over every n it is held at (a smaller n reads a prefix of the inputs),
-writing the estimates into every set's tensor that holds the (n, head) pair;
-``_decompose_tensor`` reduces each tensor once for all the set's weight
-vectors.  MHA_NW_LAB_THREADS caps the replicate pool (0 = auto), used only
-when the call's largest n gives POOL_MIN_LOGITS logits per head; slots are
-indexed by replicate, so the outputs are bit-identical for every thread count.
+each replicate draws its dataset once, at the call's largest n, and runs each
+distinct head on it in one ``attend_many`` pass over every n it is held at (a
+smaller n reads a prefix of the inputs), writing the estimates into every
+set's tensor that holds the (n, head) pair; ``_decompose_tensor`` reduces
+each tensor once for all the set's weight vectors.  The replicates run as
+contiguous blocks, one per worker process (MHA_NW_LAB_THREADS caps them, 0 =
+auto): the caller runs the first block and forked children the others,
+writing into tensors in shared memory.  Rows are indexed by replicate, so the
+outputs are bit-identical for every worker count.
 
 Besides the engine and the sweep drivers, the module keeps the
 leading-order ``theoretical_bias_variance`` at one query.
@@ -39,18 +40,21 @@ leading-order ``theoretical_bias_variance`` at one query.
 
 from __future__ import annotations
 
+import mmap
 import os
+import signal
 import sys
+import threading
+import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
-from .errors import (ConfigError, DensityTooSmall, NeedsTwoHeads, ReplicateFailure,
-                     ShapeMismatch)
+from .errors import (ConfigError, DensityTooSmall, LabError, NeedsTwoHeads,
+                     ReplicateFailure, ShapeMismatch)
 from .mha import ProjectionSet, WeightScheme, make_weights
 from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
@@ -70,13 +74,9 @@ __all__ = [
 ]
 
 
-#: Q * max(n) logits below which an engine call runs its replicates serially,
-#: as short attend_many calls pass the interpreter lock between threads more
-#: than they overlap; a call over several n pools from its largest, since each
-#: head's pass then covers it.  2 threads against 1 on
-#: 2 vCPUs, sweep-hdi and sweep-arch head sets, Q = 64, one n per call:
-#: 0.5-0.6x at 16k logits, 0.9x at 48k, 1.0-1.3x at 64k (break-even), 1.35x at 80k.
-POOL_MIN_LOGITS = 1 << 16
+#: exit code of a worker whose block raised ReplicateFailure; the indices are
+#: in shared memory
+_WORKER_FAILED = 3
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -87,8 +87,8 @@ def noise_floor(x: float) -> float:
 
 
 def worker_count() -> int:
-    """Worker pool size from MHA_NW_LAB_THREADS (0 or unset = auto: the CPUs
-    this process may run on, at most 8)."""
+    """Replicate worker processes from MHA_NW_LAB_THREADS (0 or unset = auto:
+    the CPUs this process may run on, at most 8)."""
     raw = os.environ.get("MHA_NW_LAB_THREADS") or "0"
     if not (raw.isascii() and raw.isdigit()):
         raise ConfigError(f"MHA_NW_LAB_THREADS must be a nonnegative integer, got {raw!r}")
@@ -185,34 +185,92 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
             key = (head.wq.shape, head.wq.a.tobytes(), head.wk.a.tobytes(), head.wv.tobytes())
             slots.setdefault(key, (head, {}))[1].setdefault(n, []).append((s, h))
     N = max(n for n, _ in head_sets)
-    Es = [np.empty((R, len(heads), Q)) for _, heads in head_sets]
-    degenerate = [np.zeros((R, len(heads)), dtype=np.int64) for _, heads in head_sets]
+    Es = [_shared((R, len(heads), Q), np.float64) for _, heads in head_sets]
+    degenerate = [_shared((R, len(heads)), np.int64) for _, heads in head_sets]
 
-    def run_replicate(r: int) -> None:
-        data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
-        for head, by_n in slots.values():
-            sizes = sorted(by_n)
-            est, counts = attend_many(head, queries, data, sizes)
-            if not np.all(np.isfinite(est)):
-                i, q_bad = (int(a) for a in np.argwhere(~np.isfinite(est))[0])
-                h = by_n[sizes[i]][0][1]
-                raise ReplicateFailure(
-                    f"non-finite head estimate at replicate {r}, head {h}, query {q_bad}",
-                    replicate=r, head=h, query=q_bad,
-                )
-            for n, est_n, count in zip(sizes, est, counts):
-                for s, h in by_n[n]:
-                    Es[s][r, h] = est_n
-                    degenerate[s][r, h] = count
+    def run_replicates(block: range) -> None:
+        for r in block:
+            data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
+            for head, by_n in slots.values():
+                sizes = sorted(by_n)
+                est, counts = attend_many(head, queries, data, sizes)
+                if not np.all(np.isfinite(est)):
+                    i, q_bad = (int(a) for a in np.argwhere(~np.isfinite(est))[0])
+                    raise _replicate_failure(r, by_n[sizes[i]][0][1], q_bad)
+                for n, est_n, count in zip(sizes, est, counts):
+                    for s, h in by_n[n]:
+                        Es[s][r, h] = est_n
+                        degenerate[s][r, h] = count
 
-    workers = worker_count()
-    if workers > 1 and R > 1 and Q * N >= POOL_MIN_LOGITS:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_replicate, range(R)))
-    else:
-        for r in range(R):
-            run_replicate(r)
+    _run_in_blocks(run_replicates, R)
     return queries, [(E, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
+
+
+def _shared(shape, dtype) -> np.ndarray:
+    """A zeroed array in anonymous shared memory, so a forked worker's writes
+    reach the process that forked it."""
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
+                         dtype).reshape(shape)
+
+
+def _replicate_failure(r: int, h: int, q: int) -> ReplicateFailure:
+    return ReplicateFailure(f"non-finite head estimate at replicate {r}, head {h}, query {q}",
+                            replicate=r, head=h, query=q)
+
+
+def _run_in_blocks(run, R: int) -> None:
+    """``run(block)`` over contiguous blocks of ``range(R)``, one per worker:
+    this process runs the first block and a forked child each later one.
+    Serial where ``os.fork`` is missing or another Python thread is running.
+    Children are reaped before this returns or raises; a failure raises as
+    the serial loop would, from the lowest failing block."""
+    workers = min(worker_count(), R)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    blocks = [range(R * b // workers, R * (b + 1) // workers) for b in range(workers)]
+    failures = _shared((workers, 3), np.int64)   # a failed block's (replicate, head, query)
+    pids, statuses = [], []   # children not yet reaped, and reaped ones' wait statuses
+    try:
+        for block, failure in zip(blocks[1:], failures[1:]):
+            pid = os.fork()
+            if pid == 0:
+                _worker(run, block, failure)
+            pids.append(pid)
+        run(blocks[0])
+        while pids:
+            statuses.append(os.waitpid(pids[0], 0)[1])
+            pids.pop(0)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for block, failure, status in zip(blocks[1:], failures[1:], statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code == _WORKER_FAILED:
+            raise _replicate_failure(*failure.tolist())
+        if code:
+            how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                   else f"exited with code {code}")
+            raise LabError(f"the worker process for replicates {block.start} to "
+                           f"{block.stop - 1} {how}")
+
+
+def _worker(run, block: range, failure: np.ndarray):
+    """A forked child's whole life: run its block, record a ReplicateFailure's
+    indices in ``failure``, and leave by ``os._exit`` (no inherited buffers are
+    flushed and no exit handlers run)."""
+    code = 1
+    try:
+        run(block)
+        code = 0
+    except ReplicateFailure as exc:
+        failure[:] = exc.replicate, exc.head, exc.query
+        code = _WORKER_FAILED
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,

@@ -41,7 +41,7 @@ def derive_seed(master_seed: int, domain: str, index: int | None = None) -> int:
     """Stable 63-bit seed for (master, domain[, index]).
 
     Uses SHA-256 so the derivation is identical across platforms, Python
-    versions and thread counts.
+    versions and worker counts.
     """
     tag = f"{int(master_seed)}|{domain}" if index is None else f"{int(master_seed)}|{domain}|{int(index)}"
     digest = hashlib.sha256(tag.encode("ascii")).digest()

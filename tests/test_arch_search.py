@@ -1,5 +1,4 @@
 import dataclasses
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,6 +144,8 @@ class TestScalingTrend:
 
     def test_one_engine_call_draws_once_per_replicate_at_the_largest_n(self, sine_task,
                                                                        monkeypatch):
+        # one worker: draws made in a forked worker are not seen by this process
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
         calls, draws = [], []
         engine = decomposition._head_tensor
 
@@ -176,24 +177,12 @@ class TestScalingTrend:
                                        [dataclasses.astuple(r) for r in want.rows],
                                        rtol=1e-12, atol=1e-15)
 
-    def test_pool_runs_the_whole_trend_from_the_largest_n(self, sine_task, monkeypatch):
-        # Q * max(n) = 8 * 200 logits reach the gate; n = 50 and 100 alone would not
-        monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
-        threads = []
-
-        def recording_draw(task, n, seed):
-            threads.append(threading.get_ident())
-            return sample_dataset(task, n, seed)
-
-        monkeypatch.setattr(decomposition, "sample_dataset", recording_draw)
+    def test_worker_counts_give_bit_identical_trends(self, sine_task, monkeypatch):
         trends = []
-        for gate, pooled in ((8 * 200, True), (8 * 200 + 1, False)):
-            monkeypatch.setattr(decomposition, "POOL_MIN_LOGITS", gate)
-            threads.clear()
+        for workers in ("1", "2", "4"):
+            monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)
             trends.append(scaling_trend(sine_task, 8, [50, 100, 200], R=6, Q=8, seed=4))
-            assert len(threads) == 6
-            assert all((t != threading.get_ident()) == pooled for t in threads)
-        assert trends[0].sweeps == trends[1].sweeps
+        assert trends[0] == trends[1] == trends[2]
 
     def test_log_slope_is_the_centred_closed_form(self, sine_task, monkeypatch):
         # a d_k* that does not move reads exactly 0, not least-squares rounding;
@@ -214,10 +203,25 @@ class TestScalingTrend:
     def test_directional_run(self, sine_task):
         trend = scaling_trend(sine_task, 8, [100, 300, 900], R=40, Q=24, seed=9,
                               query_gain=9.0)
-        assert trend.nondecreasing or not trend.nondecreasing  # structural smoke
+        ns = [row[0] for row in trend.rows]
         dks = [row[1] for row in trend.rows]
+        assert trend.nondecreasing == all(a <= b for a, b in zip(dks, dks[1:]))
+        assert trend.sublinear == (dks[-1] / dks[0] < ns[-1] / ns[0])
         assert all(1 <= dk <= 8 for dk in dks)
         assert len(trend.sweeps) == 3
+
+    @pytest.mark.parametrize("n_grid, dks, nondecreasing, sublinear", [
+        ([100, 200, 300], (1, 8, 4), False, False),   # d_k* falls, after a superlinear rise
+        ([100, 300, 900], (8, 4, 2), False, True),
+        ([100, 200, 400], (1, 2, 4), True, False),    # linear in n is not sublinear
+    ], ids=["falls-superlinear", "falls", "linear"])
+    def test_verdicts_on_set_argmins(self, sine_task, monkeypatch, n_grid, dks,
+                                     nondecreasing, sublinear):
+        monkeypatch.setattr(arch_search, "_sweeps", lambda task, D, ns, *rest: {
+            n: SimpleNamespace(argmin_dk=dk, argmin_H=8 // dk, flat=False)
+            for n, dk in zip(ns, dks)})
+        trend = scaling_trend(sine_task, 8, n_grid, R=2, Q=1, seed=0)
+        assert (trend.nondecreasing, trend.sublinear) == (nondecreasing, sublinear)
 
 
 class TestSummarise:

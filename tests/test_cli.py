@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -270,8 +271,6 @@ class TestDecomposeCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        # a plan this small runs serially unless the pool threshold is lowered
-        monkeypatch.setattr(decomposition, "POOL_MIN_LOGITS", 0)
         outs = []
         for threads, tag in (("1", "t1"), ("4", "t4")):
             monkeypatch.setenv("MHA_NW_LAB_THREADS", threads)
@@ -449,6 +448,24 @@ class TestDecomposeCommand:
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert not (out / "config.json").exists()
         assert not (out / ".lock").exists()
+
+    def test_killed_replicate_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        caller, draw = os.getpid(), decomposition.sample_dataset
+
+        def killed_in_workers(task, n, seed):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return draw(task, n, seed)
+
+        monkeypatch.setattr(decomposition, "sample_dataset", killed_in_workers)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        assert "killed by signal 9 (Killed)" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):   # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_nothing_written_while_computing(self, tmp_path, monkeypatch):
         out = tmp_path / "run"

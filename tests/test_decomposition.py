@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from mha_nw_lab.decomposition import (
     theoretical_bias_variance,
     weighting_compare,
 )
-from mha_nw_lab.errors import NeedsTwoHeads, ShapeMismatch
+from mha_nw_lab.errors import LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
 from mha_nw_lab.mha import make_weights
 from mha_nw_lab.nw_attention import HeadConfig, attend, attend_many
 from mha_nw_lab.synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
@@ -193,15 +196,15 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.mse_replicates, b.mse_replicates)
 
     def test_thread_counts_do_not_change_results(self, quad_task, monkeypatch):
-        # a plan this small runs serially unless the pool threshold is lowered
-        monkeypatch.setattr(decomposition, "POOL_MIN_LOGITS", 0)
         plan = quick_plan(quad_task, n=100, R=40, Q=8, master=98)
         monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
         a = mc_decompose(plan)
-        monkeypatch.setenv("MHA_NW_LAB_THREADS", "4")
-        b = mc_decompose(plan)
-        assert a.mse_direct == b.mse_direct
-        np.testing.assert_array_equal(a.cross_cov, b.cross_cov)
+        for workers in ("2", "4"):
+            monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)
+            b = mc_decompose(plan)
+            assert a.mse_direct == b.mse_direct
+            np.testing.assert_array_equal(a.cross_cov, b.cross_cov)
+            np.testing.assert_array_equal(a.mse_replicates, b.mse_replicates)
 
 
 class TestWorkerCount:
@@ -250,6 +253,8 @@ class TestReplicateEngine:
 
     @staticmethod
     def counting(monkeypatch, name, fn):
+        # one worker: calls made in a forked worker are not seen by this process
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
         calls = []
 
         def wrapper(*args, **kwargs):
@@ -384,6 +389,109 @@ class TestReplicateFailure:
         err = excinfo.value
         assert err.replicate == 0
         assert 0 <= err.head < 2 and 0 <= err.query < 4
+
+
+class TestWorkerProcesses:
+    """Replicate blocks after the first run in forked children: their failures
+    raise in the caller as the serial loop raises them, and no child outlives
+    the call."""
+
+    @staticmethod
+    def heads(task):
+        return TestReplicateEngine.head_sets(task)[1]
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def in_children(monkeypatch, action):
+        """Run ``action`` before every draw made in a forked worker."""
+        caller = os.getpid()
+
+        def draw(task, n, seed):
+            if os.getpid() != caller:
+                action()
+            return sample_dataset(task, n, seed)
+
+        monkeypatch.setattr(decomposition, "sample_dataset", draw)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3", "4"])
+    def test_nonfinite_estimate_in_a_child_names_the_lowest_replicate(
+            self, quad_task, monkeypatch, workers):
+        # R = 6: replicates 3 and 5 lie in children's blocks at every worker
+        # count above 1, and in different children at 3 and 4 workers
+        bad = {derive_seed(21, "data", r) for r in (3, 5)}
+
+        def draw(task, n, seed):
+            data = sample_dataset(task, n, seed)
+            if seed in bad:
+                xs = data.xs.copy()
+                xs[7] = np.nan
+                data = dataclasses.replace(data, xs=xs)
+            return data
+
+        monkeypatch.setattr(decomposition, "sample_dataset", draw)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)
+        with pytest.raises(ReplicateFailure,
+                           match="non-finite head estimate at replicate 3, head 0, query 0"
+                           ) as excinfo:
+            _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        err = excinfo.value
+        assert (err.replicate, err.head, err.query) == (3, 0, 0)
+        self.assert_no_child_left()
+
+    def test_a_child_killed_by_a_signal_raises_lab_error(self, quad_task, monkeypatch):
+        self.in_children(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
+        with pytest.raises(LabError,
+                           match=r"replicates 3 to 5 was killed by signal 9 \(Killed\)"):
+            _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        self.assert_no_child_left()
+
+    def test_an_error_in_a_child_raises_lab_error_with_its_traceback(self, quad_task,
+                                                                     monkeypatch, capfd):
+        def fail():
+            raise MemoryError("out of memory in a worker")
+
+        self.in_children(monkeypatch, fail)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
+        with pytest.raises(LabError, match="replicates 3 to 5 exited with code 1"):
+            _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        assert "MemoryError: out of memory in a worker" in capfd.readouterr().err
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ReplicateFailure])
+    def test_a_failing_caller_kills_its_children(self, quad_task, monkeypatch, error):
+        caller = os.getpid()
+
+        def draw(task, n, seed):
+            if os.getpid() != caller:
+                time.sleep(60)
+            elif error is KeyboardInterrupt:
+                raise KeyboardInterrupt
+            data = sample_dataset(task, n, seed)
+            xs = data.xs.copy()
+            xs[0] = np.nan
+            return dataclasses.replace(data, xs=xs)
+
+        monkeypatch.setattr(decomposition, "sample_dataset", draw)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "4")
+        start = time.monotonic()
+        with pytest.raises(error):
+            _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        assert time.monotonic() - start < 30
+        self.assert_no_child_left()
+
+    def test_serial_while_another_thread_runs(self, quad_task, monkeypatch):
+        monkeypatch.setattr(decomposition.threading, "active_count", lambda: 2)
+        self.in_children(monkeypatch, lambda: os._exit(9))
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "4")
+        _, [(E, _)] = _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
+        _, [(E1, _)] = _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        np.testing.assert_array_equal(E, E1)
 
 
 class TestDegenerateScreen:
