@@ -10,7 +10,10 @@ the Nadaraya-Watson estimator with bandwidth 1/sqrt(d_k): larger d_k, sharper
 kernel.  ``attend_many`` runs one head on every prefix xs[:n] of a dataset in
 one pass over the column segments between sizes, merged by the online-softmax
 rescale (Milakov & Gimelshein, 2018; Dao et al., 2022).  A logit row is shifted
-by its max only where exp could overflow or underflow.  As max w =
+by its max only where exp could overflow or underflow.  A d_k = 1 row's max is
+q times the largest key if q >= 0, else times the smallest, so it reads the ends
+of the keys, not the row.  One product e @ [v, 1] gives e.v and the row sum s
+as its two columns, so after exp the block is read once.  As max w =
 e^(max - shift) / s, a row's entropy is at least log s + shift - max, and only
 rows where that is below 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
@@ -87,10 +90,12 @@ class AttentionOutput:
 def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None,
                 return_weights: bool = False):
     """Estimates of one head at Q query points on each prefix ``data.xs[:n]``,
-    n in the ascending ``sizes``, fused as in the module doc: the (len(sizes), Q)
-    estimates and per-size counts of rows with entropy below
-    DEGENERATE_ENTROPY_NATS.  Without ``sizes`` (n = data.n), the (Q,) estimates
-    and an int, then the Q x n weights e / s if ``return_weights`` (for ``attend``).
+    n in the ascending ``sizes``, fused as in the module doc (per segment: the
+    logit block, its row max unless d_k = 1, exp in place, and one product with
+    [v, 1] for e.v and the row sum): the (len(sizes), Q) estimates and per-size
+    counts of rows with entropy below DEGENERATE_ENTROPY_NATS.  Without ``sizes``
+    (n = data.n), the (Q,) estimates and an int, then the Q x n weights e / s if
+    ``return_weights`` (for ``attend``).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != head.p or data.p != head.p:
@@ -104,21 +109,29 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
     if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
         raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")
     q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, bandwidth folded in
-    # keys and values per segment, so the first prefix rounds as a one-size call
+    # keys and values per segment, so the first prefix rounds as a one-size call;
+    # a segment's values fill column 0 of [v, 1], so e @ [v, 1] is (e.v, s) at once
     k = np.empty((bounds[-1], head.d_k))
+    vs = np.ones((bounds[-1], 2), order="F")
     estimates, degenerate = np.empty((len(bounds), q.shape[0])), np.zeros(len(bounds), int)
     for j, (start, stop) in enumerate(zip([0] + bounds, bounds)):
         k_j = np.matmul(data.xs[start:stop], head.wk.a, out=k[start:stop])
-        # Q x segment logits; BLAS with inner dimension 1 is ~6x slower than broadcasting
-        e = q * k_j.T if head.d_k == 1 else q @ k_j.T
-        top_j = e.max(axis=1)
+        np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
+        if head.d_k == 1:
+            # BLAS with inner dimension 1 is ~6x slower than broadcasting; rounding
+            # is monotone, so a row's max is q times the key at the matching end
+            e = q * k_j.T
+            top_j = np.where(q[:, 0] >= 0.0, q[:, 0] * k_j.max(), q[:, 0] * k_j.min())
+        else:
+            e = q @ k_j.T
+            top_j = e.max(axis=1)
         far = np.abs(top_j) > _RAW_LOGIT_MAX
         shift_j = 0.0
         if far.any():
             shift_j = np.where(far, top_j, 0.0)
             e[far] -= top_j[far, None]
         np.exp(e, out=e)
-        s_j, ev_j = e.sum(axis=1), e @ (data.xs[start:stop] @ head.wv)
+        ev_j, s_j = (e @ vs[start:stop]).T
         if j == 0:
             shift, s, ev, top = shift_j, s_j, ev_j, top_j
         else:   # rescale to the larger shift; both factors are 1 where neither side shifts

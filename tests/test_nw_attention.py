@@ -282,6 +282,59 @@ class TestFusedKernel:
             assert np.all(weights >= 0.0)
             assert abs(weights.sum() - 1.0) <= 1e-15
 
+    def test_constant_values_give_exactly_one(self):
+        # every value is 1 (wv reads coordinate 0, fixed at 1, which no logit
+        # reads), so e.v and s are the same sum; one product gives both, bit for bit
+        rng = np.random.default_rng(41)
+        count = 0
+        for trial in range(200):
+            p = int(rng.integers(2, 6))
+            d_k = int(rng.integers(1, 4))
+            gain = 10.0 ** rng.uniform(0.0, 2.0)
+            wq = np.vstack([np.zeros(d_k), gain * rng.standard_normal((p - 1, d_k))])
+            wk = np.vstack([np.zeros(d_k), rng.standard_normal((p - 1, d_k))])
+            head = HeadConfig(wq=Matrix(wq), wk=Matrix(wk), wv=np.eye(p)[0])
+            n = int(rng.integers(1, 300))
+            xs = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+            sizes = np.unique(rng.integers(1, n + 1, size=3))
+            estimates, _ = attend_many(head, rng.standard_normal((16, p)), make_data(xs), sizes)
+            assert np.all(estimates == 1.0), (trial, estimates[estimates != 1.0])
+            count += estimates.size
+        assert count > 5000
+
+    def test_rank_one_row_max_from_the_key_ends(self):
+        # d_k = 1: a row's max logit is q times the largest key where q >= 0 and
+        # the smallest where q < 0; the key extremes sit at the first and last
+        # rows, and logits reach past +-600 within a segment and across segments
+        rng = np.random.default_rng(43)
+        head = HeadConfig(wq=Matrix([[1.0], [0.0], [0.0]]), wk=Matrix([[1.0], [0.0], [0.0]]),
+                          wv=np.array([0.0, 1.0, -2.0]))
+        signs = np.array([1.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0, -1.0])
+        entropies = []
+        for trial in range(120):
+            n = int(rng.integers(2, 80))
+            keys = rng.standard_normal(n) + (3.0 * rng.standard_normal() if trial % 2 else 0.0)
+            top, bottom = (0, n - 1) if trial % 4 < 2 else (n - 1, 0)
+            keys[top], keys[bottom] = keys.max() + 0.5, keys.min() - 0.5
+            xs = np.column_stack([keys, rng.standard_normal((n, 2))])
+            gains = 10.0 ** rng.uniform(0.0, 2.7, size=signs.size)
+            queries = np.column_stack([signs * gains, rng.standard_normal((signs.size, 2))])
+            sizes = np.unique(np.append(rng.integers(1, n + 1, size=2), n))
+            estimates, degenerate = attend_many(head, queries, make_data(xs), sizes)
+            for j, m in enumerate(sizes):
+                entropy = full_entropy(head, queries, xs[:m])
+                assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+                entropies.append(entropy)
+                for i, q in enumerate(queries[:, 0]):
+                    logits = q * xs[:m, 0]
+                    if abs(logits.max()) > 600.0:   # past the oracle's raw exp range
+                        logits = logits - logits.max()
+                    expected = nw_reference(logits, xs[:m] @ head.wv)
+                    assert estimates[j, i] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        entropy = np.concatenate(entropies)
+        assert np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS) > 100
+        assert np.count_nonzero(entropy > 1.0) > 100
+
 
 class TestBandwidthConcentration:
     def test_entropy_nonincreasing_in_dk_on_replicated_1d_family(self):
