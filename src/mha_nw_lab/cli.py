@@ -12,7 +12,9 @@ result dataclass (``_fields``), plus a ``gates`` map ``{name: ok}`` made from
 the verdicts that ``_publish`` prints as ``GATE`` lines.  Exit codes: 0
 success, 1 usage or data error, 2 scientific-gate failure.  The fields a
 subcommand reads are its schema: each is type-checked, and any other field
-exits 1, named, before any Monte-Carlo work.
+exits 1, named, before any Monte-Carlo work.  A config holds experiment
+inputs only: each gate is one of the paper's claims at a fixed tolerance, and
+which gates apply follows from the run itself.
 
 Concurrent invocations must target distinct output directories; a lock
 file inside the directory, holding the writer's pid, guards the write phase.
@@ -36,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arch_search import enumerate_allocations, scaling_trend
+from . import decomposition
+from .arch_search import scaling_trend
 from .decomposition import (
     ExperimentPlan,
     FamilySpec,
@@ -51,16 +54,12 @@ from .errors import ConfigError, Infeasible, LabError
 from .mha import make_weights
 from .synthetic import make_task
 
-DEFAULT_GATES = {
-    "residual_sigma": 4.0,        # identity residual vs propagated stderr
-    "cov_sigma": 4.0,             # orthogonal-pair covariance vs stderr
-    "spearman_max": -0.8,         # diversity sweep rank correlation
-    "endpoint_sigma": 4.0,        # paired mse(mix=0) - mse(mix=1) significance
-    "weighting_sigma": 2.0,       # geometric-vs-uniform significance
-    "optimizer_objective": 1e-8,  # final pairwise Gram mass
-    "arch_interior": True,        # strict interior argmin at the largest n
-    "arch_nondecreasing": True,   # d_k* non-decreasing in n
-}
+# gate tolerances; weights-compare's is decomposition.WEIGHTING_SIGMA
+RESIDUAL_SIGMA = 4.0        # identity residual vs propagated stderr
+COV_SIGMA = 4.0             # cross-head covariance vs its stderr
+SPEARMAN_MAX = -0.8         # diversity sweep rank correlation
+ENDPOINT_SIGMA = 4.0        # paired mse(mix=0) - mse(mix=1) significance
+OPTIMIZER_OBJECTIVE = 1e-8  # final pairwise Gram mass
 
 _REQUIRED = object()
 _KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
@@ -119,14 +118,15 @@ class Config(dict):
         raise ConfigError(f"config missing required field: {field}{has}")
 
     def reject_unread(self) -> None:
-        """Raise a ConfigError naming every field no read asked for."""
+        """Raise a ConfigError naming every field no read asked for, down to
+        the leaves of a section that was never read."""
         def unread(section: dict, prefix: str):
             for key, value in section.items():
                 name = prefix + key
-                if name not in self.fields_read:
-                    yield name
-                elif isinstance(value, dict):
+                if isinstance(value, dict) and value:
                     yield from unread(value, name + ".")
+                elif name not in self.fields_read:
+                    yield name
 
         names = sorted(unread(self, ""))
         if names:
@@ -188,11 +188,6 @@ def _build_plan(config: Config, reads_mix: bool = True,
         n=config.read("n", int), R=config.read("R", int), Q=config.read("Q", int),
         master_seed=config.read("master_seed", int),
     )
-
-
-def _gates(config: Config, *names: str) -> dict:
-    return {name: config.read(f"gates.{name}", type(DEFAULT_GATES[name]), DEFAULT_GATES[name])
-            for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +348,10 @@ def _publish(out: Path | None, config: Config | None, header: list[str], rows,
 
 def cmd_decompose(config: Config, out: Path) -> int:
     plan = _build_plan(config)
-    gates = _gates(config, "residual_sigma", "cov_sigma")
     config.reject_unread()
     report = mc_decompose(plan)
     residual_limit = max(
-        gates["residual_sigma"] * report.stderr["identity_residual"],
+        RESIDUAL_SIGMA * report.stderr["identity_residual"],
         noise_floor(report.mse_direct),
     )
     ok = report.identity_residual <= residual_limit
@@ -377,17 +371,18 @@ def cmd_decompose(config: Config, out: Path) -> int:
     verdicts = [("identity_residual", ok,
                  f"residual {report.identity_residual:.3e} vs limit {residual_limit:.3e}")]
     # constructively orthogonal families must show vanishing cross-head
-    # covariance; identical families must show covariance equal to the
-    # per-head variance
-    mix = plan.projection.mix
-    if mix in (0.0, 1.0) and H > 1:
+    # covariance; identical heads (mix 0, no value noise) must show covariance
+    # equal to the per-head variance
+    spec = plan.projection
+    identical = spec.mix == 0.0 and not any(spec.noise_scales or ())
+    if (identical or spec.mix == 1.0) and H > 1:
         floor = noise_floor(report.mse_direct)
-        worst = max(abs(report.cross_cov[h, h2] - (report.per_head_var[h] if mix == 0.0 else 0.0))
+        worst = max(abs(report.cross_cov[h, h2] - (report.per_head_var[h] if identical else 0.0))
                     / max(report.cov_stderr[h, h2], floor) for h, h2 in pairs)
         verdicts.append((
-            "cov_equals_variance" if mix == 0.0 else "cov_vanishes",
-            worst <= gates["cov_sigma"],
-            f"worst pair {worst:.2f} sigma vs {gates['cov_sigma']:.1f}",
+            "cov_equals_variance" if identical else "cov_vanishes",
+            worst <= COV_SIGMA,
+            f"worst pair {worst:.2f} sigma vs {COV_SIGMA:.1f}",
         ))
     return _publish(
         out, config,
@@ -419,16 +414,15 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
 
 def cmd_sweep_hdi(config: Config, out: Path) -> int:
     plan = _build_plan(config, reads_mix=False)
-    gates = _gates(config, "spearman_max", "endpoint_sigma")
     mix_grid = config.read("mix_grid", [float])
     config.reject_unread()
     result = hdi_sweep(plan, mix_grid)
-    ok_spearman = result.spearman <= gates["spearman_max"]
-    limit = gates["endpoint_sigma"] * result.endpoint_diff_stderr
+    ok_spearman = result.spearman <= SPEARMAN_MAX
+    limit = ENDPOINT_SIGMA * result.endpoint_diff_stderr
     ok_endpoint = result.endpoint_diff > limit
     payload = {"command": "sweep-hdi", "master_seed": plan.master_seed, **_fields(result)}
     verdicts = [("spearman", ok_spearman,
-                 f"rho = {result.spearman:.3f} vs max {gates['spearman_max']}"),
+                 f"rho = {result.spearman:.3f} vs max {SPEARMAN_MAX}"),
                 ("endpoint_diff", ok_endpoint,
                  f"diff = {result.endpoint_diff:.4e} vs {limit:.4e}")]
     return _publish(out, config, ["mix", "hdi", "hdi_normalized", "mse", "stderr"],
@@ -437,23 +431,23 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
 
 def cmd_weights_compare(config: Config, out: Path) -> int:
     plan = _build_plan(config, reads_weights=False)
-    gates = _gates(config, "weighting_sigma")
     rho_grid = config.read("rho_grid", [float])
     config.reject_unread()
-    # expected verdict follows the construction: heterogeneous value
-    # noise -> geometric should win; identical heads -> it must not
+    # expected verdict follows the construction: heads of unequal value
+    # noise -> geometric should win; heads of equal quality -> it must not
     spec = plan.projection
-    if not spec.noise_scales and spec.mix != 0.0:
+    unequal = len(set(spec.noise_scales or ())) > 1
+    if not unequal and spec.mix != 0.0:
         raise ConfigError("config field projection.mix must be 0 when projection.noise_scales "
-                          f"is unset, or weights-compare has no gate; got {spec.mix}")
-    result = weighting_compare(plan, rho_grid, gates["weighting_sigma"])
+                          f"is unset or all equal, or weights-compare has no gate; got {spec.mix}")
+    result = weighting_compare(plan, rho_grid)
     payload = {"command": "weights-compare", "master_seed": plan.master_seed,
                **_fields(result)}
-    if spec.noise_scales:
+    if unequal:
         ok = result.geometric_beats_uniform
         verdicts = [("geometric_beats_uniform", ok,
                      f"margin {result.best_margin_sigmas:.2f} sigma vs "
-                     f"{gates['weighting_sigma']:.1f} required")]
+                     f"{decomposition.WEIGHTING_SIGMA:.1f} required")]
     else:
         ok = not result.geometric_beats_uniform
         verdicts = [("uniform_not_beaten", ok,
@@ -469,7 +463,6 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
 
 def cmd_sweep_arch(config: Config, out: Path) -> int:
     task = _build_task(config)
-    gates = _gates(config, "arch_interior", "arch_nondecreasing")
     D = config.read("budget_D", int)
     R = config.read("R", int)
     Q = config.read("Q", int)
@@ -477,15 +470,6 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     query_gain = config.read("projection.query_gain", float, 9.0)
     n_grid = config.read("n_grid", [int])
     config.reject_unread()
-    if not (gates["arch_interior"] or gates["arch_nondecreasing"]):
-        raise ConfigError("config fields gates.arch_interior and gates.arch_nondecreasing "
-                          "are both false, so sweep-arch has no gate")
-    # a budget outside 1..p is left to scaling_trend, which names budget_D
-    if (gates["arch_interior"] and 1 <= D <= task.p
-            and {d_k for _, d_k in enumerate_allocations(D)} <= {1, D}):
-        raise ConfigError(f"config field gates.arch_interior must be false for budget_D = {D}, "
-                          "which has no divisor strictly between 1 and D, so no allocation "
-                          "is interior")
     trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
     sweeps = trend.sweeps
     rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
@@ -493,13 +477,11 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
     largest = max(sweeps)
     final = sweeps[largest]
     payload = {"command": "sweep-arch", "master_seed": seed, "budget_D": D, **_fields(trend)}
-    verdicts = []
-    if gates["arch_nondecreasing"]:
-        verdicts.append(("dk_nondecreasing", trend.nondecreasing,
-                         f"d_k* sequence {[r[1] for r in trend.rows]}"))
-    if gates["arch_interior"]:
-        interior = final.argmin_dk not in (1, D)
-        verdicts.append(("interior_argmin", interior,
+    verdicts = [("dk_nondecreasing", trend.nondecreasing,
+                 f"d_k* sequence {[r[1] for r in trend.rows]}")]
+    # only a budget with a divisor strictly between 1 and D has an interior allocation
+    if any(1 < row.d_k < D for row in final.rows):
+        verdicts.append(("interior_argmin", final.argmin_dk not in (1, D),
                          f"argmin d_k = {final.argmin_dk} at n = {largest}"))
     lines = [f"n = {n}: argmin (H, d_k) = ({sweep.argmin_H}, {sweep.argmin_dk})"
              + ("  [flat]" if sweep.flat else "") for n, sweep in sweeps.items()]
@@ -509,29 +491,20 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
 
 def cmd_optimize_proj(config: Config, out: Path) -> int:
     p = config.read("task.p", int)
-    gates = _gates(config, "optimizer_objective")
     d_k = config.read("projection.d_k", int)
     H = config.read("projection.H", int)
     seed = config.read("master_seed", int)
     if seed < 0:   # seeds the generator directly, not through derive_seed
         raise ConfigError(f"config field master_seed must be nonnegative for optimize-proj, "
                           f"got {seed}")
-    steps = config.read("optimizer.steps", int, 5000)
-    if steps < 1:
-        raise ConfigError(f"config field optimizer.steps must be >= 1, got {steps}")
-    step_size = config.read("optimizer.step_size", float, 1.0)
-    if step_size <= 0.0:
-        raise ConfigError(f"config field optimizer.step_size must be > 0, got {step_size}")
     config.reject_unread()
-    proj, trace = optimize_projections(
-        p=p, d_k=d_k, H=H, seed=seed, steps=steps, step_size=step_size,
-    )
+    _, trace = optimize_projections(p=p, d_k=d_k, H=H, seed=seed)
     final = trace[-1]
-    ok = final <= gates["optimizer_objective"]
+    ok = final <= OPTIMIZER_OBJECTIVE
     payload = {"command": "optimize-proj", "master_seed": seed, "final_objective": final,
                "steps_accepted": len(trace) - 1}
     verdict = ("optimizer_objective", ok,
-               f"final J = {final:.3e} vs {gates['optimizer_objective']:.1e}")
+               f"final J = {final:.3e} vs {OPTIMIZER_OBJECTIVE:.1e}")
     return _publish(out, config, ["step", "objective"], list(enumerate(trace)),
                     payload, [verdict])
 

@@ -534,6 +534,10 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
                           endpoint_diff_stderr=diff_se)
 
 
+#: paired standard errors by which a geometric scheme must beat uniform
+WEIGHTING_SIGMA = 2.0
+
+
 @dataclass(frozen=True)
 class WeightingCompareResult:
     """Scheme comparison rows plus the dominance verdict."""
@@ -547,14 +551,13 @@ class WeightingCompareResult:
     best_margin_sigmas: float
 
 
-def weighting_compare(plan: ExperimentPlan, rho_grid,
-                      sigma: float = 2.0) -> WeightingCompareResult:
+def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
     """Uniform vs Fibonacci vs geometric weighting under shared randomness.
 
     Heads are pre-ordered best first by per-head integrated MSE from a
     pilot run on an independent seed domain; every scheme then reweights
     the same head-estimate tensor, so scheme contrasts are paired; geometric
-    beats uniform by more than ``sigma`` paired standard errors or not.
+    beats uniform by more than ``WEIGHTING_SIGMA`` paired standard errors or not.
     """
     rho_grid = [float(r) for r in rho_grid]
     if not rho_grid:
@@ -587,7 +590,7 @@ def weighting_compare(plan: ExperimentPlan, rho_grid,
         rows.append((name, rho, mse, report.stderr["mse_direct"], diff, diff_se))
         if mse < best[2] - floor:
             best = (name, rho, mse)
-        if name == "geometric" and diff < -max(sigma * diff_se, floor):
+        if name == "geometric" and diff < -max(WEIGHTING_SIGMA * diff_se, floor):
             beats = True
             margin = max(margin, -diff / diff_se if diff_se > 0.0 else float("inf"))
     spread = float(base.per_head_var.max() - base.per_head_var.min())

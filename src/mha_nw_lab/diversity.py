@@ -205,23 +205,28 @@ def projection_gradient(wks: list[np.ndarray], d_k: int) -> list[np.ndarray]:
     return grads
 
 
+#: step budget, first step size, and the objective at which the descent stops
+OPTIMIZER_STEPS = 5000
+OPTIMIZER_STEP_SIZE = 1.0
+OPTIMIZER_TOL = 1e-12
+
+
 def optimize_projections(
     p: int,
     d_k: int,
     H: int,
     seed: int,
-    steps: int = 5000,
-    step_size: float = 1.0,
-    tol: float = 1e-12,
     initial: ProjectionSet | None = None,
 ) -> tuple[ProjectionSet, list[float]]:
     """Projected gradient descent toward mutually orthogonal key frames.
 
     Each accepted step moves along the sphere-tangent component of the
     analytic gradient and renormalizes to unit Frobenius norm; rejected
-    steps halve the step size.  The returned trace is the accepted-step
-    objective sequence (non-increasing).  Ten consecutive rejections with
-    the objective still above 1e-10 raise OptimizationStalled.
+    steps halve the step size.  The descent stops after ``OPTIMIZER_STEPS``
+    steps or once the objective is at most ``OPTIMIZER_TOL``.  The returned
+    trace is the accepted-step objective sequence (non-increasing).  Ten
+    consecutive rejections with the objective still above 1e-10 raise
+    OptimizationStalled.
     """
     if H * d_k > p:
         raise Infeasible(f"optimize_projections needs H*d_k <= p, got {H}*{d_k} > {p}")
@@ -240,11 +245,11 @@ def optimize_projections(
             wks.append(w / np.linalg.norm(w))
 
     trace = [projection_objective(wks, d_k)]
-    lr = float(step_size)
+    lr = OPTIMIZER_STEP_SIZE
     consecutive_rejects = 0
-    for _ in range(steps):
+    for _ in range(OPTIMIZER_STEPS):
         current = trace[-1]
-        if current <= tol:
+        if current <= OPTIMIZER_TOL:
             break
         grads = projection_gradient(wks, d_k)
         candidate = []

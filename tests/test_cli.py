@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mha_nw_lab import arch_search, cli, decomposition
+from mha_nw_lab import arch_search, cli, decomposition, diversity
 from mha_nw_lab.diversity import DiversityReport
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -40,7 +41,6 @@ def small_config(command, out_dir):
         task = {"family": "sine_mixture", "p": 8, "input_law": "gaussian"}
         return {"version": 1, "task": task, "budget_D": 7,
                 "n_grid": [50, 100, 200], "R": 20, "Q": 8, "master_seed": 3,
-                "gates": {"arch_interior": False, "arch_nondecreasing": True},
                 "output_dir": str(out_dir)}
     if command == "optimize-proj":
         return {"version": 1, "task": {"p": 8}, "projection": {"d_k": 2, "H": 4},
@@ -54,6 +54,18 @@ def small_config(command, out_dir):
         config["rho_grid"] = [0.5, 1.0]
         config["projection"]["mix"] = 0.0   # identical heads: the uniform-not-beaten gate
     return config
+
+
+#: the gate tolerances and optimizer controls a config could once set; every
+#: subcommand now rejects them as fields it does not read
+FORMER_SETTINGS = {
+    "gates": {"residual_sigma": 4.0, "cov_sigma": 4.0, "spearman_max": -0.8,
+              "endpoint_sigma": 4.0, "weighting_sigma": 2.0, "optimizer_objective": 1e-8,
+              "arch_interior": True, "arch_nondecreasing": True},
+    "optimizer": {"steps": 5000, "step_size": 1.0},
+}
+FORMER_NAMES = ", ".join(sorted(f"{section}.{key}" for section, fields in FORMER_SETTINGS.items()
+                                for key in fields))
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -117,13 +129,13 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, edit", [
         ("n", lambda c: c.update(n="abc")),
-        ("gates.residual_sigma", lambda c: c.update(gates={"residual_sigma": "4"})),
+        ("projection.mix", lambda c: c["projection"].update(mix=True)),
         ("R", lambda c: c.update(R=2.9)),
         ("projection.query_gain", lambda c: c["projection"].update(query_gain=float("nan"))),
         ("projection.query_gain", lambda c: c["projection"].update(query_gain=10**400)),
         ("projection.noise_scales[1]",
          lambda c: c["projection"].update(noise_scales=[0.0, "1", 2.0, 3.0])),
-    ], ids=["n-text", "gate-text", "R-fraction", "query-gain-nan", "query-gain-huge-int",
+    ], ids=["n-text", "mix-bool", "R-fraction", "query-gain-nan", "query-gain-huge-int",
             "noise-scale-text"])
     def test_mistyped_field_named_before_any_output(self, tmp_path, capsys, field, edit):
         config = small_decompose_config(tmp_path / "out")
@@ -135,8 +147,6 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command, edit, fragment", [
         ("decompose", lambda c: c.update(rho_grid=[0.5, 1.0]), "subcommand: rho_grid"),
-        ("decompose", lambda c: c.update(gates={"spearman_max": -0.8}),
-         "subcommand: gates.spearman_max"),
         ("decompose", lambda c: c["weights"].update(rho=0.5), "subcommand: weights.rho"),
         ("sweep-arch", lambda c: c.update(projection={"H": 4}), "subcommand: projection.H"),
         ("sweep-arch", lambda c: c.update(n=100), "subcommand: n"),
@@ -176,12 +186,9 @@ class TestConfigValidation:
          "mix_grid must hold 0.0 and 1.0"),
         ("weights-compare", lambda c: c["projection"].update(mix=0.5),
          "config field projection.mix must be 0 when projection.noise_scales is unset"),
-        ("sweep-arch", lambda c: c["gates"].update(arch_nondecreasing=False),
-         "config fields gates.arch_interior and gates.arch_nondecreasing are both false"),
-        ("sweep-arch", lambda c: c["gates"].update(arch_interior=True),
-         "config field gates.arch_interior must be false for budget_D = 7"),
-        ("sweep-arch", lambda c: (c.update(budget_D=1), c["gates"].update(arch_interior=True)),
-         "config field gates.arch_interior must be false for budget_D = 1"),
+        ("weights-compare", lambda c: c["projection"].update(mix=1.0, noise_scales=[1.0] * 4),
+         "config field projection.mix must be 0 when projection.noise_scales is unset or all "
+         "equal"),
         ("decompose", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
         ("sweep-arch", lambda c: c["task"].update(heteroscedastic=True),
          "subcommand: task.heteroscedastic"),
@@ -197,15 +204,11 @@ class TestConfigValidation:
         ("sweep-arch", lambda c: c["task"].update(family="radial"),
          "task.family and task.input_law give a task with no linear component "
          "(radial under the gaussian law)"),
-        ("optimize-proj", lambda c: c.update(optimizer={"steps": 0}),
-         "config field optimizer.steps must be >= 1, got 0"),
-        ("optimize-proj", lambda c: c.update(optimizer={"steps": -3}),
-         "config field optimizer.steps must be >= 1, got -3"),
-        ("optimize-proj", lambda c: c.update(optimizer={"step_size": 0}),
-         "config field optimizer.step_size must be > 0, got 0.0"),
-        ("optimize-proj", lambda c: c.update(optimizer={"step_size": -1.0}),
-         "config field optimizer.step_size must be > 0, got -1.0"),
-    ], ids=["decompose-rho-grid", "decompose-foreign-gate", "uniform-weights-rho",
+        *[(command, lambda c: c.update(copy.deepcopy(FORMER_SETTINGS)),
+           f"subcommand: {FORMER_NAMES}")
+          for command in ("decompose", "sweep-hdi", "weights-compare", "sweep-arch",
+                          "optimize-proj")],
+    ], ids=["decompose-rho-grid", "uniform-weights-rho",
             "arch-projection-H", "arch-n-and-n-grid", "optimize-R", "weight-file",
             "value-mode", "mix-grid-range", "rho-grid-range", "compare-weights-kind",
             "hdi-projection-mix", "optimize-task-sigma", "arch-budget-zero",
@@ -213,12 +216,12 @@ class TestConfigValidation:
             "optimize-negative-seed", "mix-grid-one", "mix-grid-empty", "rho-grid-empty",
             "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
             "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate",
-            "arch-no-gate", "arch-interior-prime-budget", "arch-interior-budget-1",
-            "task-sigma", "task-heteroscedastic", "arch-zero-skeleton",
+            "compare-equal-scales-mix-1", "task-sigma", "task-heteroscedastic",
+            "arch-zero-skeleton",
             "arch-zero-skeleton-uniform-quadratic", "arch-zero-skeleton-uniform-radial",
-            "arch-zero-skeleton-gaussian-radial", "optimize-steps-zero",
-            "optimize-steps-negative", "optimize-step-size-zero",
-            "optimize-step-size-negative"])
+            "arch-zero-skeleton-gaussian-radial", "decompose-former-settings",
+            "hdi-former-settings", "compare-former-settings", "arch-former-settings",
+            "optimize-former-settings"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
                                                                monkeypatch, command, edit,
                                                                fragment):
@@ -495,12 +498,11 @@ class TestDecomposeCommand:
             tables.append((out / "table.csv").read_bytes())
         assert tables[0] == tables[1]
 
-    def test_gate_failure_exits_2(self, tmp_path, capsys):
+    def test_gate_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # an unattainable rank-correlation gate forces the failure path
+        monkeypatch.setattr(cli, "SPEARMAN_MAX", -1.01)
         out = tmp_path / "run"
-        config = small_config("sweep-hdi", out)
-        config["gates"] = {"spearman_max": -1.01}
-        path = write_config(tmp_path, config)
+        path = write_config(tmp_path, small_config("sweep-hdi", out))
         assert cli.main(["sweep-hdi", "--config", str(path)]) == 2
         report = json.loads((out / "report.json").read_text())
         assert report["gates"]["spearman"] is False
@@ -661,24 +663,20 @@ class TestOtherCommands:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["final_objective"] <= 1e-8
 
-    def test_sweep_arch_prime_budget_two_rows(self, tmp_path, capsys):
-        config = {
-            "version": 1,
-            "task": {"family": "sine_mixture", "p": 8, "input_law": "gaussian"},
-            "budget_D": 7,
-            "n_grid": [50, 100, 200], "R": 20, "Q": 8,
-            "master_seed": 3,
-            "gates": {"arch_interior": False, "arch_nondecreasing": True},
-            "output_dir": str(tmp_path / "out"),
-        }
+    @pytest.mark.parametrize("budget, allocations", [
+        (7, [("7", "1"), ("1", "7")]), (1, [("1", "1")])], ids=["prime", "one"])
+    def test_sweep_arch_budget_without_interior_runs_one_gate(self, tmp_path, capsys, budget,
+                                                              allocations):
+        # no divisor strictly between 1 and budget_D, so no allocation is interior
+        config = small_config("sweep-arch", tmp_path / "out")
+        config["budget_D"] = budget
         path = write_config(tmp_path, config)
         assert cli.main(["sweep-arch", "--config", str(path)]) == 0
-        assert "GATE dk_nondecreasing: PASS" in capsys.readouterr().out
+        assert printed_gates(capsys.readouterr().out) == {"dk_nondecreasing": True}
         with open(tmp_path / "out" / "table.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        # (7, 1) and (1, 7) at each n
         assert [(r["n"], r["H"], r["d_k"]) for r in rows] == [
-            (n, H, d_k) for n in ("50", "100", "200") for H, d_k in (("7", "1"), ("1", "7"))]
+            (n, H, d_k) for n in ("50", "100", "200") for H, d_k in allocations]
 
     def test_flat_sweep_still_evaluates_the_interior_gate(self, tmp_path, capsys, monkeypatch):
         trend = cli.scaling_trend
@@ -690,11 +688,12 @@ class TestOtherCommands:
 
         monkeypatch.setattr(cli, "scaling_trend", all_flat)
         config = small_config("sweep-arch", tmp_path / "out")
-        config.update(budget_D=8, gates={"arch_interior": True, "arch_nondecreasing": False})
+        config["budget_D"] = 8
         code = cli.main(["sweep-arch", "--config", str(write_config(tmp_path, config))])
         out = capsys.readouterr().out
-        assert "GATE interior_argmin: " in out and "[flat]" in out
-        assert code == (0 if "GATE interior_argmin: PASS" in out else 2)
+        gates = printed_gates(out)
+        assert set(gates) == {"dk_nondecreasing", "interior_argmin"} and "[flat]" in out
+        assert code == (0 if all(gates.values()) else 2)
 
     def test_sweep_hdi_gate_verdict_line(self, tmp_path, capsys):
         config = small_config("sweep-hdi", tmp_path / "out")
@@ -719,13 +718,64 @@ class TestOtherCommands:
         assert cli.main(["weights-compare", "--config", str(path)]) == 1
         assert "rho_grid" in capsys.readouterr().err
 
-    def test_weights_compare_honours_weighting_sigma(self, tmp_path, capsys):
+    def test_weights_compare_honours_weighting_sigma(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(decomposition, "WEIGHTING_SIGMA", 100.0)
         config = json.loads((CONFIG_DIR / "weights_compare_hetero.json").read_text())
         config["output_dir"] = str(tmp_path / "out")
-        config["gates"] = {"weighting_sigma": 100}
         path = write_config(tmp_path, config)
         assert cli.main(["weights-compare", "--config", str(path)]) == 2
-        assert "GATE geometric_beats_uniform: FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "GATE geometric_beats_uniform: FAIL" in out and "vs 100.0 required" in out
+
+    @pytest.mark.parametrize("scales, gate", [
+        (None, "uniform_not_beaten"), ([0.0] * 4, "uniform_not_beaten"),
+        ([1.0] * 4, "uniform_not_beaten"), ([0.0, 1.0, 2.0, 3.0], "geometric_beats_uniform"),
+    ], ids=["unset", "all-zero", "all-equal", "unequal"])
+    def test_weights_compare_gate_follows_whether_heads_differ_in_quality(
+            self, tmp_path, capsys, scales, gate):
+        # equal scales give heads of one quality, as unset scales do
+        config = small_config("weights-compare", tmp_path / "out")
+        config["task"].update(family="radial", p=12)
+        if scales is not None:
+            config["projection"].update(noise_scales=scales)
+        path = write_config(tmp_path, config)
+        code = cli.main(["weights-compare", "--config", str(path)])
+        gates = printed_gates(capsys.readouterr().out)
+        assert list(gates) == [gate]
+        assert code == (0 if gates[gate] else 2)
+
+    @pytest.mark.parametrize("mix, scales, gates", [
+        (0.0, None, {"identity_residual", "cov_equals_variance"}),
+        (0.0, [0.0] * 4, {"identity_residual", "cov_equals_variance"}),
+        (0.0, [1.0] * 4, {"identity_residual"}),
+        (0.0, [0.0, 1.0, 2.0, 3.0], {"identity_residual"}),
+        (1.0, [0.0, 1.0, 2.0, 3.0], {"identity_residual", "cov_vanishes"}),
+        (0.5, None, {"identity_residual"}),
+    ], ids=["identical", "all-zero-scales", "equal-scales", "unequal-scales",
+            "orthogonal-unequal-scales", "blend"])
+    def test_decompose_cov_gate_follows_the_heads(self, tmp_path, capsys, mix, scales, gates):
+        # covariance equals the per-head variance only for identical heads:
+        # value noise gives each head its own direction, even at equal scales
+        config = small_decompose_config(tmp_path / "out")
+        config["task"]["p"] = 12
+        config["projection"].update(mix=mix)
+        if scales is not None:
+            config["projection"].update(noise_scales=scales)
+        path = write_config(tmp_path, config)
+        code = cli.main(["decompose", "--config", str(path)])
+        printed = printed_gates(capsys.readouterr().out)
+        assert set(printed) == gates
+        assert code == (0 if all(printed.values()) else 2)
+
+    def test_stalled_optimizer_exits_1_with_no_output(self, tmp_path, capsys, monkeypatch):
+        # every candidate scores worse than the last, so each step is rejected
+        calls = iter(range(1, 1000))
+        monkeypatch.setattr(diversity, "projection_objective", lambda wks, d_k: float(next(calls)))
+        path = write_config(tmp_path, small_config("optimize-proj", tmp_path / "out"))
+        assert cli.main(["optimize-proj", "--config", str(path)]) == 1
+        assert "error: objective stuck at 1.000e+00 after 10 consecutive step rejections" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:

@@ -13,7 +13,7 @@ from mha_nw_lab.diversity import (
     projection_gradient,
     projection_objective,
 )
-from mha_nw_lab.errors import Infeasible, NeedsTwoHeads, WeightFileError
+from mha_nw_lab.errors import Infeasible, NeedsTwoHeads, OptimizationStalled, WeightFileError
 from mha_nw_lab.mha import ProjectionSet
 from mha_nw_lab.nw_attention import HeadConfig
 from mha_nw_lab.tensor_core import Matrix, qr_orthonormalize
@@ -307,6 +307,21 @@ class TestOptimizer:
     def test_infeasible(self):
         with pytest.raises(Infeasible):
             optimize_projections(4, 2, 4, seed=0)
+
+    def test_every_step_rejected_stalls_with_its_trace(self, monkeypatch):
+        # each candidate scores worse than the start, so every step is rejected
+        values = []
+
+        def rising(wks, d_k):
+            values.append(float(len(values) + 1))
+            return values[-1]
+
+        monkeypatch.setattr(diversity, "projection_objective", rising)
+        with pytest.raises(OptimizationStalled, match="after 10 consecutive step rejections") \
+                as stalled:
+            optimize_projections(8, 2, 4, seed=0)
+        assert stalled.value.trace == [1.0]
+        assert len(values) == 11   # the start, then ten rejected candidates
 
     def test_unnormalized_start_returns_unit_frobenius_heads(self):
         rng = np.random.default_rng(2)
