@@ -107,10 +107,7 @@ def _summarise(points, reports) -> ArchSweepResult:
                 var_term=report.variance_term, cov_term=report.covariance_term)
         for (heads, _), report in zip(points, reports)
     ]
-    best = rows[0]
-    for row in rows[1:]:
-        if row.mse < best.mse or (row.mse == best.mse and row.H > best.H):
-            best = row
+    best = min(rows, key=lambda row: (row.mse, -row.H))
     mses = np.array([row.mse for row in rows])
     flat = bool(mses.max() - mses.min() <= noise_floor(mses.max()))
     return ArchSweepResult(rows=rows, argmin_H=best.H, argmin_dk=best.d_k, flat=flat)

@@ -33,6 +33,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -434,12 +435,16 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
     rho_grid = config.read("rho_grid", [float])
     config.reject_unread()
     # expected verdict follows the construction: heads of unequal value
-    # noise -> geometric should win; heads of equal quality -> it must not
+    # noise -> geometric should win; heads of equal quality -> it must not.
+    # Under the gaussian law each head's spare direction is independent of
+    # all else the heads read, so its scale acts only through its square.
     spec = plan.projection
-    unequal = len(set(spec.noise_scales or ())) > 1
+    gaussian = plan.task.input_law == "gaussian"
+    unequal = len({abs(s) if gaussian else s for s in spec.noise_scales or ()}) > 1
     if not unequal and spec.mix != 0.0:
         raise ConfigError("config field projection.mix must be 0 when projection.noise_scales "
-                          f"is unset or all equal, or weights-compare has no gate; got {spec.mix}")
+                          "is unset or all equal (in magnitude, under the gaussian law), or "
+                          f"weights-compare has no gate; got {spec.mix}")
     result = weighting_compare(plan, rho_grid)
     payload = {"command": "weights-compare", "master_seed": plan.master_seed,
                **_fields(result)}
@@ -541,33 +546,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        worker_count()  # reject a malformed MHA_NW_LAB_THREADS on every subcommand
-        if args.command == "hdi":
-            out = Path(args.out) if args.out else None
-            return cmd_hdi(args.weights, out)
-        config = load_config(args.config)
-        if args.seed is not None:
-            config["master_seed"] = int(args.seed)
-        configured_out = config.read("output_dir", str, None)
-        out = args.out or configured_out
-        if out is None:
-            raise ConfigError("config missing required field: output_dir (or pass --out)")
-        config["output_dir"] = str(out)
-        handler = {
-            "decompose": cmd_decompose,
-            "sweep-hdi": cmd_sweep_hdi,
-            "sweep-arch": cmd_sweep_arch,
-            "weights-compare": cmd_weights_compare,
-            "optimize-proj": cmd_optimize_proj,
-        }[args.command]
-        return handler(config, Path(out))
-    except Infeasible as exc:
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return 1
-    except LabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one line per warning of any category; its location would tell the
+        # user nothing (under python -m no frame lies outside the package)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            worker_count()  # reject a malformed MHA_NW_LAB_THREADS on every subcommand
+            if args.command == "hdi":
+                out = Path(args.out) if args.out else None
+                return cmd_hdi(args.weights, out)
+            config = load_config(args.config)
+            if args.seed is not None:
+                config["master_seed"] = int(args.seed)
+            configured_out = config.read("output_dir", str, None)
+            out = args.out or configured_out
+            if out is None:
+                raise ConfigError("config missing required field: output_dir (or pass --out)")
+            config["output_dir"] = str(out)
+            handler = {
+                "decompose": cmd_decompose,
+                "sweep-hdi": cmd_sweep_hdi,
+                "sweep-arch": cmd_sweep_arch,
+                "weights-compare": cmd_weights_compare,
+                "optimize-proj": cmd_optimize_proj,
+            }[args.command]
+            return handler(config, Path(out))
+        except Infeasible as exc:
+            print(f"error: infeasible: {exc}", file=sys.stderr)
+            return 1
+        except LabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -3,23 +3,34 @@
 Estimator conventions
 ---------------------
 For R replicate datasets and Q fixed quadrature queries, let E[r, h, q] be
-head h's estimate on replicate r at query q and Y[r, q] the weighted
-ensemble.  All second moments use unbiased sample forms with R - 1
-denominators, and the squared ensemble bias is debiased by the Monte-Carlo
-variance of the replicate mean:
+head h's estimate on replicate r at query q, Ec = E - mean_r E, m the true
+mean at the queries and Y = sum_h alpha_h E the weighted ensemble.  Each
+term is the replicate mean of one per-replicate statistic t[r], and its
+standard error is the spread of that same statistic, std_r(t) / sqrt(R):
 
-    bias_sq(q)   = (Ybar_q - m_q)^2 - S2_Y(q) / R
-    var_term(q)  = sum_h alpha_h^2 S2_h(q)
-    cov_term(q)  = sum_{h != h'} alpha_h alpha_h' S_{hh'}(q)
+    pair[r, h, g]     = mean_q Ec[r, h, q] Ec[r, g, q] * R / (R - 1)
+    cross_cov         from pair[r]; per_head_var is its diagonal
+    per_head_bias     from mean_q (E[r, h] - m)
+    per_head_mse      from mean_q (E[r, h] - m)^2
+    variance_term     from sum_h alpha_h^2 pair[r, h, h]
+    covariance_term   from alpha^T pair[r] alpha - sum_h alpha_h^2 pair[r, h, h]
+    mse_direct        from mean_q (Y[r] - m)^2
 
-With these forms the decomposition identity
+The R / (R - 1) factor makes the mean of pair the unbiased (R - 1
+denominator) sample covariance, averaged over the queries.  The one plug-in
+is the squared ensemble bias, debiased by the Monte-Carlo variance of the
+replicate mean Ybar:
 
-    mean_{r,q} (Y - m)^2 = bias_sq + var_term + cov_term
+    ensemble_bias_sq  = mean_q (Ybar - m)^2 - mean_r alpha^T pair[r] alpha / R
+
+and its standard error is that of its influence statistic
+2 mean_q (Y[r] - Ybar)(Ybar - m).  With these forms the identity
+
+    mse_direct = ensemble_bias_sq + variance_term + covariance_term
 
 holds exactly in the estimates (not merely in expectation), so the reported
-identity residual is pure floating-point noise.  Standard errors come from
-the replicate-level influence statistics; the residual's standard error is
-propagated conservatively as the quadrature sum of the component errors.
+identity residual is pure floating-point noise; its standard error is
+propagated conservatively as the quadrature sum of the four terms' errors.
 
 ``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
@@ -273,72 +284,51 @@ def _worker(run, block: range, failure: np.ndarray):
         os._exit(code)
 
 
+def _mean_se(t: np.ndarray):
+    """Replicate mean of the per-replicate statistic ``t`` (replicates on axis
+    0) and the stderr of that mean."""
+    return t.mean(axis=0), t.std(axis=0, ddof=1) / np.sqrt(t.shape[0])
+
+
 def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
                       alpha_sets) -> list[DecompositionReport]:
     """One report per weight vector in ``alpha_sets``, all reweighting ``E``;
-    the moments that do not depend on the weights are formed once."""
-    R, H, Q = E.shape
-    Ebar = E.mean(axis=0)                                    # (H, Q)
-    Ec = E - Ebar
-    # per-query sample covariance between heads, R-1 denominator
-    Cq = np.einsum("rhq,rgq->hgq", Ec, Ec) / (R - 1)         # (H, H, Q)
-    # replicate-level influence statistics for the standard errors
-    sqrt_R = np.sqrt(R)
-    pair_t = np.einsum("rhq,rgq->rhg", Ec, Ec) / Q * (R / (R - 1))
-    sq_err = E - m_q
-    sq_err *= sq_err                                         # (E - m_q)^2
-    per_head = dict(
-        per_head_bias=(Ebar - m_q).mean(axis=1),
-        per_head_var=np.einsum("hhq->hq", Cq).mean(axis=1),
-        per_head_mse=sq_err.mean(axis=(0, 2)),
-        cross_cov=Cq.mean(axis=2),
-        cov_stderr=pair_t.std(axis=0, ddof=1) / sqrt_R,
-        degenerate_weights=int(degenerate.sum()),
-    )
-    per_head_se = {
-        "per_head_bias": Ec.mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
-        "per_head_mse": sq_err.mean(axis=2).std(axis=0, ddof=1) / sqrt_R,
-    }
-    # Ec is read only through Ec^2 R/(R-1) from here on: square it in place
-    Ec *= Ec
-    Ec *= R / (R - 1)
+    the statistics that do not depend on the weights are formed once."""
+    R, _, Q = E.shape
+    err = E - m_q
+    per_head_bias, bias_se = _mean_se(err.mean(axis=2))
+    per_head_mse, mse_se = _mean_se((err**2).mean(axis=2))
+    Ec = E - E.mean(axis=0)
+    pair_t = np.einsum("rhq,rgq->rhg", Ec, Ec) / Q * (R / (R - 1))   # (R, H, H)
+    cross_cov, cov_stderr = _mean_se(pair_t)
+    per_head = dict(per_head_bias=per_head_bias, per_head_var=np.diag(cross_cov),
+                    per_head_mse=per_head_mse, cross_cov=cross_cov, cov_stderr=cov_stderr,
+                    degenerate_weights=int(degenerate.sum()))
 
     reports = []
     for alphas in alpha_sets:
         Y = np.einsum("h,rhq->rq", alphas, E)
-        Ybar = Y.mean(axis=0)
-        S2Y_q = np.einsum("h,g,hgq->q", alphas, alphas, Cq)
-        bias_ens_q = Ybar - m_q
-        ensemble_bias_sq = float(np.mean(bias_ens_q**2 - S2Y_q / R))
-        variance_term = float(np.mean(np.einsum("h,hhq->q", alphas**2, Cq)))
-        covariance_term = float(np.mean(S2Y_q) - variance_term)
-
         mse_replicates = ((Y - m_q) ** 2).mean(axis=1)
-        mse_direct = float(mse_replicates.mean())
-        identity_residual = abs(mse_direct - (ensemble_bias_sq + variance_term + covariance_term))
-
-        t_var = np.einsum("h,rhq->r", alphas**2, Ec) / Q
-        Yc = Y - Ybar
-        t_s2y = (Yc**2 * (R / (R - 1))).mean(axis=1)
-        t_cov = t_s2y - t_var
-        t_b2 = 2.0 * (Yc * bias_ens_q).mean(axis=1)
-        se = {
-            "mse_direct": float(mse_replicates.std(ddof=1) / sqrt_R),
-            "variance_term": float(t_var.std(ddof=1) / sqrt_R),
-            "covariance_term": float(t_cov.std(ddof=1) / sqrt_R),
-            "ensemble_bias_sq": float(t_b2.std(ddof=1) / sqrt_R),
-            **per_head_se,
-        }
-        se["identity_residual"] = float(np.sqrt(
-            se["mse_direct"]**2 + se["variance_term"]**2
-            + se["covariance_term"]**2 + se["ensemble_bias_sq"]**2
-        ))
-        reports.append(DecompositionReport(
-            ensemble_bias_sq=ensemble_bias_sq, variance_term=variance_term,
-            covariance_term=covariance_term, mse_direct=mse_direct,
-            identity_residual=identity_residual, mse_replicates=mse_replicates,
-            stderr=se, **per_head,
-        ))
+        t_var = np.einsum("h,rhh->r", alphas**2, pair_t)
+        t_s2y = np.einsum("h,rhg,g->r", alphas, pair_t, alphas)
+        terms = {"mse_direct": _mean_se(mse_replicates),
+                 "variance_term": _mean_se(t_var),
+                 "covariance_term": _mean_se(t_s2y - t_var)}
+        # the one plug-in: the squared bias of the replicate mean, less that
+        # mean's Monte-Carlo variance; its stderr is its influence statistic's
+        Ybar = Y.mean(axis=0)
+        bias_ens_q = Ybar - m_q
+        terms["ensemble_bias_sq"] = (
+            np.mean(bias_ens_q**2) - t_s2y.mean() / R,
+            _mean_se(2.0 * ((Y - Ybar) * bias_ens_q).mean(axis=1))[1])
+        est = {name: float(mean) for name, (mean, _) in terms.items()}
+        se = {name: float(stderr) for name, (_, stderr) in terms.items()}
+        se["identity_residual"] = float(np.sqrt(sum(s**2 for s in se.values())))
+        se.update(per_head_bias=bias_se, per_head_mse=mse_se)
+        residual = abs(est["mse_direct"] - (
+            est["ensemble_bias_sq"] + est["variance_term"] + est["covariance_term"]))
+        reports.append(DecompositionReport(**est, identity_residual=residual,
+                                           mse_replicates=mse_replicates, stderr=se, **per_head))
     return reports
 
 
@@ -365,13 +355,14 @@ def _reports(task, sets, R, Q, master_seed) -> list[DecompositionReport]:
                                     R, Q, master_seed)
     m_q = task.mean(queries)
     reports = []
-    for n, heads, alpha_sets in sets:
+    for s, (n, heads, alpha_sets) in enumerate(sets, 1):
         E, degenerate = tensors.pop(0)   # released once reduced
         if degenerate.any():
             warnings.warn(
                 f"{degenerate.sum()} softmax weight vectors were degenerate "
-                f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) at n={n}, "
-                f"H={len(heads)}, d_k={heads[0].d_k}; per head {degenerate.tolist()}",
+                f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) in head set {s} of {len(sets)} "
+                f"({R} replicates) at n={n}, H={len(heads)}, d_k={heads[0].d_k}; "
+                f"per head {degenerate.tolist()}",
                 RuntimeWarning, stacklevel=_outside_stacklevel(),
             )
         reports += _decompose_tensor(E, degenerate, m_q, alpha_sets)
@@ -488,8 +479,8 @@ def spearman(x, y) -> float:
 
 def _paired(a: DecompositionReport, b: DecompositionReport) -> tuple[float, float]:
     """Mean and stderr of the per-replicate MSE contrast ``a - b`` (shared replicates)."""
-    paired = a.mse_replicates - b.mse_replicates
-    return float(paired.mean()), float(paired.std(ddof=1) / np.sqrt(paired.shape[0]))
+    mean, stderr = _mean_se(a.mse_replicates - b.mse_replicates)
+    return float(mean), float(stderr)
 
 
 @dataclass(frozen=True)

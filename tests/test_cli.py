@@ -727,15 +727,21 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "GATE geometric_beats_uniform: FAIL" in out and "vs 100.0 required" in out
 
-    @pytest.mark.parametrize("scales, gate", [
-        (None, "uniform_not_beaten"), ([0.0] * 4, "uniform_not_beaten"),
-        ([1.0] * 4, "uniform_not_beaten"), ([0.0, 1.0, 2.0, 3.0], "geometric_beats_uniform"),
-    ], ids=["unset", "all-zero", "all-equal", "unequal"])
+    @pytest.mark.parametrize("scales, law, gate", [
+        (None, "gaussian", "uniform_not_beaten"), ([0.0] * 4, "gaussian", "uniform_not_beaten"),
+        ([1.0] * 4, "gaussian", "uniform_not_beaten"),
+        ([0.0, 1.0, 2.0, 3.0], "gaussian", "geometric_beats_uniform"),
+        ([1.0, -1.0, 1.0, -1.0], "gaussian", "uniform_not_beaten"),
+        ([1.0, -1.0, 1.0, -1.0], "uniform", "geometric_beats_uniform"),
+    ], ids=["unset", "all-zero", "all-equal", "unequal", "sign-only-gaussian",
+            "sign-only-uniform"])
     def test_weights_compare_gate_follows_whether_heads_differ_in_quality(
-            self, tmp_path, capsys, scales, gate):
-        # equal scales give heads of one quality, as unset scales do
+            self, tmp_path, capsys, scales, law, gate):
+        # equal scales give heads of one quality, as unset scales do; under the
+        # gaussian law so do scales that differ only in sign, under the uniform
+        # law they need not
         config = small_config("weights-compare", tmp_path / "out")
-        config["task"].update(family="radial", p=12)
+        config["task"].update(family="radial", p=12, input_law=law)
         if scales is not None:
             config["projection"].update(noise_scales=scales)
         path = write_config(tmp_path, config)
@@ -794,6 +800,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "mha-nw-lab" in proc.stdout
+
+    def test_warnings_print_as_warning_lines_naming_their_head_set(self, tmp_path):
+        # sharp heads: the pilot (5 replicates) and the main run (10) each warn
+        config = small_config("weights-compare", tmp_path / "out")
+        config["task"]["p"] = 4
+        config["projection"].update(d_k=1, H=2, query_gain=200.0)
+        config.update(n=50, R=10, Q=8, master_seed=3)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", "weights-compare", "--config",
+                               str(write_config(tmp_path, config))],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
+        for line, R in zip(lines, (5, 10)):
+            assert f"degenerate (entropy < 1e-06 nats) in head set 1 of 1 ({R} replicates) " \
+                   "at n=50, H=2, d_k=1; per head [" in line
 
     def test_every_exported_name_resolves(self):
         import mha_nw_lab

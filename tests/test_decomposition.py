@@ -108,41 +108,71 @@ class TestDecompositionIdentity:
 
 class TestAgainstBruteForce:
     def test_statistics_match_loop_oracle(self, quad_task):
-        """Recompute every integrated statistic with plain loops."""
+        """Recompute every statistic with plain loops: each term from its
+        per-query form (the module docstring's) and each stderr from its
+        per-replicate statistic, for three weight vectors reduced together."""
         plan = quick_plan(quad_task, n=80, R=25, Q=6, master=55)
-        report = mc_decompose(plan)
         proj = plan.resolve_projection()
-
-        queries, [(E, _)] = _head_tensor(quad_task, [(plan.n, proj.heads)], plan.R,
-                                         plan.Q, plan.master_seed)
+        queries, [(E, degenerate)] = _head_tensor(quad_task, [(plan.n, proj.heads)], plan.R,
+                                                  plan.Q, plan.master_seed)
         m_q = quad_task.mean(queries)
         R, H, Q = E.shape
-        alphas = plan.weights.alphas
+        alpha_sets = [make_weights("uniform", H).alphas,
+                      make_weights("geometric", H, rho=0.5).alphas,
+                      make_weights("custom", H, custom=np.array([0.1, 0.2, 0.3, 0.4])).alphas]
+        reports = _decompose_tensor(E, degenerate, m_q, alpha_sets)
 
-        cov = np.zeros((H, H))
-        for h in range(H):
-            for g in range(H):
-                acc = 0.0
-                for q in range(Q):
-                    a = E[:, h, q]
-                    b = E[:, g, q]
-                    acc += ((a - a.mean()) * (b - b.mean())).sum() / (R - 1)
-                cov[h, g] = acc / Q
-        np.testing.assert_allclose(report.cross_cov, cov, rtol=1e-10)
+        def stderr(t):
+            mean = sum(t) / len(t)
+            return np.sqrt(sum((x - mean) ** 2 for x in t) / (len(t) - 1) / len(t))
 
-        mse = 0.0
-        for r in range(R):
-            for q in range(Q):
-                y = float(alphas @ E[r, :, q])
-                mse += (y - m_q[q]) ** 2
-        mse /= R * Q
-        assert report.mse_direct == pytest.approx(mse, rel=1e-12)
+        Ebar = [[sum(E[r, h, q] for r in range(R)) / R for q in range(Q)] for h in range(H)]
+        # S[h][g][q]: per-query sample covariance, R - 1 denominator
+        S = [[[sum((E[r, h, q] - Ebar[h][q]) * (E[r, g, q] - Ebar[g][q]) for r in range(R))
+               / (R - 1) for q in range(Q)] for g in range(H)] for h in range(H)]
+        # pair[r][h][g]: replicate r's pair statistic, whose mean is the covariance
+        pair = [[[sum((E[r, h, q] - Ebar[h][q]) * (E[r, g, q] - Ebar[g][q]) for q in range(Q))
+                  / Q * R / (R - 1) for g in range(H)] for h in range(H)] for r in range(R)]
+        cov = [[sum(S[h][g]) / Q for g in range(H)] for h in range(H)]
+        cov_se = [[stderr([pair[r][h][g] for r in range(R)]) for g in range(H)] for h in range(H)]
+        head_bias = [[sum(E[r, h, q] - m_q[q] for q in range(Q)) / Q for r in range(R)]
+                     for h in range(H)]
+        head_mse = [[sum((E[r, h, q] - m_q[q]) ** 2 for q in range(Q)) / Q for r in range(R)]
+                    for h in range(H)]
+        for report in reports:
+            np.testing.assert_allclose(report.cross_cov, cov, rtol=1e-10)
+            np.testing.assert_allclose(report.per_head_var, np.diag(cov), rtol=1e-10)
+            np.testing.assert_allclose(report.cov_stderr, cov_se, rtol=1e-9)
+            for h, (bias, mse) in enumerate(zip(head_bias, head_mse)):
+                assert report.per_head_bias[h] == pytest.approx(sum(bias) / R, rel=1e-9, abs=1e-12)
+                assert report.per_head_mse[h] == pytest.approx(sum(mse) / R, rel=1e-12)
+                assert report.stderr["per_head_bias"][h] == pytest.approx(stderr(bias), rel=1e-9)
+                assert report.stderr["per_head_mse"][h] == pytest.approx(stderr(mse), rel=1e-9)
 
-        bias = np.zeros(H)
-        for h in range(H):
-            for q in range(Q):
-                bias[h] += E[:, h, q].mean() - m_q[q]
-        np.testing.assert_allclose(report.per_head_bias, bias / Q, rtol=1e-9, atol=1e-12)
+        for alphas, report in zip(alpha_sets, reports):
+            Y = [[sum(alphas[h] * E[r, h, q] for h in range(H)) for q in range(Q)]
+                 for r in range(R)]
+            Ybar = [sum(Y[r][q] for r in range(R)) / R for q in range(Q)]
+            S2Y = [sum(alphas[h] * alphas[g] * S[h][g][q] for h in range(H) for g in range(H))
+                   for q in range(Q)]
+            var_q = [sum(alphas[h] ** 2 * S[h][h][q] for h in range(H)) for q in range(Q)]
+            cov_q = [sum(alphas[h] * alphas[g] * S[h][g][q]
+                         for h in range(H) for g in range(H) if g != h) for q in range(Q)]
+            bias_q = [(Ybar[q] - m_q[q]) ** 2 - S2Y[q] / R for q in range(Q)]
+            mse = [sum((Y[r][q] - m_q[q]) ** 2 for q in range(Q)) / Q for r in range(R)]
+            assert report.ensemble_bias_sq == pytest.approx(sum(bias_q) / Q, rel=1e-10)
+            assert report.variance_term == pytest.approx(sum(var_q) / Q, rel=1e-10)
+            assert report.covariance_term == pytest.approx(sum(cov_q) / Q, rel=1e-9, abs=1e-12)
+            assert report.mse_direct == pytest.approx(sum(mse) / R, rel=1e-12)
+
+            t_var = [sum(alphas[h] ** 2 * pair[r][h][h] for h in range(H)) for r in range(R)]
+            t_cov = [sum(alphas[h] * alphas[g] * pair[r][h][g]
+                         for h in range(H) for g in range(H) if g != h) for r in range(R)]
+            t_b2 = [2.0 * sum((Y[r][q] - Ybar[q]) * (Ybar[q] - m_q[q]) for q in range(Q)) / Q
+                    for r in range(R)]
+            for name, t in (("mse_direct", mse), ("variance_term", t_var),
+                            ("covariance_term", t_cov), ("ensemble_bias_sq", t_b2)):
+                assert report.stderr[name] == pytest.approx(stderr(t), rel=1e-9), name
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +372,8 @@ class TestReplicateEngine:
         with pytest.warns(RuntimeWarning, match="degenerate") as record:
             joint = decomposition._reports(quad_task, sets, 6, 8, 21)
         assert [len(alpha_sets) for *_, alpha_sets in reductions] == [3, 1, 1, 1]
-        assert len(record) == 1 and "at n=60, H=4" in str(record[0].message)
+        assert len(record) == 1
+        assert "in head set 3 of 4 (6 replicates) at n=60, H=4" in str(record[0].message)
         alone = [report for head_set in sets
                  for report in decomposition._reports(quad_task, [head_set], 6, 8, 21)]
         assert len(joint) == len(alone) == 6
@@ -511,6 +542,7 @@ class TestDegenerateScreen:
         message = str(record[0].message)
         assert message.startswith(f"{report.degenerate_weights} softmax weight vectors")
         assert "at n=50, H=2, d_k=1; per head [" in message
+        assert "nats) in head set 1 of 1 (10 replicates) at n=50" in message
         per_head = [int(c) for c in message.split("per head [")[1].rstrip("]").split(",")]
         assert len(per_head) == 2 and sum(per_head) == report.degenerate_weights
 
