@@ -35,15 +35,17 @@ propagated conservatively as the quadrature sum of the four terms' errors.
 ``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
 input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
-each replicate draws its dataset once, at the call's largest n, and runs each
-distinct head on it in one ``attend_many`` pass over every n it is held at (a
-smaller n reads a prefix of the inputs), writing the estimates into every
-set's tensor that holds the (n, head) pair; ``_decompose_tensor`` reduces
-each tensor once for all the set's weight vectors.  The replicates run as
-contiguous blocks, one per worker process (MHA_NW_LAB_THREADS caps them, 0 =
-auto): the caller runs the first block and forked children the others,
-writing into tensors in shared memory.  Rows are indexed by replicate, so the
-outputs are bit-identical for every worker count.
+it projects the queries once per distinct head; each replicate draws its
+dataset once, at the call's largest n, projects it once for all heads, and
+runs each distinct head on that in one ``attend_many`` pass over every n it
+is held at (a smaller n reads a prefix of the inputs), writing the estimates
+into every set's tensor that holds the (n, head) pair; ``_decompose_tensor``
+reduces each tensor once for all the set's weight vectors.  The replicates
+run as contiguous blocks, one per worker process (MHA_NW_LAB_THREADS caps
+them, 0 = auto): the caller runs the first block and forked children the
+others, writing into tensors in shared memory; a child leaves once the caller
+dies.  Rows are indexed by replicate, so the outputs are bit-identical for
+every worker count.
 
 Besides the engine and the sweep drivers, the module keeps the
 leading-order ``theoretical_bias_variance`` at one query.
@@ -188,23 +190,40 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     per head) per ``(n, heads)`` set.  Each replicate draws one dataset, at the
     largest n; its first n inputs are those a draw at a smaller n makes, and
     heads read only inputs.  Heads with equal wq, wk and wv run once, in one
-    pass over every n they are held at."""
+    pass over every n they are held at, on projections made by one product per
+    replicate: column-major, so that a head's keys and its [v, 1] are slices."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
     for s, (n, heads) in enumerate(head_sets):
         for h, head in enumerate(heads):
             key = (head.wq.shape, head.wq.a.tobytes(), head.wk.a.tobytes(), head.wv.tobytes())
             slots.setdefault(key, (head, {}))[1].setdefault(n, []).append((s, h))
+    # the columns of one product per replicate: every distinct key column, then
+    # each distinct value vector beside a zero column that becomes the 1s of [v, 1]
+    distinct = [head for head, _ in slots.values()]
+    columns = {w.tobytes(): w for head in distinct for w in head.wk.a.T}
+    ones = slice(len(columns) + 1, None, 2)
+    columns.update({(head.wv.tobytes(), i): head.wv * (1 - i) for head in distinct for i in (0, 1)})
+    at = {key: c for c, key in enumerate(columns)}
+    runs = []   # (head, by_n, its projected queries, its key columns, its [v, 1] columns)
+    for head, by_n in slots.values():
+        k, v = [at[w.tobytes()] for w in head.wk.a.T], at[head.wv.tobytes(), 0]
+        keys = slice(k[0], k[0] + len(k)) if k == list(range(k[0], k[0] + len(k))) else k
+        runs.append((head, by_n, (queries @ head.wq.a) / np.sqrt(head.d_k), keys, slice(v, v + 2)))
+    weights = np.array(list(columns.values()))
     N = max(n for n, _ in head_sets)
     Es = [_shared((R, len(heads), Q), np.float64) for _, heads in head_sets]
     degenerate = [_shared((R, len(heads)), np.int64) for _, heads in head_sets]
 
-    def run_replicates(block: range) -> None:
+    def run_replicates(block) -> None:
         for r in block:
             data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
-            for head, by_n in slots.values():
+            xw = (weights @ data.xs.T).T   # N x columns, column-major
+            xw[:, ones] = 1.0
+            for head, by_n, q, keys, values in runs:
                 sizes = sorted(by_n)
-                est, counts = attend_many(head, queries, data, sizes)
+                est, counts = attend_many(head, queries, data, sizes,
+                                          projected=(q, xw[:, keys], xw[:, values]))
                 if not np.all(np.isfinite(est)):
                     i, q_bad = (int(a) for a in np.argwhere(~np.isfinite(est))[0])
                     raise _replicate_failure(r, by_n[sizes[i]][0][1], q_bad)
@@ -241,11 +260,12 @@ def _run_in_blocks(run, R: int) -> None:
     blocks = [range(R * b // workers, R * (b + 1) // workers) for b in range(workers)]
     failures = _shared((workers, 3), np.int64)   # a failed block's (replicate, head, query)
     pids, statuses = [], []   # children not yet reaped, and reaped ones' wait statuses
+    parent = os.getpid()
     try:
         for block, failure in zip(blocks[1:], failures[1:]):
             pid = os.fork()
             if pid == 0:
-                _worker(run, block, failure)
+                _worker(run, block, failure, parent)
             pids.append(pid)
         run(blocks[0])
         while pids:
@@ -267,13 +287,14 @@ def _run_in_blocks(run, R: int) -> None:
                            f"{block.stop - 1} {how}")
 
 
-def _worker(run, block: range, failure: np.ndarray):
+def _worker(run, block: range, failure: np.ndarray, parent: int):
     """A forked child's whole life: run its block, record a ReplicateFailure's
     indices in ``failure``, and leave by ``os._exit`` (no inherited buffers are
-    flushed and no exit handlers run)."""
+    flushed and no exit handlers run), also before any replicate once
+    ``parent`` has died, however it died: an orphan's parent pid changes."""
     code = 1
     try:
-        run(block)
+        run(_while_alive(block, parent))
         code = 0
     except ReplicateFailure as exc:
         failure[:] = exc.replicate, exc.head, exc.query
@@ -282,6 +303,13 @@ def _worker(run, block: range, failure: np.ndarray):
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(code)
+
+
+def _while_alive(block: range, parent: int):
+    for r in block:
+        if os.getppid() != parent:
+            os._exit(1)
+        yield r
 
 
 def _mean_se(t: np.ndarray):

@@ -9,18 +9,21 @@ space and kernel-averages the projected values:
 the Nadaraya-Watson estimator with bandwidth 1/sqrt(d_k): larger d_k, sharper
 kernel.  ``attend_many`` runs one head on every prefix xs[:n] of a dataset in
 one pass over the column segments between sizes, merged by the online-softmax
-rescale (Milakov & Gimelshein, 2018; Dao et al., 2022).  A logit row is shifted
-by its max only where exp could overflow or underflow.  A d_k = 1 row's max is
-q times the largest key if q >= 0, else times the smallest, so it reads the ends
-of the keys, not the row.  One product e @ [v, 1] gives e.v and the row sum s
-as its two columns, so after exp the block is read once.  As max w =
-e^(max - shift) / s, a row's entropy is at least log s + shift - max, and only
-rows where that is below 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
+rescale (Milakov & Gimelshein, 2018; Dao et al., 2022), or by plain sums where
+neither side was shifted; a caller holding the projections can pass them.  A
+logit row is shifted by its max only where exp could overflow or underflow.  A
+d_k = 1 row's max is q times the largest key if q >= 0, else times the smallest,
+so it reads the ends of the keys, not the row.  One product e @ [v, 1] gives e.v
+and the row sum s as its two columns, so after exp the block is read once.  The
+largest weight is e^-gap, gap = log s + shift - max; if it is 1 - d, the entropy
+is at least h_b(d), h_b the binary entropy, so only rows whose gap is below the
+tau with h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,22 @@ DEGENERATE_ENTROPY_NATS = 1e-6
 #: logit rows whose max m has |m| up to this are exponentiated unshifted:
 #: e^m is then a normal float and n e^m cannot overflow
 _RAW_LOGIT_MAX = 600.0
+
+
+def _entropy_gap(h: float) -> float:
+    """The gap tau at which h_b(1 - e^-tau), the binary entropy in nats of a
+    largest weight e^-tau, reaches ``h``: bisection, as it rises up to tau = log 2."""
+    lo, hi = 0.0, math.log(2.0)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        d = -math.expm1(-mid)
+        lo, hi = (mid, hi) if mid * math.exp(-mid) - d * math.log(d) < h else (lo, mid)
+    return hi
+
+
+#: rows whose gap log s + shift - max is below this get their entropy summed;
+#: any other row's entropy is at least 2 DEGENERATE_ENTROPY_NATS
+_SCREEN_GAP = _entropy_gap(2.0 * DEGENERATE_ENTROPY_NATS)
 
 
 @dataclass(frozen=True)
@@ -88,14 +107,17 @@ class AttentionOutput:
 
 
 def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None,
-                return_weights: bool = False):
+                return_weights: bool = False, *, projected=None):
     """Estimates of one head at Q query points on each prefix ``data.xs[:n]``,
     n in the ascending ``sizes``, fused as in the module doc (per segment: the
     logit block, its row max unless d_k = 1, exp in place, and one product with
     [v, 1] for e.v and the row sum): the (len(sizes), Q) estimates and per-size
     counts of rows with entropy below DEGENERATE_ENTROPY_NATS.  Without ``sizes``
     (n = data.n), the (Q,) estimates and an int, then the Q x n weights e / s if
-    ``return_weights`` (for ``attend``).
+    ``return_weights`` (for ``attend``).  ``projected`` = (q, keys, values) are
+    the Q x d_k queries wq^T x / sqrt(d_k), the data.n x d_k keys and the
+    data.n x 2 operand [v, 1]; without it each segment's keys and values are
+    projected here, so a first prefix rounds as a one-size call does.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != head.p or data.p != head.p:
@@ -108,15 +130,21 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
     bounds = [data.n] if sizes is None else [int(n) for n in sizes]
     if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
         raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")
-    q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, bandwidth folded in
-    # keys and values per segment, so the first prefix rounds as a one-size call;
-    # a segment's values fill column 0 of [v, 1], so e @ [v, 1] is (e.v, s) at once
-    k = np.empty((bounds[-1], head.d_k))
-    vs = np.ones((bounds[-1], 2), order="F")
+    if projected is None:
+        q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, bandwidth folded in
+        # a segment's values fill column 0 of [v, 1], so e @ [v, 1] is (e.v, s) at once
+        k, vs = np.empty((bounds[-1], head.d_k)), np.ones((bounds[-1], 2), order="F")
+    else:
+        q, k, vs = projected
+        if (q.shape, k.shape, vs.shape) != ((len(queries), head.d_k), (data.n, head.d_k), (data.n, 2)):
+            raise ShapeMismatch(f"attend: projected shapes {q.shape}, {k.shape}, {vs.shape} do not "
+                                f"fit Q = {len(queries)}, d_k = {head.d_k} and n = {data.n}")
     estimates, degenerate = np.empty((len(bounds), q.shape[0])), np.zeros(len(bounds), int)
     for j, (start, stop) in enumerate(zip([0] + bounds, bounds)):
-        k_j = np.matmul(data.xs[start:stop], head.wk.a, out=k[start:stop])
-        np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
+        if projected is None:
+            np.matmul(data.xs[start:stop], head.wk.a, out=k[start:stop])
+            np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
+        k_j = k[start:stop]
         if head.d_k == 1:
             # BLAS with inner dimension 1 is ~6x slower than broadcasting; rounding
             # is monotone, so a row's max is q times the key at the matching end
@@ -134,13 +162,15 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
         ev_j, s_j = (e @ vs[start:stop]).T
         if j == 0:
             shift, s, ev, top = shift_j, s_j, ev_j, top_j
-        else:   # rescale to the larger shift; both factors are 1 where neither side shifts
+        elif np.isscalar(shift) and np.isscalar(shift_j):   # neither side shifted
+            s, ev, top = s + s_j, ev + ev_j, np.maximum(top, top_j)
+        else:   # rescale to the larger shift
             new = np.maximum(shift, shift_j)
             old, add = np.exp(shift - new), np.exp(shift_j - new)
             shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
             top = np.maximum(top, top_j)
         estimates[j] = ev / s
-        sharp = np.flatnonzero(np.log(s) - top < 2.0 * DEGENERATE_ENTROPY_NATS - shift)
+        sharp = np.flatnonzero(np.log(s) - top < _SCREEN_GAP - shift)
         if sharp.size:   # exact entropy over the prefix, only for the screened rows
             w = q[sharp] * k[:stop].T if head.d_k == 1 else q[sharp] @ k[:stop].T
             w = np.exp(w - w.max(axis=1, keepdims=True))

@@ -1,7 +1,10 @@
 import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +407,56 @@ class TestReplicateEngine:
         assert 0 <= excinfo.value.query < 4
 
 
+class TestSharedProjection:
+    """The engine projects each replicate's inputs once for all heads; every
+    head's estimates and degenerate counts are those of its own attend_many
+    call, which projects them itself."""
+
+    @staticmethod
+    def heads(kind):
+        rng = np.random.default_rng(9)
+        frame = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        if kind == "frame-slices":   # sweep-arch's shape: allocations of one frame
+            cols = [[0], [1], [2], [3], [0, 1], [2, 3], [0, 1, 2, 3]]
+        else:                        # columns reused in another order, or new with old
+            cols = [[0, 1, 2, 3], [3, 1], [2, 0, 1], [5, 4], [4], [1, 2]]
+        wvs = rng.standard_normal((len(cols), 8)) if kind == "distinct-wv" else [frame[:, 0]] * 7
+        gains = [6.0, 12.0, 30.0, 60.0]
+        return tuple(HeadConfig(wq=Matrix(gains[h % 4] * frame[:, c]), wk=Matrix(frame[:, c]), wv=wv)
+                     for h, (c, wv) in enumerate(zip(cols, wvs)))
+
+    @pytest.mark.parametrize("kind", ["frame-slices", "reordered", "distinct-wv"])
+    def test_engine_equals_per_head_calls(self, quad_task, kind, monkeypatch):
+        heads = self.heads(kind)
+        sets = [(40, heads), (70, heads[::2]), (70, heads[1:2])]
+        keys = []
+
+        def kernel(*args, projected):
+            keys.append(projected[1])
+            return attend_many(*args, projected=projected)
+
+        monkeypatch.setattr(decomposition, "attend_many", kernel)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
+        queries, tensors = _head_tensor(quad_task, sets, 4, 8, 21)
+        if kind == "frame-slices":   # every head's keys are a view of one projection
+            assert all(np.shares_memory(k, keys[-1]) for k in keys[-len(heads):])
+        degenerate = [np.zeros(len(hs), int) for _, hs in sets]
+        for r in range(4):
+            data = sample_dataset(quad_task, 70, derive_seed(21, "data", r))
+            for head in heads:
+                held = [(s, n, [x is head for x in hs].index(True))
+                        for s, (n, hs) in enumerate(sets) if any(x is head for x in hs)]
+                sizes = sorted({n for _, n, _ in held})
+                est, counts = attend_many(head, queries, data, sizes)
+                for s, n, h in held:
+                    np.testing.assert_allclose(tensors[s][0][r, h], est[sizes.index(n)],
+                                               rtol=1e-12, atol=1e-15)
+                    degenerate[s][h] += counts[sizes.index(n)]
+        assert sum(d.sum() for d in degenerate) > 0
+        for (_, got), want in zip(tensors, degenerate):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestReplicateFailure:
     def test_overflowing_values_name_the_indices(self, quad_task):
         from mha_nw_lab.errors import ReplicateFailure
@@ -514,6 +567,50 @@ class TestWorkerProcesses:
             _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
         assert time.monotonic() - start < 30
         self.assert_no_child_left()
+
+    @staticmethod
+    def running(pid: int) -> bool:
+        """Whether ``pid`` exists and is not a zombie waiting for its reaper."""
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+        except FileNotFoundError:
+            return False
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+    def test_children_of_a_killed_caller_leave_within_a_replicate(self, tmp_path):
+        # the caller runs replicates 0-19 and its child 20-39, 0.2 s each; the
+        # child writes its pid before each one
+        pids = tmp_path / "pids"
+        script = (
+            "import os, time\n"
+            "from mha_nw_lab.decomposition import _run_in_blocks\n"
+            "caller = os.getpid()\n"
+            "def run(block):\n"
+            "    for r in block:\n"
+            "        if os.getpid() != caller:\n"
+            f"            with open({str(pids)!r}, 'a') as f:\n"
+            "                f.write(f'{os.getpid()}\\n')\n"
+            "        time.sleep(0.2)\n"
+            "_run_in_blocks(run, 40)\n")
+        src = str(Path(decomposition.__file__).resolve().parents[1])
+        env = dict(os.environ, MHA_NW_LAB_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            deadline = time.monotonic() + 10
+            while not (pids.exists() and pids.read_text().endswith("\n")):
+                assert time.monotonic() < deadline and caller.poll() is None
+                time.sleep(0.01)
+        finally:
+            caller.kill()
+            caller.wait()
+        children = {int(line) for line in pids.read_text().split()}
+        assert len(children) == 1 and caller.pid not in children
+        killed = time.monotonic()
+        while any(map(self.running, children)) and time.monotonic() - killed < 1.0:
+            time.sleep(0.01)
+        assert not any(map(self.running, children))
 
     def test_serial_while_another_thread_runs(self, quad_task, monkeypatch):
         monkeypatch.setattr(decomposition.threading, "active_count", lambda: 2)

@@ -3,7 +3,7 @@ import pytest
 
 from mha_nw_lab.errors import DegenerateKernel, ShapeMismatch
 from mha_nw_lab.nw_attention import (
-    DEGENERATE_ENTROPY_NATS, HeadConfig, attend, attend_many, nw_reference,
+    _SCREEN_GAP, DEGENERATE_ENTROPY_NATS, HeadConfig, attend, attend_many, nw_reference,
 )
 from mha_nw_lab.synthetic import Dataset, make_task, sample_dataset
 from mha_nw_lab.tensor_core import Matrix
@@ -270,6 +270,39 @@ class TestFusedKernel:
         data = make_data(np.random.default_rng(4).standard_normal((6, 2)))
         with pytest.raises(ShapeMismatch):
             attend_many(make_head(2, 1), np.zeros((3, 2)), data, sizes, return_weights)
+
+    def test_projected_inputs_must_fit_head_queries_and_sizes(self):
+        rng = np.random.default_rng(5)
+        head = make_head(3, 2, seed=5)
+        data = make_data(rng.standard_normal((10, 3)))
+        queries = rng.standard_normal((4, 3))
+        q = queries @ head.wq.a / np.sqrt(2)
+        keys = data.xs @ head.wk.a
+        values = np.column_stack([data.xs @ head.wv, np.ones(10)])
+        estimates, _ = attend_many(head, queries, data, [5, 10], projected=(q, keys, values))
+        np.testing.assert_allclose(estimates, attend_many(head, queries, data, [5, 10])[0],
+                                   rtol=1e-12, atol=1e-15)
+        for bad in [(q[:3], keys, values), (q[:, :1], keys, values), (q, keys[:5], values),
+                    (q, keys[:, :1], values), (q, keys, values[:, :1]), (q, keys, values[:9])]:
+            with pytest.raises(ShapeMismatch, match="projected shapes"):
+                attend_many(head, queries, data, [5, 10], projected=bad)
+
+    def test_screen_gap_is_where_the_binary_entropy_bound_reaches_twice_the_threshold(self):
+        # a largest weight e^-tau = 1 - d bounds the entropy below by h_b(d)
+        d = -np.expm1(-_SCREEN_GAP)
+        bound = _SCREEN_GAP * np.exp(-_SCREEN_GAP) - d * np.log(d)
+        assert bound == pytest.approx(2.0 * DEGENERATE_ENTROPY_NATS, rel=1e-9)
+        assert _SCREEN_GAP == pytest.approx(1.18e-7, rel=0.01)
+
+    def test_two_atoms_just_outside_the_screen_are_not_degenerate(self):
+        for gap in _SCREEN_GAP * np.array([1.0 + 1e-9, 1.01, 2.0]):
+            w = np.array([np.exp(-gap), -np.expm1(-gap)])
+            assert -(w * np.log(w)).sum() >= DEGENERATE_ENTROPY_NATS
+        # through the kernel: logits 0 and -delta give the gap log(1 + e^-delta)
+        head = HeadConfig(wq=Matrix([[1.0]]), wk=Matrix([[1.0]]), wv=np.ones(1))
+        for tail, count in ((np.expm1(1.01 * _SCREEN_GAP), 0), (DEGENERATE_ENTROPY_NATS / 40, 1)):
+            _, degenerate = attend_many(head, np.ones((1, 1)), make_data([[0.0], [np.log(tail)]]))
+            assert degenerate == count
 
     def test_attend_weights_are_a_distribution(self):
         rng = np.random.default_rng(8)
