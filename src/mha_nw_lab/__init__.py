@@ -22,7 +22,6 @@ from .decomposition import (
     FamilySpec,
     hdi_sweep,
     mc_decompose,
-    theoretical_bias_variance,
     weighting_compare,
 )
 from .diversity import (
@@ -40,6 +39,7 @@ from .synthetic import (
     derive_seed,
     make_task,
     sample_dataset,
+    sample_labels,
     sample_queries,
 )
 from .tensor_core import Matrix, qr_orthonormalize
@@ -48,12 +48,12 @@ __all__ = [
     "__version__",
     "Matrix", "qr_orthonormalize",
     "RegressionTask", "Dataset", "make_task", "sample_dataset",
-    "sample_queries", "derive_seed",
+    "sample_labels", "sample_queries", "derive_seed",
     "HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference",
     "ProjectionSet", "WeightScheme", "make_weights",
     "hdi", "make_diversity_report",
     "make_projection_family", "optimize_projections", "load_weight_file",
-    "ExperimentPlan", "FamilySpec", "mc_decompose", "theoretical_bias_variance",
+    "ExperimentPlan", "FamilySpec", "mc_decompose",
     "hdi_sweep", "weighting_compare",
     "enumerate_allocations", "scaling_trend",
 ]

@@ -36,19 +36,17 @@ propagated conservatively as the quadrature sum of the four terms' errors.
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
 input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
 it projects the queries once per distinct head; each replicate draws its
-dataset once, at the call's largest n, projects it once for all heads, and
-runs each distinct head on that in one ``attend_many`` pass over every n it
-is held at (a smaller n reads a prefix of the inputs), writing the estimates
-into every set's tensor that holds the (n, head) pair; ``_decompose_tensor``
-reduces each tensor once for all the set's weight vectors.  The replicates
-run as contiguous blocks, one per worker process (MHA_NW_LAB_THREADS caps
-them, 0 = auto): the caller runs the first block and forked children the
-others, writing into tensors in shared memory; a child leaves once the caller
-dies.  Rows are indexed by replicate, so the outputs are bit-identical for
-every worker count.
-
-Besides the engine and the sweep drivers, the module keeps the
-leading-order ``theoretical_bias_variance`` at one query.
+inputs once, at the call's largest n, and nothing else (heads read no
+responses, so the true mean is evaluated only at the queries), projects them
+once for all heads, and runs each distinct head on that in one
+``attend_many`` pass over every n it is held at (a smaller n reads a prefix
+of the inputs), writing the estimates into every set's tensor that holds the
+(n, head) pair; ``_decompose_tensor`` reduces each tensor once for all the
+set's weight vectors.  The replicates run as contiguous blocks, one per
+worker process (MHA_NW_LAB_THREADS caps them, 0 = auto): the caller runs the
+first block and forked children the others, writing into tensors in shared
+memory; a child leaves once the caller dies.  Rows are indexed by replicate,
+so the outputs are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -66,19 +64,16 @@ import numpy as np
 
 from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
-from .errors import (ConfigError, DensityTooSmall, LabError, NeedsTwoHeads,
-                     ReplicateFailure, ShapeMismatch)
+from .errors import ConfigError, LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
 from .mha import ProjectionSet, WeightScheme, make_weights
-from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
+from .nw_attention import DEGENERATE_ENTROPY_NATS, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
-from .tensor_core import Matrix
 
 __all__ = [
     "FamilySpec",
     "ExperimentPlan",
     "DecompositionReport",
     "mc_decompose",
-    "theoretical_bias_variance",
     "hdi_sweep",
     "HdiSweepResult",
     "weighting_compare",
@@ -400,7 +395,7 @@ def _reports(task, sets, R, Q, master_seed) -> list[DecompositionReport]:
 def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
     """Monte-Carlo decomposition of the plan's ensemble.
 
-    Each replicate draws an independent dataset (seed domain "data"),
+    Each replicate draws independent inputs (seed domain "data"),
     evaluates every head at the shared quadrature queries (domain "query"),
     and the cross-replicate moments estimate bias against the known mean
     function, per-head variances and the cross-head covariance matrix.
@@ -409,70 +404,6 @@ def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
                                      [plan.weights.alphas])],
                         plan.R, plan.Q, plan.master_seed)
     return report
-
-
-# ---------------------------------------------------------------------------
-# theoretical leading-order bias and variance
-
-
-def _projected_density(task: RegressionTask, wk: Matrix, k: np.ndarray):
-    """Density of the projected key wk^T X at k, and grad log density.
-
-    Gaussian input law: closed form N(0, wk^T wk).  Uniform law: seeded
-    Gaussian-product KDE over 4096 projected samples (approximate, flagged
-    by the "kde" method tag in the return).
-    """
-    d_k = wk.cols
-    if task.input_law == "gaussian":
-        cov = wk.a.T @ wk.a
-        inv = np.linalg.inv(cov)
-        det = np.linalg.det(cov)
-        quad = float(k @ inv @ k)
-        dens = np.exp(-0.5 * quad) / np.sqrt((2.0 * np.pi) ** d_k * det)
-        grad_log = -inv @ k
-        return dens, grad_log, "gaussian"
-    rng = np.random.default_rng(derive_seed(task.param_seed, "kde"))
-    samples = rng.uniform(-1.0, 1.0, size=(4096, task.p)) @ wk.a
-    bw = samples.std(axis=0).mean() * samples.shape[0] ** (-1.0 / (d_k + 4))
-    diff = samples - k
-    weights = np.exp(-0.5 * (diff * diff).sum(axis=1) / bw**2)
-    norm = (2.0 * np.pi * bw**2) ** (d_k / 2.0)
-    dens = float(weights.mean() / norm)
-    total = weights.sum()
-    if total <= 0.0:
-        return 0.0, np.zeros(d_k), "kde"
-    grad_log = (weights @ diff) / total / bw**2
-    return dens, grad_log, "kde"
-
-
-def theoretical_bias_variance(task: RegressionTask, head: HeadConfig,
-                              query_x: np.ndarray, n: int) -> tuple[float, float]:
-    """Leading-order kernel-regression bias and variance at one query.
-
-    With bandwidth h = 1/sqrt(d_k) and projected-key density p_K:
-
-        B1 = (h^2 / 2) [tr(hess m(x)) + 2 (wk^T grad m(x)) . grad log p_K(k)]
-        V1 = sigma^2(x) / (n h^{d_k} p_K(k))
-
-    The mean-function gradient is mapped into the key space through wk so
-    the density-gradient product is dimensionally consistent.  These are
-    asymptotic orders intended for trend checks, not exact finite-n truth.
-    """
-    query_x = np.asarray(query_x, dtype=np.float64).reshape(task.p)
-    k = head.wk.a.T @ query_x
-    dens, grad_log, _ = _projected_density(task, head.wk, k)
-    if dens < 1e-8:
-        raise DensityTooSmall(
-            f"projected density {dens:.3e} < 1e-8 at the query; the variance "
-            f"formula is unusable there"
-        )
-    h = head.bandwidth
-    trace = task.hessian_trace(query_x)
-    grad_k = head.wk.a.T @ task.gradient(query_x)[0]
-    bias = 0.5 * h**2 * (trace + 2.0 * float(grad_k @ grad_log))
-    sigma2 = float(task.noise_sd(query_x)[0] ** 2)
-    variance = sigma2 / (n * h**head.d_k * dens)
-    return float(bias), float(variance)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,6 @@ class ReplicateFailure(LabError):
         self.query = query
 
 
-class DensityTooSmall(LabError):
-    """Projected input density at a query is below the usable floor."""
-
-
 class EmptySweep(LabError):
     """Every allocation in an architecture sweep was infeasible."""
 

@@ -6,12 +6,14 @@ space and kernel-averages the projected values:
     q = wq^T x,   k_i = wk^T x_i,   v_i = wv . x_i
     estimate = sum_i e_i v_i / sum_i e_i,   e_i = exp(q . k_i / sqrt(d_k))
 
-the Nadaraya-Watson estimator with bandwidth 1/sqrt(d_k): larger d_k, sharper
-kernel.  ``attend_many`` runs one head on every prefix xs[:n] of a dataset in
-one pass over the column segments between sizes, merged by the online-softmax
-rescale (Milakov & Gimelshein, 2018; Dao et al., 2022), or by plain sums where
-neither side was shifted; a caller holding the projections can pass them.  A
-logit row is shifted by its max only where exp could overflow or underflow.  A
+a Nadaraya-Watson estimator whose kernel is the exponential of a scaled dot
+product: an exponential tilt toward large keys, not a local window, so
+1/sqrt(d_k) scales the logits and is not the kernel's effective bandwidth.
+``attend_many`` runs one head on every prefix xs[:n] of a dataset in one pass
+over the column segments between sizes, merged by the online-softmax rescale
+(Milakov & Gimelshein, 2018; Dao et al., 2022), or by plain sums where neither
+side was shifted; a caller holding the projections can pass them.  A logit
+row is shifted by its max only where exp could overflow or underflow.  A
 d_k = 1 row's max is q times the largest key if q >= 0, else times the smallest,
 so it reads the ends of the keys, not the row.  One product e @ [v, 1] gives e.v
 and the row sum s as its two columns, so after exp the block is read once.  The
@@ -62,7 +64,7 @@ class HeadConfig:
     """Projection triple of one attention head.
 
     wq and wk are p x d_k; wv is a length-p vector producing scalar values
-    v_i = wv . x_i.  The kernel bandwidth 1/sqrt(d_k) is derived, read-only.
+    v_i = wv . x_i.
     """
 
     wq: Matrix
@@ -91,11 +93,6 @@ class HeadConfig:
     @property
     def d_k(self) -> int:
         return self.wk.cols
-
-    @property
-    def bandwidth(self) -> float:
-        """Kernel bandwidth h = 1 / sqrt(d_k)."""
-        return 1.0 / np.sqrt(self.d_k)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
     if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
         raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")
     if projected is None:
-        q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, bandwidth folded in
+        q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, 1/sqrt(d_k) folded in
         # a segment's values fill column 0 of [v, 1], so e @ [v, 1] is (e.v, s) at once
         k, vs = np.empty((bounds[-1], head.d_k)), np.ones((bounds[-1], 2), order="F")
     else:

@@ -1,22 +1,26 @@
 """Synthetic regression tasks with known ground truth.
 
-Each task family is analytic, so the mean function, its gradient, its
-Hessian trace and its linear skeleton E[X m(X)] under either input law are
-available in closed form; the decomposition module needs the derivatives
-for the theoretical bias formula and for bias measurement against the true
-estimand, and the architecture sweep the skeleton as its value direction.
-``sample_dataset`` and ``sample_queries`` are the only Monte-Carlo draws.
+Each task family is analytic, so the mean function and its linear skeleton
+E[X m(X)] under either input law are available in closed form; the
+decomposition module measures bias against the mean at the queries, and the
+architecture sweep takes the skeleton as its value direction.  The
+Monte-Carlo draws are ``sample_dataset`` (inputs only: heads read no
+responses), ``sample_queries`` and, for a library caller that wants
+responses, ``sample_labels``.
 
 Seed discipline: experiment layers derive all sampling seeds through
 ``derive_seed(master, domain, index)``.  Domains keep dataset replicates,
 query points and projection draws statistically independent of one another
-while remaining bit-reproducible.
+while remaining bit-reproducible.  A dataset's inputs come from its seed's
+stream and its noise from the stream ``derive_seed(seed, "noise")``, so the
+first n inputs and the first n labels of a draw at any N >= n are those of
+the draw at n.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "derive_seed",
     "make_task",
     "sample_dataset",
+    "sample_labels",
     "sample_queries",
 ]
 
@@ -68,7 +73,7 @@ class RegressionTask:
     heteroscedastic: bool
     params: dict = field(repr=False)
 
-    # -- mean function and derivatives ------------------------------------
+    # -- mean function ---------------------------------------------------
 
     def mean(self, x: np.ndarray) -> np.ndarray:
         """m evaluated at one point (p,) or a batch (N, p)."""
@@ -85,38 +90,6 @@ class RegressionTask:
             a, s = self.params["amplitude"], self.params["scale"]
             out = a * np.exp(-0.5 * (x * x).sum(axis=1) / s**2)
         return out
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """grad m, same batch convention as mean(); shape (N, p)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if self.family == "linear":
-            return np.broadcast_to(self.params["beta"], x.shape).copy()
-        if self.family == "quadratic":
-            return 2.0 * x @ self.params["A"]
-        if self.family == "sine_mixture":
-            omega = self.params["omega"]
-            return np.cos(x @ omega.T) @ omega
-        a, s = self.params["amplitude"], self.params["scale"]
-        g = a * np.exp(-0.5 * (x * x).sum(axis=1) / s**2)
-        return -(g / s**2)[:, None] * x
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        """Hessian of m at a single point x, shape (p, p)."""
-        x = np.asarray(x, dtype=np.float64).reshape(self.p)
-        if self.family == "linear":
-            return np.zeros((self.p, self.p))
-        if self.family == "quadratic":
-            return 2.0 * self.params["A"]
-        if self.family == "sine_mixture":
-            omega = self.params["omega"]
-            sins = np.sin(omega @ x)
-            return -np.einsum("j,ji,jk->ik", sins, omega, omega)
-        a, s = self.params["amplitude"], self.params["scale"]
-        g = a * np.exp(-0.5 * float(x @ x) / s**2)
-        return (g / s**4) * np.outer(x, x) - (g / s**2) * np.eye(self.p)
-
-    def hessian_trace(self, x: np.ndarray) -> float:
-        return float(np.trace(self.hessian(x)))
 
     # -- noise -------------------------------------------------------------
 
@@ -166,26 +139,27 @@ class RegressionTask:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n i.i.d. draws (x_i, y_i) with the noise realisation recorded."""
+    """n i.i.d. inputs x_i, and the responses y_i with their noise
+    realisation when labelled (``sample_labels``)."""
 
     xs: np.ndarray
-    ys: np.ndarray
-    eps: np.ndarray
-    seed: int
+    ys: np.ndarray | None = None
+    eps: np.ndarray | None = None
+    seed: int = 0
     task_id: str = ""   # caller's label; nothing in the lab reads it
 
     def __post_init__(self):
-        for name in ("xs", "ys", "eps"):
+        given = ["xs"] + [name for name in ("ys", "eps") if getattr(self, name) is not None]
+        for name in given:
             arr = np.array(getattr(self, name), dtype=np.float64, order="C", copy=True)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.xs.ndim != 2 or self.xs.shape[0] < 1:
             raise ShapeMismatch(f"Dataset needs n >= 1 points, got xs shape {self.xs.shape}")
-        if self.ys.shape != (self.xs.shape[0],) or self.eps.shape != self.ys.shape:
-            raise ShapeMismatch(
-                f"Dataset field shapes disagree: xs {self.xs.shape}, "
-                f"ys {self.ys.shape}, eps {self.eps.shape}"
-            )
+        for name in given[1:]:
+            if getattr(self, name).shape != (self.n,):
+                raise ShapeMismatch(f"Dataset field shapes disagree: xs {self.xs.shape}, "
+                                    f"{name} {getattr(self, name).shape}")
 
     @property
     def n(self) -> int:
@@ -204,7 +178,7 @@ def make_task(
     param_seed: int = 0,
     heteroscedastic: bool = False,
 ) -> RegressionTask:
-    """Construct a task with analytically known m, grad m, Hessian.
+    """Construct a task with an analytically known mean function m.
 
     Family parameters are drawn deterministically from ``param_seed``.
     """
@@ -247,14 +221,20 @@ def make_task(
 
 
 def sample_dataset(task: RegressionTask, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws from the task; bit-identical for equal (task, n, seed)."""
+    """n i.i.d. inputs from the task's law, unlabelled; bit-identical for
+    equal (task, n, seed), and the first n of a draw at any larger n."""
     if n < 1:
         raise ShapeMismatch(f"sample_dataset needs n >= 1, got {n}")
     rng = np.random.default_rng(int(seed))
-    xs = _sample_law(task.input_law, n, task.p, rng)
-    eps = rng.standard_normal(n) * task.noise_sd(xs)
-    ys = task.mean(xs) + eps
-    return Dataset(xs=xs, ys=ys, eps=eps, seed=int(seed))
+    return Dataset(xs=_sample_law(task.input_law, n, task.p, rng), seed=int(seed))
+
+
+def sample_labels(task: RegressionTask, data: Dataset) -> Dataset:
+    """``data`` with responses y = m(x) + eps, the noise drawn from the stream
+    ``derive_seed(data.seed, "noise")``, so labels nest across n as inputs do."""
+    rng = np.random.default_rng(derive_seed(data.seed, "noise"))
+    eps = rng.standard_normal(data.n) * task.noise_sd(data.xs)
+    return replace(data, ys=task.mean(data.xs) + eps, eps=eps)
 
 
 def sample_queries(task: RegressionTask, q: int, seed: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from mha_nw_lab.decomposition import (
     hdi_sweep,
     mc_decompose,
     spearman,
-    theoretical_bias_variance,
     weighting_compare,
 )
 from mha_nw_lab.errors import LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
@@ -285,7 +284,7 @@ class TestReplicateEngine:
         ]
 
     @staticmethod
-    def counting(monkeypatch, name, fn):
+    def counting(monkeypatch, name, fn, owner=decomposition):
         # one worker: calls made in a forked worker are not seen by this process
         monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
         calls = []
@@ -294,7 +293,7 @@ class TestReplicateEngine:
             calls.append(args)
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(decomposition, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
         return calls
 
     def test_joint_call_equals_one_call_per_set(self, quad_task):
@@ -347,6 +346,17 @@ class TestReplicateEngine:
         _head_tensor(quad_task, [(60, heads), (90, heads), (60, heads[:2])], 6, 8, 21)
         assert sorted((n, seed) for _, n, seed in draws) == sorted(
             (90, derive_seed(21, "data", r)) for r in range(6))
+
+    def test_the_mean_is_evaluated_only_at_the_queries(self, quad_task, monkeypatch):
+        # heads read no responses, so no replicate evaluates m or draws noise
+        means = self.counting(monkeypatch, "mean", RegressionTask.mean, RegressionTask)
+        noise = self.counting(monkeypatch, "noise_sd", RegressionTask.noise_sd, RegressionTask)
+        plan = quick_plan(quad_task, n=60, R=6, Q=8, master=21)
+        mc_decompose(plan)
+        assert noise == []
+        [(task, points)] = means
+        assert task is quad_task
+        np.testing.assert_array_equal(points, sample_queries(quad_task, 8, derive_seed(21, "query")))
 
     def test_identical_heads_run_once_per_replicate(self, quad_task, monkeypatch):
         heads = self.head_sets(quad_task)[0]
@@ -578,9 +588,11 @@ class TestWorkerProcesses:
             return False
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
-    def test_children_of_a_killed_caller_leave_within_a_replicate(self, tmp_path):
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+    def test_children_of_a_killed_caller_leave_within_a_replicate(self, tmp_path, sig):
         # the caller runs replicates 0-19 and its child 20-39, 0.2 s each; the
-        # child writes its pid before each one
+        # child writes its pid before each one.  Neither signal runs the
+        # caller's cleanup, so the child leaves on its own parent check
         pids = tmp_path / "pids"
         script = (
             "import os, time\n"
@@ -603,8 +615,8 @@ class TestWorkerProcesses:
                 assert time.monotonic() < deadline and caller.poll() is None
                 time.sleep(0.01)
         finally:
-            caller.kill()
-            caller.wait()
+            caller.send_signal(sig)
+            assert caller.wait() == -sig
         children = {int(line) for line in pids.read_text().split()}
         assert len(children) == 1 and caller.pid not in children
         killed = time.monotonic()
@@ -650,86 +662,6 @@ class TestDegenerateScreen:
         with pytest.warns(RuntimeWarning, match="degenerate") as record:
             mc_decompose(plan)
         assert [w.filename for w in record] == [__file__]
-
-
-@pytest.fixture(scope="module")
-def aligned_fixture():
-    # quadratic mean supported on the head's own key plane so the
-    # leading-order formula describes the measured bias
-    p, d_k = 6, 2
-    rng = np.random.default_rng(5)
-    u, _ = np.linalg.qr(rng.standard_normal((p, d_k)))
-    s = np.diag([1.0, 0.6])
-    task = RegressionTask(
-        family="quadratic", p=p, sigma=1.0, input_law="gaussian",
-        param_seed=0, heteroscedastic=False, params={"A": u @ s @ u.T},
-    )
-    head = HeadConfig(wq=Matrix(u), wk=Matrix(u),
-                      wv=0.1 * rng.standard_normal(p))
-    return task, head, u, s
-
-
-class TestTheoreticalBiasVariance:
-    def test_variance_halves_when_n_doubles(self, aligned_fixture):
-        task, head, u, _ = aligned_fixture
-        x = np.full(6, 0.3)
-        b1, v1 = theoretical_bias_variance(task, head, x, 1000)
-        b2, v2 = theoretical_bias_variance(task, head, x, 2000)
-        assert v1 == pytest.approx(2.0 * v2, rel=1e-12)
-        assert b1 == b2
-
-    def test_linear_mean_reduces_to_density_term(self):
-        task = lab.make_task("linear", 6, 1.0, "gaussian")
-        rng = np.random.default_rng(8)
-        u, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        head = HeadConfig(wq=Matrix(u), wk=Matrix(u), wv=task.params["beta"])
-        x = rng.standard_normal(6)
-        b1, _ = theoretical_bias_variance(task, head, x, 500)
-        grad_k = u.T @ task.gradient(x)[0]
-        k = u.T @ x
-        expected = 0.5 * 0.5 * 2.0 * float(grad_k @ (-np.linalg.inv(u.T @ u) @ k))
-        assert b1 == pytest.approx(expected, rel=1e-10)
-
-    def test_sign_and_factor_three_against_mc_bias(self, aligned_fixture):
-        # regime: queries whose local curvature energy k^T S k is at least
-        # 0.8 tr(S); below that the formula's two terms cancel and the
-        # leading order carries no sign information
-        task, head, u, s = aligned_fixture
-        n, R, Q = 2000, 400, 30
-        master = 11
-        queries = sample_queries(task, Q, derive_seed(master, "query"))
-
-        _, [(E, _)] = _head_tensor(task, [(n, [head])], R, Q, master)
-        mc_bias = E[:, 0, :].mean(axis=0) - task.mean(queries)
-        checked = 0
-        for i in range(Q):
-            k = u.T @ queries[i]
-            if float(k @ s @ k) < 0.8 * np.trace(s):
-                continue
-            checked += 1
-            b1, _ = theoretical_bias_variance(task, head, queries[i], n)
-            assert np.sign(b1) == np.sign(mc_bias[i])
-            ratio = abs(b1) / abs(mc_bias[i])
-            assert 1.0 / 3.0 <= ratio <= 3.0
-        assert checked >= 8
-
-    def test_uniform_law_uses_kde(self):
-        task = lab.make_task("quadratic", 4, 1.0, "uniform")
-        rng = np.random.default_rng(9)
-        u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        head = HeadConfig(wq=Matrix(u), wk=Matrix(u), wv=np.zeros(4))
-        b1, v1 = theoretical_bias_variance(task, head, np.zeros(4), 500)
-        assert np.isfinite(b1) and v1 > 0
-
-    def test_vanishing_density_raises(self):
-        from mha_nw_lab.errors import DensityTooSmall
-
-        task = lab.make_task("quadratic", 4, 1.0, "gaussian")
-        rng = np.random.default_rng(10)
-        u, _ = np.linalg.qr(rng.standard_normal((4, 2)))
-        head = HeadConfig(wq=Matrix(u), wk=Matrix(u), wv=np.zeros(4))
-        with pytest.raises(DensityTooSmall):
-            theoretical_bias_variance(task, head, np.full(4, 40.0), 500)
 
 
 class TestHdiSweep:

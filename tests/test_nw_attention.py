@@ -16,10 +16,8 @@ def make_head(p, d_k, seed=0, query_gain=1.0):
     return HeadConfig(wq=Matrix(query_gain * wk), wk=Matrix(wk), wv=wv)
 
 
-def make_data(xs, task=None):
-    xs = np.asarray(xs, dtype=np.float64)
-    n = xs.shape[0]
-    return Dataset(xs=xs, ys=np.zeros(n), eps=np.zeros(n), seed=0, task_id="test")
+def make_data(xs):
+    return Dataset(xs=xs)
 
 
 def softmax_oracle(logits):
@@ -37,10 +35,9 @@ class TestHeadConfig:
             HeadConfig(wq=Matrix(np.ones((3, 2))), wk=Matrix(np.ones((3, 2))),
                        wv=np.ones(4))
 
-    def test_bandwidth_readonly_derived(self):
-        head = make_head(4, 4)
-        assert head.bandwidth == pytest.approx(0.5)
-        assert head.d_k == 4
+    def test_dimensions_are_derived(self):
+        head = make_head(5, 4)
+        assert (head.p, head.d_k) == (5, 4)
 
 
 class TestAttend:

@@ -3,12 +3,13 @@ import pytest
 
 from mha_nw_lab.errors import ShapeMismatch, UnsupportedFamily
 from mha_nw_lab.synthetic import (
-    FAMILIES,
     INPUT_LAWS,
+    Dataset,
     RegressionTask,
     derive_seed,
     make_task,
     sample_dataset,
+    sample_labels,
     sample_queries,
 )
 
@@ -27,40 +28,13 @@ class TestMakeTask:
         beta = task.params["beta"]
         x = np.array([[0.3, -0.7]])
         assert task.mean(x)[0] == pytest.approx(float(x[0] @ beta))
-        data = sample_dataset(task, 20, seed=1)
+        data = sample_labels(task, sample_dataset(task, 20, seed=1))
         np.testing.assert_array_equal(data.eps, np.zeros(20))
         np.testing.assert_allclose(data.ys, task.mean(data.xs), atol=0)
 
-    def test_quadratic_hessian_trace(self):
-        task = make_task("quadratic", 3, 1.0, "gaussian")
-        a = task.params["A"]
-        assert np.allclose(a, a.T)
-        x = np.zeros(3)
-        assert task.hessian_trace(x) == pytest.approx(2.0 * np.trace(a))
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_derivatives_match_finite_differences(self, family):
-        task = make_task(family, 3, 1.0, "gaussian")
-        rng = np.random.default_rng(31)
-        step = 1e-5
-        for _ in range(100):
-            x = rng.standard_normal(3)
-            grad = task.gradient(x)[0]
-            fd_grad = np.empty(3)
-            for i in range(3):
-                e = np.zeros(3)
-                e[i] = step
-                fd_grad[i] = (task.mean(x + e)[0] - task.mean(x - e)[0]) / (2 * step)
-            scale = max(np.abs(grad).max(), 1.0)
-            assert np.abs(grad - fd_grad).max() <= 1e-5 * scale
-            hess = task.hessian(x)
-            fd_hess = np.empty((3, 3))
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = step
-                fd_hess[:, j] = (task.gradient(x + e)[0] - task.gradient(x - e)[0]) / (2 * step)
-            scale_h = max(np.abs(hess).max(), 1.0)
-            assert np.abs(hess - fd_hess).max() <= 1e-5 * scale_h
+    def test_quadratic_form_is_symmetric(self):
+        a = make_task("quadratic", 3, 1.0, "gaussian").params["A"]
+        np.testing.assert_array_equal(a, a.T)
 
     def test_heteroscedastic_profile(self):
         task = make_task("linear", 2, 0.5, "gaussian", heteroscedastic=True)
@@ -69,15 +43,22 @@ class TestMakeTask:
 
 
 class TestSampling:
+    def test_draw_is_inputs_only(self):
+        task = make_task("quadratic", 3, 1.0, "gaussian")
+        data = sample_dataset(task, 10, seed=5)
+        assert data.ys is None and data.eps is None
+        labelled = sample_labels(task, data)
+        assert labelled.xs.tobytes() == data.xs.tobytes() and labelled.seed == 5
+
     def test_noiseless_dataset(self):
         task = make_task("radial", 3, 0.0, "uniform")
-        data = sample_dataset(task, 10, seed=5)
+        data = sample_labels(task, sample_dataset(task, 10, seed=5))
         np.testing.assert_allclose(data.ys, task.mean(data.xs))
 
     def test_same_seed_identical_bytes(self):
         task = make_task("quadratic", 3, 1.0, "gaussian")
-        a = sample_dataset(task, 100, seed=12)
-        b = sample_dataset(task, 100, seed=12)
+        a = sample_labels(task, sample_dataset(task, 100, seed=12))
+        b = sample_labels(task, sample_dataset(task, 100, seed=12))
         assert a.xs.tobytes() == b.xs.tobytes()
         assert a.ys.tobytes() == b.ys.tobytes()
         assert a.eps.tobytes() == b.eps.tobytes()
@@ -92,18 +73,37 @@ class TestSampling:
                 small, large = sample_dataset(task, n, seed), sample_dataset(task, N, seed)
                 np.testing.assert_array_equal(small.xs, large.xs[:n])
 
+    @pytest.mark.parametrize("law", ["uniform", "gaussian"])
+    def test_labels_at_n_are_a_prefix_of_labels_at_a_larger_n(self, law):
+        # the noise has its own stream, so it does not start where the inputs end
+        task = make_task("quadratic", 3, 1.0, law, heteroscedastic=True)
+        for n, N in ((1, 2), (7, 50), (250, 1000)):
+            for seed in (0, 12345, derive_seed(9, "data", 3)):
+                small = sample_labels(task, sample_dataset(task, n, seed))
+                large = sample_labels(task, sample_dataset(task, N, seed))
+                np.testing.assert_array_equal(small.eps, large.eps[:n])
+                np.testing.assert_array_equal(small.ys, large.ys[:n])
+
     def test_residual_variance_chi_square_interval(self):
         # 99% chi-square band for n = 10^4, sigma = 1 is [0.94, 1.06]
         task = make_task("linear", 2, 1.0, "gaussian")
-        data = sample_dataset(task, 10_000, seed=2024)
+        data = sample_labels(task, sample_dataset(task, 10_000, seed=2024))
         resid_var = np.var(data.ys - task.mean(data.xs), ddof=1)
         assert 0.94 <= resid_var <= 1.06
 
     def test_eps_mean_within_4_sigma(self):
         task = make_task("linear", 2, 1.0, "gaussian")
         for seed in range(5):
-            data = sample_dataset(task, 2000, seed=seed)
+            data = sample_labels(task, sample_dataset(task, 2000, seed=seed))
             assert abs(data.eps.mean()) <= 4.0 / np.sqrt(2000)
+
+    def test_labels_are_shape_checked_only_when_given(self):
+        xs = np.zeros((3, 2))
+        assert Dataset(xs=xs).ys is None
+        Dataset(xs=xs, ys=np.zeros(3), eps=np.zeros(3), seed=0, task_id="t")
+        for labels in ({"ys": np.zeros(2)}, {"eps": np.zeros((3, 1))}):
+            with pytest.raises(ShapeMismatch, match="shapes disagree"):
+                Dataset(xs=xs, **labels)
 
     def test_n_must_be_positive(self):
         task = make_task("linear", 2, 1.0, "gaussian")
