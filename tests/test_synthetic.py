@@ -3,6 +3,7 @@ import pytest
 
 from mha_nw_lab.errors import ShapeMismatch, UnsupportedFamily
 from mha_nw_lab.synthetic import (
+    FAMILIES,
     INPUT_LAWS,
     Dataset,
     RegressionTask,
@@ -35,6 +36,25 @@ class TestMakeTask:
     def test_quadratic_form_is_symmetric(self):
         a = make_task("quadratic", 3, 1.0, "gaussian").params["A"]
         np.testing.assert_array_equal(a, a.T)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_mean_matches_its_formula_point_by_point(self, family):
+        task = make_task(family, 3, 1.0, "gaussian")
+        formula = {
+            "linear": lambda x: x @ task.params["beta"],
+            "quadratic": lambda x: x @ task.params["A"] @ x,
+            "sine_mixture": lambda x: sum(np.sin(w @ x) for w in task.params["omega"]),
+            "radial": lambda x: task.params["amplitude"]
+            * np.exp(-0.5 * (x @ x) / task.params["scale"] ** 2),
+        }[family]
+        xs = np.random.default_rng(31).standard_normal((100, 3))
+        batch = task.mean(xs)
+        assert batch.shape == (100,)
+        for x, m in zip(xs, batch):
+            assert m == pytest.approx(formula(x), rel=1e-12, abs=1e-12)
+            assert task.mean(x) == pytest.approx([m], rel=1e-12, abs=1e-12)
+        with pytest.raises(ShapeMismatch):
+            task.mean(np.zeros((2, 4)))
 
     def test_heteroscedastic_profile(self):
         task = make_task("linear", 2, 0.5, "gaussian", heteroscedastic=True)
