@@ -63,19 +63,19 @@ ENDPOINT_SIGMA = 4.0        # paired mse(mix=0) - mse(mix=1) significance
 OPTIMIZER_OBJECTIVE = 1e-8  # final pairwise Gram mass
 
 _REQUIRED = object()
-_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _checked(value, field: str, kind):
-    """``value`` as ``kind``: bool, int, str, float (ints accepted, must be
-    finite), or a one-item list such as ``[float]`` for a list of them.  JSON
-    booleans are not numbers; any mismatch raises a ConfigError naming ``field``."""
+    """``value`` as ``kind``: int, str, float (ints accepted, must be finite),
+    or a one-item list such as ``[float]`` for a list of them.  JSON booleans
+    are not numbers; any mismatch raises a ConfigError naming ``field``."""
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"config field {field} must be a list, got {value!r}")
         return [_checked(v, f"{field}[{i}]", kind[0]) for i, v in enumerate(value)]
-    if kind is bool or kind is str:
-        ok = isinstance(value, kind)
+    if kind is str:
+        ok = isinstance(value, str)
     elif kind is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:

@@ -46,7 +46,10 @@ set's weight vectors.  The replicates run as contiguous blocks, one per
 worker process (MHA_NW_LAB_THREADS caps them, 0 = auto): the caller runs the
 first block and forked children the others, writing into tensors in shared
 memory; a child leaves once the caller dies.  Rows are indexed by replicate,
-so the outputs are bit-identical for every worker count.
+so the outputs are bit-identical for every worker count.  They are the one
+channel a failure takes: once every block is done, the first non-finite
+estimate (by replicate, then set, head and query) raises ReplicateFailure, so
+a run whose estimates overflow finishes all its replicates before it fails.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ __all__ = [
     "spearman",
 ]
 
-
-#: exit code of a worker whose block raised ReplicateFailure; the indices are
-#: in shared memory
-_WORKER_FAILED = 3
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -219,15 +218,19 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
                 sizes = sorted(by_n)
                 est, counts = attend_many(head, queries, data, sizes,
                                           projected=(q, xw[:, keys], xw[:, values]))
-                if not np.all(np.isfinite(est)):
-                    i, q_bad = (int(a) for a in np.argwhere(~np.isfinite(est))[0])
-                    raise _replicate_failure(r, by_n[sizes[i]][0][1], q_bad)
                 for n, est_n, count in zip(sizes, est, counts):
                     for s, h in by_n[n]:
                         Es[s][r, h] = est_n
                         degenerate[s][r, h] = count
 
-    _run_in_blocks(run_replicates, R)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _run_in_blocks(run_replicates, R)
+    bad = min(((r, s, h, q) for s, E in enumerate(Es)
+               for r, h, q in np.argwhere(~np.isfinite(E))[:1].tolist()), default=None)
+    if bad is not None:
+        r, _, h, q = bad
+        raise ReplicateFailure(f"non-finite head estimate at replicate {r}, head {h}, query {q}",
+                               replicate=r, head=h, query=q)
     return queries, [(E, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
 
 
@@ -238,29 +241,24 @@ def _shared(shape, dtype) -> np.ndarray:
                          dtype).reshape(shape)
 
 
-def _replicate_failure(r: int, h: int, q: int) -> ReplicateFailure:
-    return ReplicateFailure(f"non-finite head estimate at replicate {r}, head {h}, query {q}",
-                            replicate=r, head=h, query=q)
-
-
 def _run_in_blocks(run, R: int) -> None:
     """``run(block)`` over contiguous blocks of ``range(R)``, one per worker:
     this process runs the first block and a forked child each later one.
     Serial where ``os.fork`` is missing or another Python thread is running.
-    Children are reaped before this returns or raises; a failure raises as
-    the serial loop would, from the lowest failing block."""
+    Children are reaped before this returns or raises; a child that exits
+    nonzero or dies of a signal raises LabError naming its block.  No other
+    failure ends a block early: ``run`` reports through what it writes."""
     workers = min(worker_count(), R)
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     blocks = [range(R * b // workers, R * (b + 1) // workers) for b in range(workers)]
-    failures = _shared((workers, 3), np.int64)   # a failed block's (replicate, head, query)
     pids, statuses = [], []   # children not yet reaped, and reaped ones' wait statuses
     parent = os.getpid()
     try:
-        for block, failure in zip(blocks[1:], failures[1:]):
+        for block in blocks[1:]:
             pid = os.fork()
             if pid == 0:
-                _worker(run, block, failure, parent)
+                _worker(run, block, parent)
             pids.append(pid)
         run(blocks[0])
         while pids:
@@ -271,10 +269,8 @@ def _run_in_blocks(run, R: int) -> None:
             os.kill(pid, signal.SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
-    for block, failure, status in zip(blocks[1:], failures[1:], statuses):
+    for block, status in zip(blocks[1:], statuses):
         code = os.waitstatus_to_exitcode(status)
-        if code == _WORKER_FAILED:
-            raise _replicate_failure(*failure.tolist())
         if code:
             how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                    else f"exited with code {code}")
@@ -282,18 +278,15 @@ def _run_in_blocks(run, R: int) -> None:
                            f"{block.stop - 1} {how}")
 
 
-def _worker(run, block: range, failure: np.ndarray, parent: int):
-    """A forked child's whole life: run its block, record a ReplicateFailure's
-    indices in ``failure``, and leave by ``os._exit`` (no inherited buffers are
-    flushed and no exit handlers run), also before any replicate once
+def _worker(run, block: range, parent: int):
+    """A forked child's whole life: run its block and leave by ``os._exit``
+    (no inherited buffers are flushed and no exit handlers run) with 0, or with
+    1 after writing a traceback to stderr, also before any replicate once
     ``parent`` has died, however it died: an orphan's parent pid changes."""
     code = 1
     try:
         run(_while_alive(block, parent))
         code = 0
-    except ReplicateFailure as exc:
-        failure[:] = exc.replicate, exc.head, exc.query
-        code = _WORKER_FAILED
     except Exception:
         os.write(2, traceback.format_exc().encode())
     finally:

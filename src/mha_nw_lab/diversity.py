@@ -216,7 +216,6 @@ def optimize_projections(
     d_k: int,
     H: int,
     seed: int,
-    initial: ProjectionSet | None = None,
 ) -> tuple[ProjectionSet, list[float]]:
     """Projected gradient descent toward mutually orthogonal key frames.
 
@@ -231,18 +230,10 @@ def optimize_projections(
     if H * d_k > p:
         raise Infeasible(f"optimize_projections needs H*d_k <= p, got {H}*{d_k} > {p}")
     rng = np.random.default_rng(int(seed))
-    if initial is not None:
-        if initial.H != H or initial.p != p or initial.d_k != d_k:
-            raise ShapeMismatch(
-                f"initial set is {initial.H} heads of {initial.p}x{initial.d_k}, "
-                f"expected {H} of {p}x{d_k}"
-            )
-        wks = [head.wk.a / np.linalg.norm(head.wk.a) for head in initial.heads]
-    else:
-        wks = []
-        for _ in range(H):
-            w = rng.standard_normal((p, d_k))
-            wks.append(w / np.linalg.norm(w))
+    wks = []
+    for _ in range(H):
+        w = rng.standard_normal((p, d_k))
+        wks.append(w / np.linalg.norm(w))
 
     trace = [projection_objective(wks, d_k)]
     lr = OPTIMIZER_STEP_SIZE

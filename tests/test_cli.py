@@ -470,6 +470,24 @@ class TestDecomposeCommand:
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_run_prints_one_error_line(self, tmp_path, threads):
+        # a value vector at the float ceiling overflows head 2's estimates; the
+        # numpy overflow warnings of each worker are not printed
+        config = json.loads((CONFIG_DIR / "decompose_canonical.json").read_text())
+        config["task"]["p"] = 12
+        config["projection"]["noise_scales"] = [0, 0, 1e308, 0]
+        out = tmp_path / "run"
+        path = write_config(tmp_path, dict(config, R=8, output_dir=str(out)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, MHA_NW_LAB_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", "decompose", "--config",
+                               str(path)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: non-finite head estimate at replicate 0, head 2, query 0\n"
+        assert not out.exists()
+
     def test_nothing_written_while_computing(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         compute = cli.mc_decompose

@@ -273,18 +273,6 @@ class TestProjectionFamily:
 
 
 class TestOptimizer:
-    def test_orthogonal_start_is_fixed_point(self):
-        frame = orthonormal(8, 8, 30)
-        wks = [frame[:, i * 2:(i + 1) * 2] / np.linalg.norm(frame[:, i * 2:(i + 1) * 2])
-               for i in range(4)]
-        initial = set_from_wks(wks)
-        proj, trace = optimize_projections(8, 2, 4, seed=0, initial=initial)
-        assert trace[0] <= 1e-12
-        assert len(trace) == 1
-        for head, w in zip(proj.heads, wks):
-            # defensive renormalization of the start may move the last bit
-            np.testing.assert_allclose(head.wk.a, w, atol=1e-14)
-
     def test_two_heads_in_plane_reach_right_angle(self):
         proj, trace = optimize_projections(2, 1, 2, seed=5)
         assert trace[-1] <= 1e-10
@@ -303,6 +291,7 @@ class TestOptimizer:
             assert trace[-1] <= 1e-8
             for head in proj.heads:
                 assert np.linalg.norm(head.wk.a) == pytest.approx(1.0, abs=1e-12)
+                np.testing.assert_array_equal(head.wq.a, head.wk.a)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
@@ -323,13 +312,20 @@ class TestOptimizer:
         assert stalled.value.trace == [1.0]
         assert len(values) == 11   # the start, then ten rejected candidates
 
-    def test_unnormalized_start_returns_unit_frobenius_heads(self):
-        rng = np.random.default_rng(2)
-        wks = [scale * rng.standard_normal((8, 2)) for scale in (3.0, 0.2, 1.0, 50.0)]
-        proj, _ = optimize_projections(8, 2, 4, seed=0, initial=set_from_wks(wks))
-        for head in proj.heads:
-            assert np.linalg.norm(head.wk.a) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_array_equal(head.wq.a, head.wk.a)
+    def test_start_at_tolerance_returns_its_one_entry_trace(self, monkeypatch):
+        # a start scoring at OPTIMIZER_TOL is returned without a step
+        values = []
+
+        def at_tolerance(wks, d_k):
+            values.append(diversity.OPTIMIZER_TOL)
+            return values[-1]
+
+        monkeypatch.setattr(diversity, "projection_objective", at_tolerance)
+        proj, trace = optimize_projections(8, 2, 4, seed=0)
+        assert trace == [diversity.OPTIMIZER_TOL]
+        assert len(values) == 1
+        start = np.random.default_rng(0).standard_normal((8, 2))
+        np.testing.assert_array_equal(proj.heads[0].wk.a, start / np.linalg.norm(start))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(99)
