@@ -47,9 +47,11 @@ worker process (MHA_NW_LAB_THREADS caps them, 0 = auto): the caller runs the
 first block and forked children the others, writing into tensors in shared
 memory; a child leaves once the caller dies.  Rows are indexed by replicate,
 so the outputs are bit-identical for every worker count.  They are the one
-channel a failure takes: once every block is done, the first non-finite
-estimate (by replicate, then set, head and query) raises ReplicateFailure, so
-a run whose estimates overflow finishes all its replicates before it fails.
+channel a failure takes: once every block is done, ``_reports`` scans and
+reduces one set's tensor at a time, so the caller holds its own rows of every
+set and one whole set; the first non-finite estimate (by replicate, then set,
+head and query) raises ReplicateFailure, so a run whose estimates overflow
+finishes all its replicates before it fails.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     largest n; its first n inputs are those a draw at a smaller n makes, and
     heads read only inputs.  Heads with equal wq, wk and wv run once, in one
     pass over every n they are held at, on projections made by one product per
-    replicate: column-major, so that a head's keys and its [v, 1] are slices."""
+    replicate: column-major, so that a head's keys and its [v, 1] are slices.
+    Unscanned: the caller has mapped only the rows its own block wrote."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
     for s, (n, heads) in enumerate(head_sets):
@@ -225,12 +228,6 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _run_in_blocks(run_replicates, R)
-    bad = min(((r, s, h, q) for s, E in enumerate(Es)
-               for r, h, q in np.argwhere(~np.isfinite(E))[:1].tolist()), default=None)
-    if bad is not None:
-        r, _, h, q = bad
-        raise ReplicateFailure(f"non-finite head estimate at replicate {r}, head {h}, query {q}",
-                               replicate=r, head=h, query=q)
     return queries, [(E, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
 
 
@@ -311,10 +308,10 @@ def _decompose_tensor(E: np.ndarray, degenerate: np.ndarray, m_q: np.ndarray,
     """One report per weight vector in ``alpha_sets``, all reweighting ``E``;
     the statistics that do not depend on the weights are formed once."""
     R, _, Q = E.shape
-    err = E - m_q
+    err = E - m_q   # the one (R, H, Q) temporary: E - m, then its square, then Ec
     per_head_bias, bias_se = _mean_se(err.mean(axis=2))
-    per_head_mse, mse_se = _mean_se((err**2).mean(axis=2))
-    Ec = E - E.mean(axis=0)
+    per_head_mse, mse_se = _mean_se(np.square(err, out=err).mean(axis=2))
+    Ec = np.subtract(E, E.mean(axis=0), out=err)
     pair_t = np.einsum("rhq,rgq->rhg", Ec, Ec) / Q * (R / (R - 1))   # (R, H, H)
     cross_cov, cov_stderr = _mean_se(pair_t)
     per_head = dict(per_head_bias=per_head_bias, per_head_var=np.diag(cross_cov),
@@ -362,26 +359,34 @@ def _reports(task, sets, R, Q, master_seed) -> list[DecompositionReport]:
     """One report per weight vector of each ``(n, heads, alpha_sets)`` set,
     in input order, all on the same replicates.
 
-    Each set is one engine tensor and one reduction for all its weight
-    vectors; a set with degenerate softmax rows warns once.
+    Each set is one engine tensor, taken in turn and released before the
+    next: it is scanned for a non-finite estimate and, while none is found,
+    reduced once for all its weight vectors.  Then the lowest failing
+    (replicate, set, head, query) raises ReplicateFailure, or each set with
+    degenerate softmax rows warns once.
     """
     for n, _, _ in sets:
         _check_sizes(n, R, Q)
     queries, tensors = _head_tensor(task, [(n, heads) for n, heads, _ in sets],
                                     R, Q, master_seed)
     m_q = task.mean(queries)
-    reports = []
+    reports, held, bad = [], [], []   # held: warnings issued only if no set fails
     for s, (n, heads, alpha_sets) in enumerate(sets, 1):
-        E, degenerate = tensors.pop(0)   # released once reduced
-        if degenerate.any():
-            warnings.warn(
-                f"{degenerate.sum()} softmax weight vectors were degenerate "
-                f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) in head set {s} of {len(sets)} "
-                f"({R} replicates) at n={n}, H={len(heads)}, d_k={heads[0].d_k}; "
-                f"per head {degenerate.tolist()}",
-                RuntimeWarning, stacklevel=_outside_stacklevel(),
-            )
-        reports += _decompose_tensor(E, degenerate, m_q, alpha_sets)
+        E, degenerate = tensors.pop(0)   # the previous set's tensor is released here
+        bad += [(r, s, h, q) for r, h, q in np.argwhere(~np.isfinite(E))[:1].tolist()]
+        if not bad:
+            reports += _decompose_tensor(E, degenerate, m_q, alpha_sets)
+            if degenerate.any():
+                held.append(f"{degenerate.sum()} softmax weight vectors were degenerate "
+                            f"(entropy < {DEGENERATE_ENTROPY_NATS} nats) in head set {s} of "
+                            f"{len(sets)} ({R} replicates) at n={n}, H={len(heads)}, "
+                            f"d_k={heads[0].d_k}; per head {degenerate.tolist()}")
+    if bad:
+        r, _, h, q = min(bad)
+        raise ReplicateFailure(f"non-finite head estimate at replicate {r}, head {h}, query {q}",
+                               replicate=r, head=h, query=q)
+    for message in held:
+        warnings.warn(message, RuntimeWarning, stacklevel=_outside_stacklevel())
     return reports
 
 

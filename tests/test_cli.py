@@ -471,19 +471,22 @@ class TestDecomposeCommand:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_overflowing_run_prints_one_error_line(self, tmp_path, threads):
-        # a value vector at the float ceiling overflows head 2's estimates; the
-        # numpy overflow warnings of each worker are not printed
-        config = json.loads((CONFIG_DIR / "decompose_canonical.json").read_text())
+    @pytest.mark.parametrize("command, config_name", [("decompose", "decompose_canonical"),
+                                                      ("sweep-hdi", "sweep_hdi")],
+                             ids=["decompose", "sweep-hdi"])
+    def test_overflowing_run_prints_one_error_line(self, tmp_path, package_env, threads,
+                                                   command, config_name):
+        # a value vector at the float ceiling overflows head 2's estimates (in
+        # every one of sweep-hdi's six head sets); the numpy overflow warnings
+        # of each worker are not printed
+        config = json.loads((CONFIG_DIR / f"{config_name}.json").read_text())
         config["task"]["p"] = 12
         config["projection"]["noise_scales"] = [0, 0, 1e308, 0]
         out = tmp_path / "run"
         path = write_config(tmp_path, dict(config, R=8, output_dir=str(out)))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, MHA_NW_LAB_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", "decompose", "--config",
-                               str(path)], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", command, "--config",
+                               str(path)], capture_output=True, text=True,
+                              env=package_env(MHA_NW_LAB_THREADS=threads))
         assert proc.returncode == 1
         assert proc.stderr == "error: non-finite head estimate at replicate 0, head 2, query 0\n"
         assert not out.exists()
@@ -501,14 +504,12 @@ class TestDecomposeCommand:
         assert cli.main(["decompose", "--config", str(path)]) == 0
         assert (out / "MANIFEST").exists()
 
-    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path, package_env):
         config = json.loads((CONFIG_DIR / "decompose_canonical.json").read_text())
         path = write_config(tmp_path, dict(config, n=4000, R=8))
-        src = str(Path(cli.__file__).resolve().parents[1])
         tables = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, MHA_NW_LAB_THREADS="1",
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            env = package_env(OPENBLAS_NUM_THREADS=threads, MHA_NW_LAB_THREADS="1")
             out = tmp_path / f"blas{threads}"
             proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", "decompose", "--config",
                                    str(path), "--out", str(out)], capture_output=True, env=env)
@@ -803,33 +804,31 @@ class TestOtherCommands:
 
 
 class TestEntryPoint:
-    def test_version_flag(self):
+    def test_version_flag(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "mha_nw_lab.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         assert "mha-nw-lab" in proc.stdout
 
-    def test_package_runs_as_module(self):
+    def test_package_runs_as_module(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "mha_nw_lab", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         assert "mha-nw-lab" in proc.stdout
 
-    def test_warnings_print_as_warning_lines_naming_their_head_set(self, tmp_path):
+    def test_warnings_print_as_warning_lines_naming_their_head_set(self, tmp_path, package_env):
         # sharp heads: the pilot (5 replicates) and the main run (10) each warn
         config = small_config("weights-compare", tmp_path / "out")
         config["task"]["p"] = 4
         config["projection"].update(d_k=1, H=2, query_gain=200.0)
         config.update(n=50, R=10, Q=8, master_seed=3)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-m", "mha_nw_lab", "weights-compare", "--config",
                                str(write_config(tmp_path, config))],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 2 and all(line.startswith("warning: ") for line in lines)
@@ -842,10 +841,10 @@ class TestEntryPoint:
 
         assert [n for n in mha_nw_lab.__all__ if not hasattr(mha_nw_lab, n)] == []
 
-    def test_help_lists_subcommands(self):
+    def test_help_lists_subcommands(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "mha_nw_lab.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=package_env(),
         )
         assert proc.returncode == 0
         for name in ("decompose", "hdi", "sweep-hdi", "sweep-arch",

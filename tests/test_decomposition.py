@@ -4,7 +4,7 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
@@ -405,16 +405,96 @@ class TestReplicateEngine:
                 np.testing.assert_allclose(getattr(got, field.name), getattr(want, field.name),
                                            rtol=1e-12, atol=1e-15)
 
-    def test_failure_names_the_head_inside_its_set(self, quad_task):
-        from mha_nw_lab.errors import ReplicateFailure
+    @staticmethod
+    def overflowing(head):
+        """``head`` with a value vector at the float ceiling, so that its
+        estimates overflow from replicate 0 on."""
+        return HeadConfig(wq=head.wq, wk=head.wk, wv=np.full(head.wv.shape, 1e308))
 
+    @staticmethod
+    def uniform_sets(sets):
+        return [(n, heads, [make_weights("uniform", len(heads)).alphas]) for n, heads in sets]
+
+    def test_failure_names_the_head_inside_its_set(self, quad_task):
         distinct = self.head_sets(quad_task)[1]
-        bad = HeadConfig(wq=distinct[1].wq, wk=distinct[1].wk, wv=np.full(8, 1e308))
+        bad = self.overflowing(distinct[1])
         with pytest.raises(ReplicateFailure) as excinfo:
-            _head_tensor(quad_task, [(50, distinct), (50, (distinct[0], bad))], 4, 4, 1)
+            decomposition._reports(quad_task, self.uniform_sets(
+                [(50, distinct), (50, (distinct[0], bad))]), 4, 4, 1)
         assert excinfo.value.replicate == 0
         assert excinfo.value.head == 1
         assert 0 <= excinfo.value.query < 4
+
+    def test_failure_at_one_replicate_names_the_first_set(self, quad_task):
+        # both sets fail at replicate 0, the first at head 1 and the second at
+        # head 0: ordering by (replicate, head, query) alone would name head 0
+        distinct = self.head_sets(quad_task)[1]
+        bad = self.overflowing(distinct[1])
+        with pytest.raises(ReplicateFailure) as excinfo:
+            decomposition._reports(quad_task, self.uniform_sets(
+                [(50, (distinct[0], bad)), (50, (bad, distinct[0]))]), 4, 4, 1)
+        assert (excinfo.value.replicate, excinfo.value.head) == (0, 1)
+
+    def test_failure_at_a_lower_replicate_names_a_later_set(self, quad_task, monkeypatch):
+        # every replicate draws at n = 60: a NaN input at index 55 reaches
+        # only the second set (n = 60), at replicate 1; one at index 7 reaches
+        # both sets, at replicate 3
+        nan_at = {derive_seed(21, "data", 1): 55, derive_seed(21, "data", 3): 7}
+
+        def draw(task, n, seed):
+            data = sample_dataset(task, n, seed)
+            if seed in nan_at:
+                xs = data.xs.copy()
+                xs[nan_at[seed]] = np.nan
+                data = dataclasses.replace(data, xs=xs)
+            return data
+
+        monkeypatch.setattr(decomposition, "sample_dataset", draw)
+        heads = self.head_sets(quad_task)[1]
+        with pytest.raises(ReplicateFailure,
+                           match="non-finite head estimate at replicate 1, head 0, query 0"):
+            decomposition._reports(quad_task, self.uniform_sets([(50, heads), (60, heads)]),
+                                   6, 8, 21)
+
+    def test_a_failing_run_issues_no_warning(self):
+        # the first set's sharp heads have degenerate rows, the second overflows
+        task = lab.make_task("quadratic", 4, 1.0, "gaussian")
+        sharp = FamilySpec(p=4, d_k=1, H=2, query_gain=200.0).resolve(seed=3).heads
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            decomposition._reports(task, self.uniform_sets([(50, sharp)]), 10, 8, 3)
+        sets = self.uniform_sets([(50, sharp), (50, tuple(map(self.overflowing, sharp)))])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(ReplicateFailure):
+                decomposition._reports(task, sets, 10, 8, 3)
+        assert record == []
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="reads VmHWM in /proc")
+    def test_the_caller_holds_one_whole_set_at_a_time(self, package_env):
+        # K = 12 copies of one 3.3 MB set run as one set's compute (the heads
+        # are deduplicated); at 2 workers the caller maps its own half of every
+        # copy and one whole copy at a time, about 7 tensors, where holding
+        # every copy whole would be about 12.  The peak is VmHWM, that of the
+        # process image: ru_maxrss also counts the RSS of the pytest process
+        # that spawned it, which can exceed the K = 1 peak and hide the growth
+        script = (
+            "import mha_nw_lab as lab\n"
+            "from mha_nw_lab.decomposition import FamilySpec, _reports\n"
+            "from mha_nw_lab.mha import make_weights\n"
+            "task = lab.make_task('quadratic', 8, 1.0, 'gaussian')\n"
+            "heads = FamilySpec(p=8, d_k=2, H=4).resolve(seed=5).heads\n"
+            "one = (20, heads, [make_weights('uniform', 4).alphas])\n"
+            "peaks = []\n"
+            "for K in (1, 12):\n"
+            "    _reports(task, [one] * K, 200, 512, 21)\n"
+            "    peaks += [int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "              if line.startswith('VmHWM:')]\n"
+            "print(peaks[1] - peaks[0])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=package_env(MHA_NW_LAB_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        tensor_kb = 200 * 4 * 512 * 8 / 1024
+        assert int(proc.stdout) < 8 * tensor_kb
 
 
 class TestSharedProjection:
@@ -531,7 +611,8 @@ class TestWorkerProcesses:
         with pytest.raises(ReplicateFailure,
                            match="non-finite head estimate at replicate 3, head 0, query 0"
                            ) as excinfo:
-            _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+            decomposition._reports(quad_task, TestReplicateEngine.uniform_sets(
+                [(60, self.heads(quad_task))]), 6, 8, 21)
         err = excinfo.value
         assert (err.replicate, err.head, err.query) == (3, 0, 0)
         self.assert_no_child_left()
@@ -584,7 +665,8 @@ class TestWorkerProcesses:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
-    def test_children_of_a_killed_caller_leave_within_a_replicate(self, tmp_path, sig):
+    def test_children_of_a_killed_caller_leave_within_a_replicate(self, tmp_path, sig,
+                                                                  package_env):
         # the caller runs replicates 0-19 and its child 20-39, 0.2 s each; the
         # child writes its pid before each one.  Neither signal runs the
         # caller's cleanup, so the child leaves on its own parent check
@@ -600,10 +682,8 @@ class TestWorkerProcesses:
             "                f.write(f'{os.getpid()}\\n')\n"
             "        time.sleep(0.2)\n"
             "_run_in_blocks(run, 40)\n")
-        src = str(Path(decomposition.__file__).resolve().parents[1])
-        env = dict(os.environ, MHA_NW_LAB_THREADS="2",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        caller = subprocess.Popen([sys.executable, "-c", script], env=env)
+        caller = subprocess.Popen([sys.executable, "-c", script],
+                                  env=package_env(MHA_NW_LAB_THREADS="2"))
         try:
             deadline = time.monotonic() + 10
             while not (pids.exists() and pids.read_text().endswith("\n")):
