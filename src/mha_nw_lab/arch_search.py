@@ -26,7 +26,7 @@ from .errors import EmptySweep, ShapeMismatch, UnsupportedFamily
 from .mha import make_weights
 from .nw_attention import HeadConfig
 from .synthetic import RegressionTask, derive_seed
-from .tensor_core import Matrix, qr_orthonormalize
+from .tensor_core import qr_orthonormalize
 
 __all__ = [
     "ArchRow",
@@ -89,8 +89,8 @@ def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
     for H, d_k in allocations:
         heads = []
         for h in range(H):
-            wk = Matrix(frame[:, h * d_k:(h + 1) * d_k])
-            heads.append(HeadConfig(wq=Matrix(query_gain * wk.a), wk=wk, wv=wv))
+            wk = frame[:, h * d_k:(h + 1) * d_k]
+            heads.append(HeadConfig(wq=query_gain * wk, wk=wk, wv=wv))
         points.append((tuple(heads), make_weights("uniform", H).alphas))
     reports = _reports(task, [(n, heads, [alphas]) for n in n_grid for heads, alphas in points],
                        R, Q, seed)

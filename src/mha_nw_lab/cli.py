@@ -152,11 +152,13 @@ def load_config(path) -> Config:
 
 
 def _build_task(config: Config):
-    # noiseless: heads average projected inputs, never responses
+    # noiseless: heads average projected inputs, never responses; the radial
+    # family draws no parameters, so it leaves task.param_seed unread
+    family = config.read("task.family", str)
     return make_task(
-        family=config.read("task.family", str), p=config.read("task.p", int), sigma=0.0,
+        family=family, p=config.read("task.p", int), sigma=0.0,
         input_law=config.read("task.input_law", str),
-        param_seed=config.read("task.param_seed", int, 0),
+        param_seed=0 if family == "radial" else config.read("task.param_seed", int, 0),
     )
 
 
@@ -576,6 +578,9 @@ def main(argv=None) -> int:
             return 1
         except LabError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}", file=sys.stderr)
             return 1
 
 

@@ -56,6 +56,7 @@ finishes all its replicates before it fails.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import signal
@@ -193,20 +194,20 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
     for s, (n, heads) in enumerate(head_sets):
         for h, head in enumerate(heads):
-            key = (head.wq.shape, head.wq.a.tobytes(), head.wk.a.tobytes(), head.wv.tobytes())
+            key = (head.wq.shape, head.wq.tobytes(), head.wk.tobytes(), head.wv.tobytes())
             slots.setdefault(key, (head, {}))[1].setdefault(n, []).append((s, h))
     # the columns of one product per replicate: every distinct key column, then
     # each distinct value vector beside a zero column that becomes the 1s of [v, 1]
     distinct = [head for head, _ in slots.values()]
-    columns = {w.tobytes(): w for head in distinct for w in head.wk.a.T}
+    columns = {w.tobytes(): w for head in distinct for w in head.wk.T}
     ones = slice(len(columns) + 1, None, 2)
     columns.update({(head.wv.tobytes(), i): head.wv * (1 - i) for head in distinct for i in (0, 1)})
     at = {key: c for c, key in enumerate(columns)}
     runs = []   # (head, by_n, its projected queries, its key columns, its [v, 1] columns)
     for head, by_n in slots.values():
-        k, v = [at[w.tobytes()] for w in head.wk.a.T], at[head.wv.tobytes(), 0]
+        k, v = [at[w.tobytes()] for w in head.wk.T], at[head.wv.tobytes(), 0]
         keys = slice(k[0], k[0] + len(k)) if k == list(range(k[0], k[0] + len(k))) else k
-        runs.append((head, by_n, (queries @ head.wq.a) / np.sqrt(head.d_k), keys, slice(v, v + 2)))
+        runs.append((head, by_n, (queries @ head.wq) / np.sqrt(head.d_k), keys, slice(v, v + 2)))
     weights = np.array(list(columns.values()))
     N = max(n for n, _ in head_sets)
     Es = [_shared((R, len(heads), Q), np.float64) for _, heads in head_sets]
@@ -233,9 +234,14 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
 
 def _shared(shape, dtype) -> np.ndarray:
     """A zeroed array in anonymous shared memory, so a forked worker's writes
-    reach the process that forked it."""
-    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
-                         dtype).reshape(shape)
+    reach the process that forked it; LabError, naming the shape, if it
+    cannot be mapped."""
+    try:
+        buffer = mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize)
+    except (OSError, OverflowError) as exc:
+        raise LabError(f"out of memory: cannot map a shared array of shape {shape}: "
+                       f"{getattr(exc, 'strerror', None) or exc}") from exc
+    return np.frombuffer(buffer, dtype).reshape(shape)
 
 
 def _run_in_blocks(run, R: int) -> None:
@@ -416,14 +422,9 @@ def spearman(x, y) -> float:
         raise ShapeMismatch(f"spearman needs two equal-length vectors, got {x.shape} and {y.shape}")
 
     def ranks(a: np.ndarray) -> np.ndarray:
-        order = np.argsort(a, kind="stable")
-        r = np.empty(a.shape[0])
-        r[order] = np.arange(1, a.shape[0] + 1, dtype=np.float64)
-        for value in np.unique(a):
-            mask = a == value
-            if mask.sum() > 1:
-                r[mask] = r[mask].mean()
-        return r
+        # a tie of c values ending at rank k shares their mean rank k - (c - 1) / 2
+        _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
     rx, ry = ranks(x), ranks(y)
     rx -= rx.mean()

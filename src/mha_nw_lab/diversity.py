@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NeedsTwoHeads, OptimizationStalled, ShapeMismatch, WeightFileError
+from .errors import (Infeasible, LabError, NeedsTwoHeads, OptimizationStalled, ShapeMismatch,
+                     WeightFileError)
 from .mha import ProjectionSet
 from .nw_attention import HeadConfig
-from .tensor_core import Matrix, qr_orthonormalize
+from .tensor_core import qr_orthonormalize
 
 __all__ = [
     "DiversityReport",
@@ -57,7 +58,7 @@ def make_diversity_report(proj: ProjectionSet) -> DiversityReport:
     """Gram masses, principal angles and both indices in one pass over h < h2."""
     if proj.H < 2:
         raise NeedsTwoHeads(f"diversity report needs H >= 2 heads, got {proj.H}")
-    wks = [head.wk.a for head in proj.heads]
+    wks = [head.wk for head in proj.heads]
     frames = [qr_orthonormalize(wk) for wk in wks]
     gram = np.zeros((proj.H, proj.H))
     angles = {}
@@ -145,7 +146,7 @@ def make_projection_family(
         shared = qr_orthonormalize(rng.standard_normal((p, d_k)))
         wv = rng.standard_normal(p)
         wv /= np.linalg.norm(wv)
-        head = HeadConfig(wq=Matrix(query_gain * shared), wk=Matrix(shared), wv=wv)
+        head = HeadConfig(wq=query_gain * shared, wk=shared, wv=wv)
         return ProjectionSet(heads=(head,) * H)
 
     frame = qr_orthonormalize(rng.standard_normal((p, H * d_k)))
@@ -171,9 +172,7 @@ def make_projection_family(
     for h in range(H):
         blend = (1.0 - mix) * shared + mix * blocks[h]
         wk = qr_orthonormalize(blend)
-        heads.append(
-            HeadConfig(wq=Matrix(query_gain * wk), wk=Matrix(wk), wv=wv + extras[h])
-        )
+        heads.append(HeadConfig(wq=query_gain * wk, wk=wk, wv=wv + extras[h]))
     return ProjectionSet(heads=tuple(heads))
 
 
@@ -267,10 +266,7 @@ def optimize_projections(
 
     wv = rng.standard_normal(p)
     wv /= np.linalg.norm(wv)
-    heads = tuple(
-        HeadConfig(wq=Matrix(w), wk=Matrix(w), wv=wv) for w in wks
-    )
-    return ProjectionSet(heads=heads), trace
+    return ProjectionSet(heads=tuple(HeadConfig(wq=w, wk=w, wv=wv) for w in wks)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +277,10 @@ def load_weight_file(path) -> ProjectionSet:
     """Read a JSON head-weight document and return a ProjectionSet.
 
     Expected form: {"heads": [{"p": int, "d_k": int, "data": [flat
-    row-major numbers]}, ...]}.  Shapes, value types and finiteness are
-    validated, naming the head; parse errors carry the byte offset.  The
+    row-major numbers]}, ...]}.  Every failure is a WeightFileError naming the
+    file and the head: of the document's structure, of the head's entries
+    (finite), of its frame (full column rank, d_k <= p) or of the set's shapes
+    (all equal).  Parse errors carry the byte offset.  The
     imported heads tie wq = wk and use a zero value vector, which is all
     the diversity diagnostics need.
     """
@@ -303,7 +301,6 @@ def load_weight_file(path) -> ProjectionSet:
         raise WeightFileError(f"weight file {path}: 'heads' must be a nonempty array")
 
     heads = []
-    shape = None
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise WeightFileError(f"weight file {path}: head {i} is not an object")
@@ -322,24 +319,18 @@ def load_weight_file(path) -> ProjectionSet:
             raise WeightFileError(
                 f"weight file {path}: head {i} 'data' must be a flat array of numbers"
             )
-        try:
-            data = np.array(data, dtype=np.float64)
-        except OverflowError as exc:
-            raise WeightFileError(f"weight file {path}: head {i} has non-finite entries") from exc
-        if data.shape[0] != p * d_k:
+        if len(data) != p * d_k:
             raise WeightFileError(
                 f"weight file {path}: head {i} declares {p}x{d_k} = {p * d_k} "
-                f"entries but carries {data.shape[0]}"
+                f"entries but carries {len(data)}"
             )
-        if not np.all(np.isfinite(data)):
-            raise WeightFileError(f"weight file {path}: head {i} has non-finite entries")
-        if shape is None:
-            shape = (p, d_k)
-        elif shape != (p, d_k):
-            raise WeightFileError(
-                f"weight file {path}: head {i} shape {p}x{d_k} differs from "
-                f"head 0 shape {shape[0]}x{shape[1]}"
-            )
-        wk = Matrix(data.reshape(p, d_k))
-        heads.append(HeadConfig(wq=wk, wk=wk, wv=np.zeros(p)))
-    return ProjectionSet(heads=tuple(heads))
+        try:
+            wk = np.array(data, dtype=np.float64).reshape(p, d_k)
+            heads.append(HeadConfig(wq=wk, wk=wk, wv=np.zeros(p)))
+            qr_orthonormalize(wk)
+        except (LabError, OverflowError) as exc:
+            raise WeightFileError(f"weight file {path}: head {i}: {exc}") from exc
+    try:
+        return ProjectionSet(heads=tuple(heads))
+    except LabError as exc:
+        raise WeightFileError(f"weight file {path}: {exc}") from exc

@@ -59,40 +59,40 @@ def _entropy_gap(h: float) -> float:
 _SCREEN_GAP = _entropy_gap(2.0 * DEGENERATE_ENTROPY_NATS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeadConfig:
     """Projection triple of one attention head.
 
     wq and wk are p x d_k; wv is a length-p vector producing scalar values
-    v_i = wv . x_i.
+    v_i = wv . x_i.  Each is held as a read-only float64 copy, checked finite
+    here (wq and wk by ``Matrix``).  Heads compare by identity: equal arrays
+    do not make two heads equal.
     """
 
-    wq: Matrix
-    wk: Matrix
+    wq: np.ndarray
+    wk: np.ndarray
     wv: np.ndarray
 
     def __post_init__(self):
+        wq, wk = Matrix(self.wq), Matrix(self.wk)
         wv = np.array(self.wv, dtype=np.float64, copy=True).reshape(-1)
         if not np.all(np.isfinite(wv)):
             raise ShapeMismatch("HeadConfig: wv entries must be finite")
         wv.flags.writeable = False
-        object.__setattr__(self, "wv", wv)
-        if self.wq.shape != self.wk.shape:
-            raise ShapeMismatch(
-                f"HeadConfig: wq {self.wq.shape} and wk {self.wk.shape} must agree"
-            )
-        if wv.shape[0] != self.wk.rows:
-            raise ShapeMismatch(
-                f"HeadConfig: wv length {wv.shape[0]} != p = {self.wk.rows}"
-            )
+        if wq.shape != wk.shape:
+            raise ShapeMismatch(f"HeadConfig: wq {wq.shape} and wk {wk.shape} must agree")
+        if wv.shape[0] != wk.shape[0]:
+            raise ShapeMismatch(f"HeadConfig: wv length {wv.shape[0]} != p = {wk.shape[0]}")
+        for name, value in (("wq", wq), ("wk", wk), ("wv", wv)):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
-        return self.wk.rows
+        return self.wk.shape[0]
 
     @property
     def d_k(self) -> int:
-        return self.wk.cols
+        return self.wk.shape[1]
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
     if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
         raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")
     if projected is None:
-        q = (queries @ head.wq.a) / np.sqrt(head.d_k)  # Q x d_k, 1/sqrt(d_k) folded in
+        q = (queries @ head.wq) / np.sqrt(head.d_k)  # Q x d_k, 1/sqrt(d_k) folded in
         # a segment's values fill column 0 of [v, 1], so e @ [v, 1] is (e.v, s) at once
         k, vs = np.empty((bounds[-1], head.d_k)), np.ones((bounds[-1], 2), order="F")
     else:
@@ -139,7 +139,7 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
     estimates, degenerate = np.empty((len(bounds), q.shape[0])), np.zeros(len(bounds), int)
     for j, (start, stop) in enumerate(zip([0] + bounds, bounds)):
         if projected is None:
-            np.matmul(data.xs[start:stop], head.wk.a, out=k[start:stop])
+            np.matmul(data.xs[start:stop], head.wk, out=k[start:stop])
             np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
         k_j = k[start:stop]
         if head.d_k == 1:

@@ -1,15 +1,13 @@
-"""The lab's matrix value type and its one QR factorisation.
+"""The lab's head-projection check and its one QR factorisation.
 
-``Matrix`` is a validated float64 2-D array, immutable after construction;
-heads hold their projections as ``Matrix`` so a malformed or non-finite
-frame fails where it is built.  ``qr_orthonormalize`` is the sign-fixed
-QR that every orthonormal frame in the lab comes from: random frames,
-projection families, spare value directions and the principal-angle bases.
+``Matrix`` returns a validated copy of a head projection: a read-only, finite,
+nonempty 2-D float64 array, so a malformed or non-finite frame fails where
+its head is built.  ``qr_orthonormalize`` is the sign-fixed QR that every
+orthonormal frame in the lab comes from: random frames, projection families,
+spare value directions and the principal-angle bases.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,37 +19,18 @@ __all__ = ["Matrix", "qr_orthonormalize"]
 RANK_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Matrix:
-    """A dense real matrix with validated shape and finite entries."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.a, dtype=np.float64, order="C", copy=True)
-        if arr.ndim != 2:
-            raise ShapeMismatch(f"Matrix requires 2-D data, got ndim={arr.ndim}")
-        if arr.size == 0:
-            raise ShapeMismatch(f"Matrix requires nonempty data, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ShapeMismatch("Matrix entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "a", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.shape
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Matrix({self.rows}x{self.cols})"
+def Matrix(a) -> np.ndarray:
+    """A read-only C-ordered float64 copy of ``a``, which must be 2-D,
+    nonempty and finite (else ShapeMismatch)."""
+    arr = np.array(a, dtype=np.float64, order="C", copy=True)
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"Matrix requires 2-D data, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise ShapeMismatch(f"Matrix requires nonempty data, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ShapeMismatch("Matrix entries must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 def qr_orthonormalize(a: np.ndarray) -> np.ndarray:

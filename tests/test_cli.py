@@ -204,6 +204,8 @@ class TestConfigValidation:
         ("sweep-arch", lambda c: c["task"].update(family="radial"),
          "task.family and task.input_law give a task with no linear component "
          "(radial under the gaussian law)"),
+        ("weights-compare", lambda c: c["task"].update(family="radial", param_seed=7),
+         "subcommand: task.param_seed"),
         *[(command, lambda c: c.update(copy.deepcopy(FORMER_SETTINGS)),
            f"subcommand: {FORMER_NAMES}")
           for command in ("decompose", "sweep-hdi", "weights-compare", "sweep-arch",
@@ -219,7 +221,7 @@ class TestConfigValidation:
             "compare-equal-scales-mix-1", "task-sigma", "task-heteroscedastic",
             "arch-zero-skeleton",
             "arch-zero-skeleton-uniform-quadratic", "arch-zero-skeleton-uniform-radial",
-            "arch-zero-skeleton-gaussian-radial", "decompose-former-settings",
+            "arch-zero-skeleton-gaussian-radial", "radial-param-seed", "decompose-former-settings",
             "hdi-former-settings", "compare-former-settings", "arch-former-settings",
             "optimize-former-settings"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
@@ -489,6 +491,21 @@ class TestDecomposeCommand:
                               env=package_env(MHA_NW_LAB_THREADS=threads))
         assert proc.returncode == 1
         assert proc.stderr == "error: non-finite head estimate at replicate 0, head 2, query 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [{"n": 10**13}, {"R": 10**13}, {"R": 10**17}],
+                             ids=["n-582-TiB", "R-18-PiB", "R-beyond-ssize_t"])
+    def test_run_too_large_for_memory_prints_one_error_line(self, tmp_path, capsys,
+                                                            monkeypatch, size):
+        # past the 47-bit address space, so nothing is allocated under any
+        # overcommit policy: n's inputs take 582 TiB, R's tensor 18 PiB or more
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
+        config = json.loads((CONFIG_DIR / "decompose_canonical.json").read_text())
+        out = tmp_path / "run"
+        path = write_config(tmp_path, dict(config, **size, output_dir=str(out)))
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory: ")
         assert not out.exists()
 
     def test_nothing_written_while_computing(self, tmp_path, monkeypatch):

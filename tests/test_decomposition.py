@@ -840,3 +840,18 @@ class TestSpearman:
 
     def test_constant_vector_is_nan(self):
         assert np.isnan(spearman([1.0, 1.0], [2.0, 3.0]))
+
+    def test_tied_ranks_match_a_loop_over_the_ties(self):
+        def ranks(a):   # 1-based positions in sorted order, each tie given its mean
+            r = np.empty(len(a))
+            r[np.argsort(a, kind="stable")] = np.arange(1.0, len(a) + 1)
+            for value in np.unique(a):
+                r[a == value] = r[a == value].mean()
+            return r
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x, y = rng.integers(0, 6, size=(2, 15)).astype(float)
+            rx, ry = ranks(x) - ranks(x).mean(), ranks(y) - ranks(y).mean()
+            want = (rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum())
+            assert spearman(x, y) == want

@@ -184,7 +184,7 @@ class TestHdi:
         report = make_diversity_report(proj)
         assert (report.hdi, report.hdi_normalized) == hdi(proj)
         for (h, h2), angles in report.principal_angles.items():
-            wk_h, wk_h2 = proj.heads[h].wk.a, proj.heads[h2].wk.a
+            wk_h, wk_h2 = proj.heads[h].wk, proj.heads[h2].wk
             g = (wk_h.T @ wk_h2) / proj.d_k
             assert report.gram_frobsq[h, h2] == float((g * g).sum())
             np.testing.assert_allclose(angles, eigvalsh_oracle(wk_h, wk_h2), rtol=0, atol=3e-8)
@@ -209,7 +209,7 @@ class TestProjectionFamily:
         _, normalized = hdi(proj)
         assert normalized == pytest.approx(0.0, abs=1e-10)
         for head in proj.heads[1:]:
-            np.testing.assert_allclose(head.wk.a, proj.heads[0].wk.a, atol=1e-12)
+            np.testing.assert_allclose(head.wk, proj.heads[0].wk, atol=1e-12)
 
     def test_mix1_orthogonal_blocks(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=2)
@@ -217,7 +217,7 @@ class TestProjectionFamily:
         assert normalized == pytest.approx(1.0, abs=1e-12)
         for h in range(4):
             for h2 in range(h + 1, 4):
-                g = proj.heads[h].wk.a.T @ proj.heads[h2].wk.a / proj.d_k
+                g = proj.heads[h].wk.T @ proj.heads[h2].wk / proj.d_k
                 assert np.abs(g).max() <= 1e-12
 
     def test_mid_mix_strictly_between(self):
@@ -240,14 +240,14 @@ class TestProjectionFamily:
     def test_query_gain_scales_wq_only(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=6, query_gain=5.0)
         for head in proj.heads:
-            np.testing.assert_allclose(head.wq.a, 5.0 * head.wk.a, rtol=1e-15)
+            np.testing.assert_allclose(head.wq, 5.0 * head.wk, rtol=1e-15)
 
     def test_balanced_value_vector_unit_norm_equal_blocks(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=7)
         wv = proj.heads[0].wv
         assert np.linalg.norm(wv) == pytest.approx(1.0, rel=1e-12)
         for head in proj.heads:
-            captured = head.wk.a.T @ wv
+            captured = head.wk.T @ wv
             assert float(captured @ captured) == pytest.approx(0.25, rel=1e-10)
 
     def test_noise_scales_orthogonal_to_keys(self):
@@ -258,7 +258,7 @@ class TestProjectionFamily:
             extra = head.wv - base if h else np.zeros(12)
             assert np.linalg.norm(extra) == pytest.approx(float(h), abs=1e-9)
             for other in proj.heads:
-                assert np.abs(other.wk.a.T @ extra).max() <= 1e-9
+                assert np.abs(other.wk.T @ extra).max() <= 1e-9
 
     def test_noise_scales_need_spare_dims(self):
         with pytest.raises(Infeasible):
@@ -268,7 +268,7 @@ class TestProjectionFamily:
         a = make_projection_family(8, 2, 4, mix=0.6, seed=11)
         b = make_projection_family(8, 2, 4, mix=0.6, seed=11)
         for ha, hb in zip(a.heads, b.heads):
-            np.testing.assert_array_equal(ha.wk.a, hb.wk.a)
+            np.testing.assert_array_equal(ha.wk, hb.wk)
             np.testing.assert_array_equal(ha.wv, hb.wv)
 
 
@@ -276,8 +276,8 @@ class TestOptimizer:
     def test_two_heads_in_plane_reach_right_angle(self):
         proj, trace = optimize_projections(2, 1, 2, seed=5)
         assert trace[-1] <= 1e-10
-        w0 = proj.heads[0].wk.a.ravel()
-        w1 = proj.heads[1].wk.a.ravel()
+        w0 = proj.heads[0].wk.ravel()
+        w1 = proj.heads[1].wk.ravel()
         angle = np.arccos(np.clip(abs(w0 @ w1), 0, 1))
         assert angle == pytest.approx(np.pi / 2, abs=1e-4)
 
@@ -290,8 +290,8 @@ class TestOptimizer:
             proj, trace = optimize_projections(8, 2, 4, seed=seed)
             assert trace[-1] <= 1e-8
             for head in proj.heads:
-                assert np.linalg.norm(head.wk.a) == pytest.approx(1.0, abs=1e-12)
-                np.testing.assert_array_equal(head.wq.a, head.wk.a)
+                assert np.linalg.norm(head.wk) == pytest.approx(1.0, abs=1e-12)
+                np.testing.assert_array_equal(head.wq, head.wk)
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
@@ -325,7 +325,7 @@ class TestOptimizer:
         assert trace == [diversity.OPTIMIZER_TOL]
         assert len(values) == 1
         start = np.random.default_rng(0).standard_normal((8, 2))
-        np.testing.assert_array_equal(proj.heads[0].wk.a, start / np.linalg.norm(start))
+        np.testing.assert_array_equal(proj.heads[0].wk, start / np.linalg.norm(start))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(99)
@@ -390,6 +390,18 @@ class TestWeightFile:
             doc = {"heads": [{"p": 2, "d_k": 1, "data": [1.0, value]}]}
             with pytest.raises(WeightFileError, match="head 0"):
                 load_weight_file(self._write(tmp_path, doc))
+
+    def test_head_wider_than_p_names_head(self, tmp_path):
+        doc = {"heads": [{"p": 2, "d_k": 3, "data": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]}] * 2}
+        with pytest.raises(WeightFileError,
+                           match="head 0: qr_orthonormalize requires rows >= cols"):
+            load_weight_file(self._write(tmp_path, doc))
+
+    def test_rank_deficient_head_names_head(self, tmp_path):
+        doc = {"heads": [{"p": 3, "d_k": 1, "data": [1.0, 0.0, 0.0]},
+                         {"p": 3, "d_k": 1, "data": [0.0, 0.0, 0.0]}]}
+        with pytest.raises(WeightFileError, match="head 1: qr_orthonormalize: rank 0 < 1"):
+            load_weight_file(self._write(tmp_path, doc))
 
     def test_missing_fields_rejected(self, tmp_path):
         doc = {"heads": [{"p": 2, "data": [1.0, 0.0]}]}

@@ -39,6 +39,23 @@ class TestHeadConfig:
         head = make_head(5, 4)
         assert (head.p, head.d_k) == (5, 4)
 
+    def test_projections_are_read_only_copies(self):
+        wk = np.ones((3, 2), dtype=np.float32)
+        head = HeadConfig(wq=wk, wk=wk, wv=np.ones(3))
+        wk[0, 0] = 5.0
+        for w in (head.wq, head.wk, head.wv):
+            assert w.dtype == np.float64 and not w.flags.writeable
+        assert head.wk[0, 0] == 1.0
+
+    def test_non_finite_projection_rejected(self):
+        with pytest.raises(ShapeMismatch, match="finite"):
+            HeadConfig(wq=np.ones((3, 1)), wk=[[1.0], [np.inf], [0.0]], wv=np.ones(3))
+
+    def test_heads_compare_by_identity(self):
+        # equal arrays do not make equal heads (nor raise, as array fields would)
+        a, b = make_head(3, 2), make_head(3, 2)
+        assert a == a and a != b
+
 
 class TestAttend:
     def test_single_point_dataset(self):
@@ -132,7 +149,7 @@ class TestAttend:
 
 def full_entropy(head, queries, xs):
     """Row entropies from the full normalised weight matrix, -(w log w).sum()."""
-    logits = (queries @ head.wq.a) @ (xs @ head.wk.a).T / np.sqrt(head.d_k)
+    logits = (queries @ head.wq) @ (xs @ head.wk).T / np.sqrt(head.d_k)
     w = np.exp(logits - logits.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     return -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
@@ -273,8 +290,8 @@ class TestFusedKernel:
         head = make_head(3, 2, seed=5)
         data = make_data(rng.standard_normal((10, 3)))
         queries = rng.standard_normal((4, 3))
-        q = queries @ head.wq.a / np.sqrt(2)
-        keys = data.xs @ head.wk.a
+        q = queries @ head.wq / np.sqrt(2)
+        keys = data.xs @ head.wk
         values = np.column_stack([data.xs @ head.wv, np.ones(10)])
         estimates, _ = attend_many(head, queries, data, [5, 10], projected=(q, keys, values))
         np.testing.assert_allclose(estimates, attend_many(head, queries, data, [5, 10])[0],
@@ -425,5 +442,5 @@ class TestNWIdentity:
         head = make_head(4, 2, seed=9)
         x = np.full(4, 0.25)
         out = attend(head, x, data)
-        logits = (head.wq.a.T @ x) @ (data.xs @ head.wk.a).T / np.sqrt(2)
+        logits = (head.wq.T @ x) @ (data.xs @ head.wk).T / np.sqrt(2)
         assert out.estimate == pytest.approx(nw_reference(logits, data.xs @ head.wv), rel=1e-12)

@@ -17,11 +17,11 @@ class TestMatrix:
     def test_immutable(self):
         m = Matrix([[1.0, 2.0]])
         with pytest.raises(ValueError):
-            m.a[0, 0] = 5.0
+            m[0, 0] = 5.0
 
     def test_shape_accessors(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
-        assert (m.rows, m.cols) == (2, 3)
+        assert m.shape == (2, 3)
 
 
 class TestQR:
