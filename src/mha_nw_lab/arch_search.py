@@ -91,7 +91,7 @@ def _sweeps(task: RegressionTask, D: int, n_grid: list[int], R: int, Q: int,
         for h in range(H):
             wk = frame[:, h * d_k:(h + 1) * d_k]
             heads.append(HeadConfig(wq=query_gain * wk, wk=wk, wv=wv))
-        points.append((tuple(heads), make_weights("uniform", H).alphas))
+        points.append((tuple(heads), make_weights("uniform", H)))
     reports = _reports(task, [(n, heads, [alphas]) for n in n_grid for heads, alphas in points],
                        R, Q, seed)
     A = len(points)

@@ -166,10 +166,7 @@ def _build_weights(config: Config, H: int):
     kind = config.read("weights.kind", str, "uniform")
     rho = config.read("weights.rho", float) if kind == "geometric" else None
     alphas = config.read("weights.alphas", [float]) if kind == "custom" else None
-    return make_weights(
-        kind, H, rho=rho,
-        custom=None if alphas is None else np.asarray(alphas, dtype=np.float64),
-    )
+    return make_weights(kind, H, rho=rho, custom=alphas)
 
 
 def _build_plan(config: Config, reads_mix: bool = True,

@@ -71,7 +71,7 @@ import numpy as np
 from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
 from .errors import ConfigError, LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
-from .mha import ProjectionSet, WeightScheme, make_weights
+from .mha import ProjectionSet, make_weights, weight_vector
 from .nw_attention import DEGENERATE_ENTROPY_NATS, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
 
@@ -108,7 +108,8 @@ def worker_count() -> int:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Recipe for a seeded projection family (resolved per experiment)."""
+    """A plain recipe: ``make_projection_family``'s arguments but the seed, which
+    the plan derives from its master seed."""
 
     p: int
     d_k: int
@@ -117,15 +118,6 @@ class FamilySpec:
     query_gain: float = 1.0
     noise_scales: tuple[float, ...] | None = None
 
-    def resolve(self, seed: int, mix: float | None = None) -> ProjectionSet:
-        """The family for ``seed``, with ``mix`` in place of the spec's when given."""
-        return make_projection_family(
-            p=self.p, d_k=self.d_k, H=self.H,
-            mix=self.mix if mix is None else mix,
-            seed=seed, query_gain=self.query_gain,
-            noise_scales=self.noise_scales,
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -133,7 +125,7 @@ class ExperimentPlan:
 
     task: RegressionTask
     projection: FamilySpec
-    weights: WeightScheme
+    weights: np.ndarray                  # (H,), held as ``weight_vector`` returns it
     n: int
     R: int
     Q: int
@@ -146,12 +138,16 @@ class ExperimentPlan:
             raise ShapeMismatch(
                 f"projection dimension p = {proj_p} != task dimension {self.task.p}"
             )
-        H = self.projection.H
-        if self.weights.H != H:
-            raise ShapeMismatch(f"{self.weights.H} weights for {H} heads")
+        object.__setattr__(self, "weights", weight_vector(self.weights, self.projection.H))
 
     def resolve_projection(self, mix: float | None = None) -> ProjectionSet:
-        return self.projection.resolve(derive_seed(self.master_seed, "proj"), mix=mix)
+        """The plan's family, with ``mix`` in place of the spec's when given."""
+        spec = self.projection
+        return make_projection_family(
+            p=spec.p, d_k=spec.d_k, H=spec.H, mix=spec.mix if mix is None else mix,
+            seed=derive_seed(self.master_seed, "proj"), query_gain=spec.query_gain,
+            noise_scales=spec.noise_scales,
+        )
 
 
 def _check_sizes(n: int, R: int, Q: int) -> None:
@@ -404,8 +400,7 @@ def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
     and the cross-replicate moments estimate bias against the known mean
     function, per-head variances and the cross-head covariance matrix.
     """
-    [report] = _reports(plan.task, [(plan.n, plan.resolve_projection().heads,
-                                     [plan.weights.alphas])],
+    [report] = _reports(plan.task, [(plan.n, plan.resolve_projection().heads, [plan.weights])],
                         plan.R, plan.Q, plan.master_seed)
     return report
 
@@ -472,7 +467,7 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
     projs = [plan.resolve_projection(mix=mix) for mix in mix_grid]
-    reports = _reports(plan.task, [(plan.n, proj.heads, [plan.weights.alphas]) for proj in projs],
+    reports = _reports(plan.task, [(plan.n, proj.heads, [plan.weights]) for proj in projs],
                        plan.R, plan.Q, plan.master_seed)
     rows = [(mix, *hdi_indices(proj), report.mse_direct, report.stderr["mse_direct"])
             for mix, proj, report in zip(mix_grid, projs, reports)]
@@ -515,15 +510,15 @@ def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
         raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
     proj = plan.resolve_projection()
     H = proj.H
-    uniform = make_weights("uniform", H).alphas
+    uniform = make_weights("uniform", H)
 
     [pilot] = _reports(plan.task, [(plan.n, proj.heads, [uniform])], max(2, plan.R // 2),
                        plan.Q, derive_seed(plan.master_seed, "pilot"))
     order = np.argsort(pilot.per_head_mse, kind="stable")
     heads = tuple(proj.heads[h] for h in order)
 
-    schemes = [("uniform", None, uniform), ("fibonacci", None, make_weights("fibonacci", H).alphas)]
-    schemes += [("geometric", rho, make_weights("geometric", H, rho=rho).alphas) for rho in rho_grid]
+    schemes = [("uniform", None, uniform), ("fibonacci", None, make_weights("fibonacci", H))]
+    schemes += [("geometric", rho, make_weights("geometric", H, rho=rho)) for rho in rho_grid]
     reports = _reports(plan.task, [(plan.n, heads, [alphas for _, _, alphas in schemes])],
                        plan.R, plan.Q, plan.master_seed)
 

@@ -99,6 +99,11 @@ def derive_child(seed: int) -> int:
     return (int(seed) ^ 0x9E3779B97F4A7C15) & ((1 << 63) - 1)
 
 
+def _check_heads(H: int, d_k: int) -> None:
+    if H < 1 or d_k < 1:
+        raise ShapeMismatch(f"need H >= 1 and d_k >= 1, got H={H}, d_k={d_k}")
+
+
 def make_projection_family(
     p: int,
     d_k: int,
@@ -128,8 +133,7 @@ def make_projection_family(
     """
     if not (0.0 <= mix <= 1.0):
         raise ShapeMismatch(f"mix must lie in [0, 1], got {mix}")
-    if H < 1 or d_k < 1:
-        raise ShapeMismatch(f"need H >= 1 and d_k >= 1, got H={H}, d_k={d_k}")
+    _check_heads(H, d_k)
     if noise_scales is not None and len(noise_scales) != H:
         raise ShapeMismatch(
             f"noise_scales has {len(noise_scales)} entries for H = {H} heads"
@@ -226,6 +230,7 @@ def optimize_projections(
     consecutive rejections with the objective still above 1e-10 raise
     OptimizationStalled.
     """
+    _check_heads(H, d_k)
     if H * d_k > p:
         raise Infeasible(f"optimize_projections needs H*d_k <= p, got {H}*{d_k} > {p}")
     rng = np.random.default_rng(int(seed))

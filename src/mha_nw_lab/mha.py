@@ -2,8 +2,9 @@
 
 The ensemble output is sum_h alpha_h m_h(x) with positive weights summing
 to one; ``decomposition`` forms it over the Monte-Carlo head tensor.
-Weight schemes: uniform, geometric alpha_h ~ rho^(h-1), Fibonacci
-alpha_h ~ F_h (F_1 = F_2 = 1), or a validated custom vector.
+The weights alpha are a plain vector: ``make_weights`` returns uniform,
+geometric alpha_h ~ rho^(h-1), Fibonacci alpha_h ~ F_h (F_1 = F_2 = 1) or
+custom weights as the read-only array that ``weight_vector`` checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .nw_attention import HeadConfig
 
-__all__ = ["ProjectionSet", "WeightScheme", "make_weights"]
+__all__ = ["ProjectionSet", "make_weights", "weight_vector"]
 
 _WEIGHT_KINDS = ("uniform", "geometric", "fibonacci", "custom")
 
@@ -51,26 +52,18 @@ class ProjectionSet:
         return self.heads[0].d_k
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Materialised aggregation weights for one ensemble."""
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        alphas = np.array(self.alphas, dtype=np.float64, copy=True).reshape(-1)
-        if np.any(alphas <= 0.0) or not np.all(np.isfinite(alphas)):
-            raise ShapeMismatch("WeightScheme: weights must be positive and finite")
-        if abs(alphas.sum() - 1.0) > 1e-12:
-            raise ShapeMismatch(
-                f"WeightScheme: weights sum to {alphas.sum()!r}, expected 1"
-            )
-        alphas.flags.writeable = False
-        object.__setattr__(self, "alphas", alphas)
-
-    @property
-    def H(self) -> int:
-        return self.alphas.shape[0]
+def weight_vector(alphas, H: int) -> np.ndarray:
+    """A read-only float64 copy of ``alphas``, which must hold H positive,
+    finite weights summing to one (else ShapeMismatch)."""
+    alphas = np.array(alphas, dtype=np.float64)
+    if alphas.shape != (H,):
+        raise ShapeMismatch(f"weights of shape {alphas.shape} for H = {H} heads")
+    if np.any(alphas <= 0.0) or not np.all(np.isfinite(alphas)):
+        raise ShapeMismatch("weights must be positive and finite")
+    if abs(alphas.sum() - 1.0) > 1e-12:
+        raise ShapeMismatch(f"weights sum to {alphas.sum()!r}, expected 1")
+    alphas.flags.writeable = False
+    return alphas
 
 
 def _fibonacci(H: int) -> np.ndarray:
@@ -80,9 +73,8 @@ def _fibonacci(H: int) -> np.ndarray:
     return np.asarray(fib[:H])
 
 
-def make_weights(kind: str, H: int, rho: float | None = None,
-                 custom: np.ndarray | None = None) -> WeightScheme:
-    """Build a normalized weight scheme of the given kind for H heads."""
+def make_weights(kind: str, H: int, rho: float | None = None, custom=None) -> np.ndarray:
+    """The normalized weight vector of the given kind for H heads, read-only."""
     if H < 1:
         raise ShapeMismatch(f"make_weights needs H >= 1, got {H}")
     if kind not in _WEIGHT_KINDS:
@@ -98,13 +90,7 @@ def make_weights(kind: str, H: int, rho: float | None = None,
     else:
         if custom is None:
             raise ShapeMismatch("custom weights require an explicit weight vector")
-        raw = np.array(custom, dtype=np.float64).reshape(-1)
-        if raw.shape[0] != H:
-            raise ShapeMismatch(f"custom weights have length {raw.shape[0]}, expected H = {H}")
-        if np.any(raw <= 0.0):
-            raise ShapeMismatch("custom weights must be strictly positive")
+        raw = np.asarray(custom, dtype=np.float64)
         if abs(raw.sum() - 1.0) > 1e-9:
             raise ShapeMismatch(f"custom weights sum to {raw.sum()!r}, expected 1")
-    alphas = raw / raw.sum()
-    return WeightScheme(alphas=alphas)
-
+    return weight_vector(raw / raw.sum(), H)

@@ -38,13 +38,16 @@ def qr_orthonormalize(a: np.ndarray) -> np.ndarray:
 
     The sign convention makes the factorisation unique for full-rank input,
     so an already-orthonormal matrix maps to itself (up to roundoff) rather
-    than to a sign-flipped copy.  Raises RankDeficient, carrying the detected
-    rank, when a diagonal entry of R falls below RANK_TOL times the largest.
+    than to a sign-flipped copy.  Raises ShapeMismatch when Q is not finite,
+    and RankDeficient, carrying the detected rank, when a diagonal entry of R
+    falls below RANK_TOL times the largest.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ShapeMismatch(f"qr_orthonormalize requires rows >= cols, got shape {a.shape}")
     q, r = np.linalg.qr(a)
+    if not np.all(np.isfinite(q)):   # a frame near the float ceiling can overflow
+        raise ShapeMismatch(f"qr_orthonormalize: the factor of a {a.shape} frame is not finite")
     diag = np.diag(r)
     magnitude = np.abs(diag)
     threshold = RANK_TOL * max(magnitude.max(), np.finfo(np.float64).tiny)

@@ -686,6 +686,16 @@ class TestOtherCommands:
         assert cli.main(["optimize-proj", "--config", str(path)]) == 1
         assert "infeasible" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("d_k", [0, -1])
+    def test_optimize_proj_without_a_key_column_exits_1(self, tmp_path, capsys, d_k):
+        config = small_config("optimize-proj", tmp_path / "out")
+        config["projection"]["d_k"] = d_k
+        path = write_config(tmp_path, config)
+        assert cli.main(["optimize-proj", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: need H >= 1 and d_k >= 1, got H=4, d_k={d_k}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_optimize_proj_success(self, tmp_path):
         config = {
             "version": 1,

@@ -22,6 +22,7 @@ from mha_nw_lab.decomposition import (
     spearman,
     weighting_compare,
 )
+from mha_nw_lab.diversity import make_projection_family
 from mha_nw_lab.errors import LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
 from mha_nw_lab.mha import make_weights
 from mha_nw_lab.nw_attention import HeadConfig, attend, attend_many
@@ -46,7 +47,7 @@ def quick_plan(task, p=8, d_k=2, H=4, mix=1.0, n=300, R=120, Q=32, master=7,
                       noise_scales=noise_scales)
     return ExperimentPlan(
         task=task, projection=spec,
-        weights=weights or make_weights("uniform", H),
+        weights=make_weights("uniform", H) if weights is None else weights,
         n=n, R=R, Q=Q, master_seed=master,
     )
 
@@ -75,6 +76,23 @@ class TestPlanValidation:
     def test_weight_count(self, quad_task):
         with pytest.raises(ShapeMismatch):
             quick_plan(quad_task, weights=make_weights("uniform", 3))
+
+    @pytest.mark.parametrize("weights", [
+        np.array([0.0, 0.25, 0.25, 0.5]),     # not positive
+        np.array([-0.25, 0.5, 0.25, 0.5]),
+        np.array([np.nan, 0.25, 0.25, 0.5]),  # not finite
+        np.array([0.1, 0.1, 0.1, 0.1]),       # not summing to one
+    ])
+    def test_bad_weight_vector(self, quad_task, weights):
+        with pytest.raises(ShapeMismatch):
+            quick_plan(quad_task, weights=weights)
+
+    def test_holds_a_read_only_copy(self, quad_task):
+        weights = np.full(4, 0.25)
+        plan = quick_plan(quad_task, weights=weights)
+        weights[0] = 0.7
+        np.testing.assert_array_equal(plan.weights, np.full(4, 0.25))
+        assert not plan.weights.flags.writeable
 
 
 class TestDecompositionIdentity:
@@ -119,9 +137,9 @@ class TestAgainstBruteForce:
                                                   plan.Q, plan.master_seed)
         m_q = quad_task.mean(queries)
         R, H, Q = E.shape
-        alpha_sets = [make_weights("uniform", H).alphas,
-                      make_weights("geometric", H, rho=0.5).alphas,
-                      make_weights("custom", H, custom=np.array([0.1, 0.2, 0.3, 0.4])).alphas]
+        alpha_sets = [make_weights("uniform", H),
+                      make_weights("geometric", H, rho=0.5),
+                      make_weights("custom", H, custom=np.array([0.1, 0.2, 0.3, 0.4]))]
         reports = _decompose_tensor(E, degenerate, m_q, alpha_sets)
 
         def stderr(t):
@@ -279,7 +297,7 @@ class TestReplicateEngine:
     def head_sets(task):
         """Identical heads (mix 0), distinct heads, and sharp heads with degenerate rows."""
         return [
-            FamilySpec(p=8, d_k=2, H=4, mix=mix, query_gain=gain).resolve(seed=5).heads
+            make_projection_family(8, 2, 4, mix=mix, seed=5, query_gain=gain).heads
             for mix, gain in ((0.0, 4.0), (0.5, 4.0), (1.0, 60.0))
         ]
 
@@ -376,9 +394,9 @@ class TestReplicateEngine:
 
     def test_reports_follow_the_sets_in_input_order(self, quad_task, monkeypatch):
         identical, distinct, sharp = self.head_sets(quad_task)
-        uniform = make_weights("uniform", 4).alphas
-        three = [uniform, make_weights("fibonacci", 4).alphas,
-                 make_weights("geometric", 4, rho=0.5).alphas]
+        uniform = make_weights("uniform", 4)
+        three = [uniform, make_weights("fibonacci", 4),
+                 make_weights("geometric", 4, rho=0.5)]
         sets = [(90, distinct, three), (60, identical, [uniform]), (60, sharp, [three[2]]),
                 (90, identical, three[1:2])]
         reductions = self.counting(monkeypatch, "_decompose_tensor", _decompose_tensor)
@@ -413,7 +431,7 @@ class TestReplicateEngine:
 
     @staticmethod
     def uniform_sets(sets):
-        return [(n, heads, [make_weights("uniform", len(heads)).alphas]) for n, heads in sets]
+        return [(n, heads, [make_weights("uniform", len(heads))]) for n, heads in sets]
 
     def test_failure_names_the_head_inside_its_set(self, quad_task):
         distinct = self.head_sets(quad_task)[1]
@@ -459,7 +477,7 @@ class TestReplicateEngine:
     def test_a_failing_run_issues_no_warning(self):
         # the first set's sharp heads have degenerate rows, the second overflows
         task = lab.make_task("quadratic", 4, 1.0, "gaussian")
-        sharp = FamilySpec(p=4, d_k=1, H=2, query_gain=200.0).resolve(seed=3).heads
+        sharp = make_projection_family(4, 1, 2, mix=1.0, seed=3, query_gain=200.0).heads
         with pytest.warns(RuntimeWarning, match="degenerate"):
             decomposition._reports(task, self.uniform_sets([(50, sharp)]), 10, 8, 3)
         sets = self.uniform_sets([(50, sharp), (50, tuple(map(self.overflowing, sharp)))])
@@ -479,11 +497,12 @@ class TestReplicateEngine:
         # that spawned it, which can exceed the K = 1 peak and hide the growth
         script = (
             "import mha_nw_lab as lab\n"
-            "from mha_nw_lab.decomposition import FamilySpec, _reports\n"
+            "from mha_nw_lab.decomposition import _reports\n"
+            "from mha_nw_lab.diversity import make_projection_family\n"
             "from mha_nw_lab.mha import make_weights\n"
             "task = lab.make_task('quadratic', 8, 1.0, 'gaussian')\n"
-            "heads = FamilySpec(p=8, d_k=2, H=4).resolve(seed=5).heads\n"
-            "one = (20, heads, [make_weights('uniform', 4).alphas])\n"
+            "heads = make_projection_family(8, 2, 4, mix=1.0, seed=5).heads\n"
+            "one = (20, heads, [make_weights('uniform', 4)])\n"
             "peaks = []\n"
             "for K in (1, 12):\n"
             "    _reports(task, [one] * K, 200, 512, 21)\n"
@@ -552,12 +571,11 @@ class TestReplicateFailure:
         from mha_nw_lab.errors import ReplicateFailure
 
         # a value vector at the float ceiling overflows the weighted sum
-        spec = FamilySpec(p=8, d_k=2, H=2, mix=1.0, query_gain=4.0)
-        base = spec.resolve(seed=3)
+        base = make_projection_family(8, 2, 2, mix=1.0, seed=3, query_gain=4.0)
         heads = tuple(
             HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base.heads
         )
-        sets = [(50, heads, [make_weights("uniform", 2).alphas])]
+        sets = [(50, heads, [make_weights("uniform", 2)])]
         with pytest.raises(ReplicateFailure) as excinfo:
             decomposition._reports(quad_task, sets, R=4, Q=4, master_seed=1)
         err = excinfo.value

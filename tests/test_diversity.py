@@ -403,6 +403,15 @@ class TestWeightFile:
         with pytest.raises(WeightFileError, match="head 1: qr_orthonormalize: rank 0 < 1"):
             load_weight_file(self._write(tmp_path, doc))
 
+    def test_frame_that_overflows_in_qr_names_head(self, tmp_path):
+        # R is finite but Q overflows: the frame is rejected here, not by an SVD later
+        doc = {"heads": [{"p": 3, "d_k": 1, "data": [1.0, 0.0, 0.0]},
+                         {"p": 3, "d_k": 1, "data": [1e308, 1e308, 0.0]}]}
+        with pytest.raises(WeightFileError,
+                           match=r"head 1: qr_orthonormalize: the factor of a \(3, 1\) frame "
+                                 "is not finite"):
+            load_weight_file(self._write(tmp_path, doc))
+
     def test_missing_fields_rejected(self, tmp_path):
         doc = {"heads": [{"p": 2, "data": [1.0, 0.0]}]}
         with pytest.raises(WeightFileError, match="d_k"):

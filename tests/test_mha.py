@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mha_nw_lab.errors import ShapeMismatch
-from mha_nw_lab.mha import ProjectionSet, make_weights
+from mha_nw_lab.mha import ProjectionSet, make_weights, weight_vector
 from mha_nw_lab.nw_attention import HeadConfig
 from mha_nw_lab.tensor_core import Matrix
 
@@ -25,22 +25,22 @@ class TestProjectionSet:
 
 class TestMakeWeights:
     def test_uniform(self):
-        np.testing.assert_array_equal(make_weights("uniform", 4).alphas, np.full(4, 0.25))
+        np.testing.assert_array_equal(make_weights("uniform", 4), np.full(4, 0.25))
 
     def test_geometric_rho_one_is_uniform(self):
-        np.testing.assert_allclose(make_weights("geometric", 4, rho=1.0).alphas,
+        np.testing.assert_allclose(make_weights("geometric", 4, rho=1.0),
                                    np.full(4, 0.25))
 
     def test_geometric_near_one_converges_to_uniform(self):
-        alphas = make_weights("geometric", 4, rho=1 - 1e-7).alphas
+        alphas = make_weights("geometric", 4, rho=1 - 1e-7)
         assert np.abs(alphas - 0.25).max() <= 1e-6
 
     def test_geometric_decays(self):
-        alphas = make_weights("geometric", 3, rho=0.5).alphas
+        alphas = make_weights("geometric", 3, rho=0.5)
         np.testing.assert_allclose(alphas, np.array([4, 2, 1]) / 7)
 
     def test_fibonacci_h4(self):
-        np.testing.assert_allclose(make_weights("fibonacci", 4).alphas,
+        np.testing.assert_allclose(make_weights("fibonacci", 4),
                                    np.array([1, 1, 2, 3]) / 7)
 
     def test_rho_out_of_range(self):
@@ -50,8 +50,8 @@ class TestMakeWeights:
             make_weights("geometric", 3, rho=0.0)
 
     def test_custom_validated(self):
-        scheme = make_weights("custom", 3, custom=np.array([0.2, 0.3, 0.5]))
-        np.testing.assert_allclose(scheme.alphas, [0.2, 0.3, 0.5])
+        alphas = make_weights("custom", 3, custom=np.array([0.2, 0.3, 0.5]))
+        np.testing.assert_allclose(alphas, [0.2, 0.3, 0.5])
         with pytest.raises(ShapeMismatch):
             make_weights("custom", 3, custom=np.array([0.5, 0.6, 0.2]))
         with pytest.raises(ShapeMismatch):
@@ -60,7 +60,38 @@ class TestMakeWeights:
     def test_weights_always_positive_and_normalized(self):
         for kind in ("uniform", "fibonacci"):
             for H in (1, 2, 5, 9):
-                scheme = make_weights(kind, H)
-                assert np.all(scheme.alphas > 0)
-                assert abs(scheme.alphas.sum() - 1.0) <= 1e-12
+                alphas = make_weights(kind, H)
+                assert np.all(alphas > 0)
+                assert abs(alphas.sum() - 1.0) <= 1e-12
+
+    def test_a_read_only_float64_vector(self):
+        custom = [0.25, 0.25, 0.5]
+        for alphas in (make_weights("uniform", 3), make_weights("geometric", 3, rho=0.5),
+                       make_weights("fibonacci", 3), make_weights("custom", 3, custom=custom)):
+            assert type(alphas) is np.ndarray
+            assert alphas.dtype == np.float64 and alphas.shape == (3,)
+            with pytest.raises(ValueError):
+                alphas[0] = 1.0
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("alphas", [
+        [0.5, 0.5],                        # wrong length
+        [[0.25, 0.25, 0.5]],               # not a vector
+        [0.0, 0.5, 0.5],                   # not positive
+        [-0.5, 0.75, 0.75],
+        [np.nan, 0.5, 0.5],                # not finite
+        [np.inf, 0.5, 0.5],
+        [0.2, 0.2, 0.2],                   # not summing to one
+    ])
+    def test_rejects(self, alphas):
+        with pytest.raises(ShapeMismatch):
+            weight_vector(alphas, 3)
+
+    def test_copies_read_only(self):
+        source = np.array([0.25, 0.25, 0.5])
+        alphas = weight_vector(source, 3)
+        source[0] = 9.0
+        np.testing.assert_array_equal(alphas, [0.25, 0.25, 0.5])
+        assert not alphas.flags.writeable
 

@@ -64,3 +64,8 @@ class TestQR:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ShapeMismatch):
             qr_orthonormalize(np.ones((2, 4)))
+
+    def test_overflowing_factor_rejected(self):
+        # np.linalg.qr returns a finite R but a Q of [-inf, nan, nan]
+        with pytest.raises(ShapeMismatch, match="not finite"):
+            qr_orthonormalize([[1e308], [1e308], [0.0]])
