@@ -31,7 +31,7 @@ from .diversity import (
     make_projection_family,
     optimize_projections,
 )
-from .mha import ProjectionSet, make_weights
+from .mha import make_weights
 from .nw_attention import AttentionOutput, HeadConfig, attend, attend_many, nw_reference
 from .synthetic import (
     Dataset,
@@ -50,7 +50,7 @@ __all__ = [
     "RegressionTask", "Dataset", "make_task", "sample_dataset",
     "sample_labels", "sample_queries", "derive_seed",
     "HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference",
-    "ProjectionSet", "make_weights",
+    "make_weights",
     "hdi", "make_diversity_report",
     "make_projection_family", "optimize_projections", "load_weight_file",
     "ExperimentPlan", "FamilySpec", "mc_decompose",

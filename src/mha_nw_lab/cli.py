@@ -151,12 +151,20 @@ def load_config(path) -> Config:
     return config
 
 
+def _count(config: Config, field: str) -> int:
+    """An int field that counts something, so must be >= 1."""
+    value = config.read(field, int)
+    if value < 1:
+        raise ConfigError(f"config field {field} must be >= 1, got {value}")
+    return value
+
+
 def _build_task(config: Config):
     # noiseless: heads average projected inputs, never responses; the radial
     # family draws no parameters, so it leaves task.param_seed unread
     family = config.read("task.family", str)
     return make_task(
-        family=family, p=config.read("task.p", int), sigma=0.0,
+        family=family, p=_count(config, "task.p"), sigma=0.0,
         input_law=config.read("task.input_law", str),
         param_seed=0 if family == "radial" else config.read("task.param_seed", int, 0),
     )
@@ -166,6 +174,9 @@ def _build_weights(config: Config, H: int):
     kind = config.read("weights.kind", str, "uniform")
     rho = config.read("weights.rho", float) if kind == "geometric" else None
     alphas = config.read("weights.alphas", [float]) if kind == "custom" else None
+    if alphas is not None and len(alphas) != H:
+        raise ConfigError(f"config field weights.alphas has {len(alphas)} entries for "
+                          f"projection.H = {H} heads")
     return make_weights(kind, H, rho=rho, custom=alphas)
 
 
@@ -175,8 +186,7 @@ def _build_plan(config: Config, reads_mix: bool = True,
     task = _build_task(config)
     noise_scales = config.read("projection.noise_scales", [float], None)
     projection = FamilySpec(
-        p=task.p, d_k=config.read("projection.d_k", int),
-        H=config.read("projection.H", int),
+        p=task.p, d_k=_count(config, "projection.d_k"), H=_count(config, "projection.H"),
         mix=config.read("projection.mix", float, 1.0) if reads_mix else 1.0,
         query_gain=config.read("projection.query_gain", float, 1.0),
         noise_scales=None if noise_scales is None else tuple(noise_scales),
@@ -393,10 +403,11 @@ def cmd_decompose(config: Config, out: Path) -> int:
 
 
 def cmd_hdi(weight_file: str, out: Path | None) -> int:
-    proj = load_weight_file(weight_file)
-    report = make_diversity_report(proj)
+    heads = load_weight_file(weight_file)
+    report = make_diversity_report(heads)
+    H, p, d_k = len(heads), heads[0].p, heads[0].d_k
     pairs = sorted(report.principal_angles.items())
-    lines = [f"heads: {proj.H}  p: {proj.p}  d_k: {proj.d_k}"]
+    lines = [f"heads: {H}  p: {p}  d_k: {d_k}"]
     for (h, h2), angles in pairs:
         lines.append(
             f"pair ({h},{h2}): ||G||_F^2 = {report.gram_frobsq[h, h2]:.6g}  "
@@ -407,7 +418,7 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
     rows = [[h, h2, report.gram_frobsq[h, h2], float(a.min()), float(a.max())]
             for (h, h2), a in pairs]
     payload = {"command": "hdi", "weight_file": str(weight_file),
-               "H": proj.H, "p": proj.p, "d_k": proj.d_k, **_fields(report)}
+               "H": H, "p": p, "d_k": d_k, **_fields(report)}
     return _publish(out, None, ["h", "h2", "gram_frobsq", "min_angle", "max_angle"],
                     rows, payload, lines=lines)
 
@@ -494,9 +505,9 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
 
 
 def cmd_optimize_proj(config: Config, out: Path) -> int:
-    p = config.read("task.p", int)
-    d_k = config.read("projection.d_k", int)
-    H = config.read("projection.H", int)
+    p = _count(config, "task.p")
+    d_k = _count(config, "projection.d_k")
+    H = _count(config, "projection.H")
     seed = config.read("master_seed", int)
     if seed < 0:   # seeds the generator directly, not through derive_seed
         raise ConfigError(f"config field master_seed must be nonnegative for optimize-proj, "

@@ -71,8 +71,8 @@ import numpy as np
 from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
 from .errors import ConfigError, LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
-from .mha import ProjectionSet, make_weights, weight_vector
-from .nw_attention import DEGENERATE_ENTROPY_NATS, attend_many
+from .mha import make_weights, weight_vector
+from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
 
 __all__ = [
@@ -140,8 +140,8 @@ class ExperimentPlan:
             )
         object.__setattr__(self, "weights", weight_vector(self.weights, self.projection.H))
 
-    def resolve_projection(self, mix: float | None = None) -> ProjectionSet:
-        """The plan's family, with ``mix`` in place of the spec's when given."""
+    def resolve_projection(self, mix: float | None = None) -> tuple[HeadConfig, ...]:
+        """The heads of the plan's family, with ``mix`` in place of the spec's when given."""
         spec = self.projection
         return make_projection_family(
             p=spec.p, d_k=spec.d_k, H=spec.H, mix=spec.mix if mix is None else mix,
@@ -400,7 +400,7 @@ def mc_decompose(plan: ExperimentPlan) -> DecompositionReport:
     and the cross-replicate moments estimate bias against the known mean
     function, per-head variances and the cross-head covariance matrix.
     """
-    [report] = _reports(plan.task, [(plan.n, plan.resolve_projection().heads, [plan.weights])],
+    [report] = _reports(plan.task, [(plan.n, plan.resolve_projection(), [plan.weights])],
                         plan.R, plan.Q, plan.master_seed)
     return report
 
@@ -466,11 +466,11 @@ def hdi_sweep(plan: ExperimentPlan, mix_grid) -> HdiSweepResult:
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"hdi_sweep needs H >= 2 heads, got {plan.projection.H}")
 
-    projs = [plan.resolve_projection(mix=mix) for mix in mix_grid]
-    reports = _reports(plan.task, [(plan.n, proj.heads, [plan.weights]) for proj in projs],
+    head_sets = [plan.resolve_projection(mix=mix) for mix in mix_grid]
+    reports = _reports(plan.task, [(plan.n, heads, [plan.weights]) for heads in head_sets],
                        plan.R, plan.Q, plan.master_seed)
-    rows = [(mix, *hdi_indices(proj), report.mse_direct, report.stderr["mse_direct"])
-            for mix, proj, report in zip(mix_grid, projs, reports)]
+    rows = [(mix, *hdi_indices(heads), report.mse_direct, report.stderr["mse_direct"])
+            for mix, heads, report in zip(mix_grid, head_sets, reports)]
     rho = spearman([r[2] for r in rows], [r[3] for r in rows])
     by_mix = dict(zip(mix_grid, reports))
     diff, diff_se = _paired(by_mix[0.0], by_mix[1.0])
@@ -508,14 +508,14 @@ def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
         raise ShapeMismatch("rho_grid needs >= 1 rho, got []")
     if any(not 0.0 < r <= 1.0 for r in rho_grid):
         raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
-    proj = plan.resolve_projection()
-    H = proj.H
+    heads = plan.resolve_projection()
+    H = len(heads)
     uniform = make_weights("uniform", H)
 
-    [pilot] = _reports(plan.task, [(plan.n, proj.heads, [uniform])], max(2, plan.R // 2),
+    [pilot] = _reports(plan.task, [(plan.n, heads, [uniform])], max(2, plan.R // 2),
                        plan.Q, derive_seed(plan.master_seed, "pilot"))
     order = np.argsort(pilot.per_head_mse, kind="stable")
-    heads = tuple(proj.heads[h] for h in order)
+    heads = tuple(heads[h] for h in order)
 
     schemes = [("uniform", None, uniform), ("fibonacci", None, make_weights("fibonacci", H))]
     schemes += [("geometric", rho, make_weights("geometric", H, rho=rho)) for rho in rho_grid]

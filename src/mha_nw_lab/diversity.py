@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (Infeasible, LabError, NeedsTwoHeads, OptimizationStalled, ShapeMismatch,
                      WeightFileError)
-from .mha import ProjectionSet
 from .nw_attention import HeadConfig
 from .tensor_core import qr_orthonormalize
 
@@ -54,24 +53,31 @@ class DiversityReport:
     hdi_normalized: float
 
 
-def make_diversity_report(proj: ProjectionSet) -> DiversityReport:
-    """Gram masses, principal angles and both indices in one pass over h < h2."""
-    if proj.H < 2:
-        raise NeedsTwoHeads(f"diversity report needs H >= 2 heads, got {proj.H}")
-    wks = [head.wk for head in proj.heads]
+def make_diversity_report(heads: tuple[HeadConfig, ...]) -> DiversityReport:
+    """Gram masses, principal angles and both indices in one pass over h < h2;
+    both divide by one d_k, so every head's wk must have head 0's shape."""
+    H = len(heads)
+    if H < 2:
+        raise NeedsTwoHeads(f"diversity report needs H >= 2 heads, got {H}")
+    wks = [head.wk for head in heads]
+    p, d_k = wks[0].shape
+    for h, wk in enumerate(wks):
+        if wk.shape != (p, d_k):
+            raise ShapeMismatch(f"head {h} has shape {wk.shape[0]}x{wk.shape[1]}, "
+                                f"expected {p}x{d_k}")
     frames = [qr_orthonormalize(wk) for wk in wks]
-    gram = np.zeros((proj.H, proj.H))
+    gram = np.zeros((H, H))
     angles = {}
     literal_mass = 0.0
     normalized_mass = 0.0
-    for h in range(proj.H):
-        for h2 in range(h + 1, proj.H):
-            g = (wks[h].T @ wks[h2]) / proj.d_k
+    for h in range(H):
+        for h2 in range(h + 1, H):
+            g = (wks[h].T @ wks[h2]) / d_k
             m = frames[h].T @ frames[h2]
             gram_sq = float((g * g).sum())
             gram[h, h2] = gram[h2, h] = gram_sq
             literal_mass += gram_sq
-            normalized_mass += float((m * m).sum()) / proj.d_k
+            normalized_mass += float((m * m).sum()) / d_k
             # clipped, as roundoff can put a singular value just above one
             cosines = np.linalg.svd(m, compute_uv=False)
             angles[(h, h2)] = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
@@ -83,9 +89,9 @@ def make_diversity_report(proj: ProjectionSet) -> DiversityReport:
     )
 
 
-def hdi(proj: ProjectionSet) -> tuple[float, float]:
-    """(literal index, normalized index) for the projection set."""
-    report = make_diversity_report(proj)
+def hdi(heads: tuple[HeadConfig, ...]) -> tuple[float, float]:
+    """(literal index, normalized index) of the head set."""
+    report = make_diversity_report(heads)
     return report.hdi, report.hdi_normalized
 
 
@@ -112,7 +118,7 @@ def make_projection_family(
     seed: int,
     query_gain: float = 1.0,
     noise_scales: tuple[float, ...] | None = None,
-) -> ProjectionSet:
+) -> tuple[HeadConfig, ...]:
     """Family of H heads whose key subspaces interpolate shared -> orthogonal.
 
     mix = 0 gives identical heads on one shared orthonormal frame; mix = 1
@@ -151,7 +157,7 @@ def make_projection_family(
         wv = rng.standard_normal(p)
         wv /= np.linalg.norm(wv)
         head = HeadConfig(wq=query_gain * shared, wk=shared, wv=wv)
-        return ProjectionSet(heads=(head,) * H)
+        return (head,) * H
 
     frame = qr_orthonormalize(rng.standard_normal((p, H * d_k)))
     blocks = [frame[:, h * d_k:(h + 1) * d_k] for h in range(H)]
@@ -177,7 +183,7 @@ def make_projection_family(
         blend = (1.0 - mix) * shared + mix * blocks[h]
         wk = qr_orthonormalize(blend)
         heads.append(HeadConfig(wq=query_gain * wk, wk=wk, wv=wv + extras[h]))
-    return ProjectionSet(heads=tuple(heads))
+    return tuple(heads)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,7 @@ def optimize_projections(
     d_k: int,
     H: int,
     seed: int,
-) -> tuple[ProjectionSet, list[float]]:
+) -> tuple[tuple[HeadConfig, ...], list[float]]:
     """Projected gradient descent toward mutually orthogonal key frames.
 
     Each accepted step moves along the sphere-tangent component of the
@@ -271,23 +277,23 @@ def optimize_projections(
 
     wv = rng.standard_normal(p)
     wv /= np.linalg.norm(wv)
-    return ProjectionSet(heads=tuple(HeadConfig(wq=w, wk=w, wv=wv) for w in wks)), trace
+    return tuple(HeadConfig(wq=w, wk=w, wv=wv) for w in wks), trace
 
 
 # ---------------------------------------------------------------------------
 # weight-file import for HDI diagnostics of externally trained projections
 
 
-def load_weight_file(path) -> ProjectionSet:
-    """Read a JSON head-weight document and return a ProjectionSet.
+def load_weight_file(path) -> tuple[HeadConfig, ...]:
+    """Read a JSON head-weight document and return its heads.
 
     Expected form: {"heads": [{"p": int, "d_k": int, "data": [flat
     row-major numbers]}, ...]}.  Every failure is a WeightFileError naming the
     file and the head: of the document's structure, of the head's entries
-    (finite), of its frame (full column rank, d_k <= p) or of the set's shapes
-    (all equal).  Parse errors carry the byte offset.  The
-    imported heads tie wq = wk and use a zero value vector, which is all
-    the diversity diagnostics need.
+    (finite), of its frame (full column rank, d_k <= p) or of its shape (that
+    of head 0).  Parse errors carry the byte offset.  The imported heads tie
+    wq = wk and use a zero value vector, which is all the diversity
+    diagnostics need.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -320,6 +326,9 @@ def load_weight_file(path) -> ProjectionSet:
             raise WeightFileError(
                 f"weight file {path}: head {i} has invalid shape fields p={p!r}, d_k={d_k!r}"
             )
+        if heads and (p, d_k) != (heads[0].p, heads[0].d_k):
+            raise WeightFileError(f"weight file {path}: head {i} has shape {p}x{d_k}, "
+                                  f"expected {heads[0].p}x{heads[0].d_k}")
         if not (isinstance(data, list) and all(type(x) in (int, float) for x in data)):
             raise WeightFileError(
                 f"weight file {path}: head {i} 'data' must be a flat array of numbers"
@@ -335,7 +344,4 @@ def load_weight_file(path) -> ProjectionSet:
             qr_orthonormalize(wk)
         except (LabError, OverflowError) as exc:
             raise WeightFileError(f"weight file {path}: head {i}: {exc}") from exc
-    try:
-        return ProjectionSet(heads=tuple(heads))
-    except LabError as exc:
-        raise WeightFileError(f"weight file {path}: {exc}") from exc
+    return tuple(heads)

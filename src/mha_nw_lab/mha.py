@@ -9,47 +9,13 @@ custom weights as the read-only array that ``weight_vector`` checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatch
-from .nw_attention import HeadConfig
 
-__all__ = ["ProjectionSet", "make_weights", "weight_vector"]
+__all__ = ["make_weights", "weight_vector"]
 
 _WEIGHT_KINDS = ("uniform", "geometric", "fibonacci", "custom")
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Heads of one multi-head ensemble, all sharing (p, d_k)."""
-
-    heads: tuple[HeadConfig, ...]
-
-    def __post_init__(self):
-        if len(self.heads) < 1:
-            raise ShapeMismatch("ProjectionSet needs at least one head")
-        object.__setattr__(self, "heads", tuple(self.heads))
-        p, d_k = self.heads[0].p, self.heads[0].d_k
-        for i, head in enumerate(self.heads):
-            if head.p != p or head.d_k != d_k:
-                raise ShapeMismatch(
-                    f"ProjectionSet: head {i} has shape {head.p}x{head.d_k}, "
-                    f"expected {p}x{d_k}"
-                )
-
-    @property
-    def H(self) -> int:
-        return len(self.heads)
-
-    @property
-    def p(self) -> int:
-        return self.heads[0].p
-
-    @property
-    def d_k(self) -> int:
-        return self.heads[0].d_k
 
 
 def weight_vector(alphas, H: int) -> np.ndarray:

@@ -206,6 +206,22 @@ class TestConfigValidation:
          "(radial under the gaussian law)"),
         ("weights-compare", lambda c: c["task"].update(family="radial", param_seed=7),
          "subcommand: task.param_seed"),
+        ("decompose", lambda c: c["task"].update(p=0), "config field task.p must be >= 1, got 0"),
+        ("decompose", lambda c: c["projection"].update(H=0),
+         "config field projection.H must be >= 1, got 0"),
+        ("decompose", lambda c: c["projection"].update(d_k=0),
+         "config field projection.d_k must be >= 1, got 0"),
+        ("sweep-hdi", lambda c: c["projection"].update(H=-1),
+         "config field projection.H must be >= 1, got -1"),
+        ("weights-compare", lambda c: c["projection"].update(d_k=-2),
+         "config field projection.d_k must be >= 1, got -2"),
+        ("sweep-arch", lambda c: c["task"].update(p=0), "config field task.p must be >= 1, got 0"),
+        ("optimize-proj", lambda c: c["task"].update(p=-1),
+         "config field task.p must be >= 1, got -1"),
+        ("optimize-proj", lambda c: c["projection"].update(H=0),
+         "config field projection.H must be >= 1, got 0"),
+        ("decompose", lambda c: c.update(weights={"kind": "custom", "alphas": [0.5, 0.5]}),
+         "config field weights.alphas has 2 entries for projection.H = 4 heads"),
         *[(command, lambda c: c.update(copy.deepcopy(FORMER_SETTINGS)),
            f"subcommand: {FORMER_NAMES}")
           for command in ("decompose", "sweep-hdi", "weights-compare", "sweep-arch",
@@ -221,7 +237,10 @@ class TestConfigValidation:
             "compare-equal-scales-mix-1", "task-sigma", "task-heteroscedastic",
             "arch-zero-skeleton",
             "arch-zero-skeleton-uniform-quadratic", "arch-zero-skeleton-uniform-radial",
-            "arch-zero-skeleton-gaussian-radial", "radial-param-seed", "decompose-former-settings",
+            "arch-zero-skeleton-gaussian-radial", "radial-param-seed", "task-p-zero",
+            "projection-H-zero", "projection-dk-zero", "hdi-projection-H-negative",
+            "compare-projection-dk-negative", "arch-task-p-zero", "optimize-task-p-negative",
+            "optimize-projection-H-zero", "custom-alphas-too-few", "decompose-former-settings",
             "hdi-former-settings", "compare-former-settings", "arch-former-settings",
             "optimize-former-settings"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
@@ -693,7 +712,7 @@ class TestOtherCommands:
         path = write_config(tmp_path, config)
         assert cli.main(["optimize-proj", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: need H >= 1 and d_k >= 1, got H=4, d_k={d_k}\n"
+        assert err == f"error: config field projection.d_k must be >= 1, got {d_k}\n"
         assert not (tmp_path / "out").exists()
 
     def test_optimize_proj_success(self, tmp_path):

@@ -133,7 +133,7 @@ class TestAgainstBruteForce:
         per-replicate statistic, for three weight vectors reduced together."""
         plan = quick_plan(quad_task, n=80, R=25, Q=6, master=55)
         proj = plan.resolve_projection()
-        queries, [(E, degenerate)] = _head_tensor(quad_task, [(plan.n, proj.heads)], plan.R,
+        queries, [(E, degenerate)] = _head_tensor(quad_task, [(plan.n, proj)], plan.R,
                                                   plan.Q, plan.master_seed)
         m_q = quad_task.mean(queries)
         R, H, Q = E.shape
@@ -297,7 +297,7 @@ class TestReplicateEngine:
     def head_sets(task):
         """Identical heads (mix 0), distinct heads, and sharp heads with degenerate rows."""
         return [
-            make_projection_family(8, 2, 4, mix=mix, seed=5, query_gain=gain).heads
+            make_projection_family(8, 2, 4, mix=mix, seed=5, query_gain=gain)
             for mix, gain in ((0.0, 4.0), (0.5, 4.0), (1.0, 60.0))
         ]
 
@@ -477,7 +477,7 @@ class TestReplicateEngine:
     def test_a_failing_run_issues_no_warning(self):
         # the first set's sharp heads have degenerate rows, the second overflows
         task = lab.make_task("quadratic", 4, 1.0, "gaussian")
-        sharp = make_projection_family(4, 1, 2, mix=1.0, seed=3, query_gain=200.0).heads
+        sharp = make_projection_family(4, 1, 2, mix=1.0, seed=3, query_gain=200.0)
         with pytest.warns(RuntimeWarning, match="degenerate"):
             decomposition._reports(task, self.uniform_sets([(50, sharp)]), 10, 8, 3)
         sets = self.uniform_sets([(50, sharp), (50, tuple(map(self.overflowing, sharp)))])
@@ -501,7 +501,7 @@ class TestReplicateEngine:
             "from mha_nw_lab.diversity import make_projection_family\n"
             "from mha_nw_lab.mha import make_weights\n"
             "task = lab.make_task('quadratic', 8, 1.0, 'gaussian')\n"
-            "heads = make_projection_family(8, 2, 4, mix=1.0, seed=5).heads\n"
+            "heads = make_projection_family(8, 2, 4, mix=1.0, seed=5)\n"
             "one = (20, heads, [make_weights('uniform', 4)])\n"
             "peaks = []\n"
             "for K in (1, 12):\n"
@@ -573,7 +573,7 @@ class TestReplicateFailure:
         # a value vector at the float ceiling overflows the weighted sum
         base = make_projection_family(8, 2, 2, mix=1.0, seed=3, query_gain=4.0)
         heads = tuple(
-            HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base.heads
+            HeadConfig(wq=h.wq, wk=h.wk, wv=np.full(8, 1e308)) for h in base
         )
         sets = [(50, heads, [make_weights("uniform", 2)])]
         with pytest.raises(ReplicateFailure) as excinfo:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ from mha_nw_lab.diversity import (
     projection_gradient,
     projection_objective,
 )
-from mha_nw_lab.errors import Infeasible, NeedsTwoHeads, OptimizationStalled, WeightFileError
-from mha_nw_lab.mha import ProjectionSet
+from mha_nw_lab.decomposition import ExperimentPlan, FamilySpec
+from mha_nw_lab.errors import (Infeasible, NeedsTwoHeads, OptimizationStalled, ShapeMismatch,
+                               WeightFileError)
+from mha_nw_lab.mha import make_weights
+from mha_nw_lab.synthetic import make_task
 from mha_nw_lab.nw_attention import HeadConfig
 from mha_nw_lab.tensor_core import Matrix, qr_orthonormalize
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "configs" / "fixtures"
 
 
 def set_from_wks(wks):
@@ -25,7 +32,7 @@ def set_from_wks(wks):
     for w in wks:
         m = Matrix(np.asarray(w, dtype=float))
         heads.append(HeadConfig(wq=m, wk=m, wv=np.zeros(p)))
-    return ProjectionSet(heads=tuple(heads))
+    return tuple(heads)
 
 
 def orthonormal(p, d_k, seed):
@@ -132,6 +139,12 @@ class TestHdi:
         with pytest.raises(NeedsTwoHeads):
             hdi(set_from_wks([orthonormal(4, 2, 0)]))
 
+    def test_mixed_shapes_rejected_naming_the_head(self):
+        # both indices divide by one d_k, so head 2's narrower frame is refused
+        wks = [orthonormal(4, 2, 0), orthonormal(4, 2, 1), orthonormal(4, 1, 2)]
+        with pytest.raises(ShapeMismatch, match="^head 2 has shape 4x1, expected 4x2$"):
+            make_diversity_report(set_from_wks(wks))
+
     def test_orthogonal_endpoint(self):
         frame = orthonormal(8, 8, 10)
         proj = set_from_wks([frame[:, i * 2:(i + 1) * 2] for i in range(4)])
@@ -184,8 +197,8 @@ class TestHdi:
         report = make_diversity_report(proj)
         assert (report.hdi, report.hdi_normalized) == hdi(proj)
         for (h, h2), angles in report.principal_angles.items():
-            wk_h, wk_h2 = proj.heads[h].wk, proj.heads[h2].wk
-            g = (wk_h.T @ wk_h2) / proj.d_k
+            wk_h, wk_h2 = proj[h].wk, proj[h2].wk
+            g = (wk_h.T @ wk_h2) / proj[0].d_k
             assert report.gram_frobsq[h, h2] == float((g * g).sum())
             np.testing.assert_allclose(angles, eigvalsh_oracle(wk_h, wk_h2), rtol=0, atol=3e-8)
         assert len(report.principal_angles) == 6
@@ -208,8 +221,8 @@ class TestProjectionFamily:
         proj = make_projection_family(8, 2, 4, mix=0.0, seed=1)
         _, normalized = hdi(proj)
         assert normalized == pytest.approx(0.0, abs=1e-10)
-        for head in proj.heads[1:]:
-            np.testing.assert_allclose(head.wk, proj.heads[0].wk, atol=1e-12)
+        for head in proj[1:]:
+            np.testing.assert_allclose(head.wk, proj[0].wk, atol=1e-12)
 
     def test_mix1_orthogonal_blocks(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=2)
@@ -217,7 +230,7 @@ class TestProjectionFamily:
         assert normalized == pytest.approx(1.0, abs=1e-12)
         for h in range(4):
             for h2 in range(h + 1, 4):
-                g = proj.heads[h].wk.T @ proj.heads[h2].wk / proj.d_k
+                g = proj[h].wk.T @ proj[h2].wk / proj[0].d_k
                 assert np.abs(g).max() <= 1e-12
 
     def test_mid_mix_strictly_between(self):
@@ -235,29 +248,29 @@ class TestProjectionFamily:
 
     def test_infeasible_only_when_mix_positive(self):
         proj = make_projection_family(4, 2, 4, mix=0.0, seed=5)
-        assert proj.H == 4
+        assert len(proj) == 4
 
     def test_query_gain_scales_wq_only(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=6, query_gain=5.0)
-        for head in proj.heads:
+        for head in proj:
             np.testing.assert_allclose(head.wq, 5.0 * head.wk, rtol=1e-15)
 
     def test_balanced_value_vector_unit_norm_equal_blocks(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=7)
-        wv = proj.heads[0].wv
+        wv = proj[0].wv
         assert np.linalg.norm(wv) == pytest.approx(1.0, rel=1e-12)
-        for head in proj.heads:
+        for head in proj:
             captured = head.wk.T @ wv
             assert float(captured @ captured) == pytest.approx(0.25, rel=1e-10)
 
     def test_noise_scales_orthogonal_to_keys(self):
         proj = make_projection_family(12, 2, 4, mix=1.0, seed=8,
                                       noise_scales=(0.0, 1.0, 2.0, 3.0))
-        base = proj.heads[0].wv
-        for h, head in enumerate(proj.heads):
+        base = proj[0].wv
+        for h, head in enumerate(proj):
             extra = head.wv - base if h else np.zeros(12)
             assert np.linalg.norm(extra) == pytest.approx(float(h), abs=1e-9)
-            for other in proj.heads:
+            for other in proj:
                 assert np.abs(other.wk.T @ extra).max() <= 1e-9
 
     def test_noise_scales_need_spare_dims(self):
@@ -267,7 +280,7 @@ class TestProjectionFamily:
     def test_deterministic(self):
         a = make_projection_family(8, 2, 4, mix=0.6, seed=11)
         b = make_projection_family(8, 2, 4, mix=0.6, seed=11)
-        for ha, hb in zip(a.heads, b.heads):
+        for ha, hb in zip(a, b):
             np.testing.assert_array_equal(ha.wk, hb.wk)
             np.testing.assert_array_equal(ha.wv, hb.wv)
 
@@ -276,8 +289,8 @@ class TestOptimizer:
     def test_two_heads_in_plane_reach_right_angle(self):
         proj, trace = optimize_projections(2, 1, 2, seed=5)
         assert trace[-1] <= 1e-10
-        w0 = proj.heads[0].wk.ravel()
-        w1 = proj.heads[1].wk.ravel()
+        w0 = proj[0].wk.ravel()
+        w1 = proj[1].wk.ravel()
         angle = np.arccos(np.clip(abs(w0 @ w1), 0, 1))
         assert angle == pytest.approx(np.pi / 2, abs=1e-4)
 
@@ -289,7 +302,7 @@ class TestOptimizer:
         for seed in range(10):
             proj, trace = optimize_projections(8, 2, 4, seed=seed)
             assert trace[-1] <= 1e-8
-            for head in proj.heads:
+            for head in proj:
                 assert np.linalg.norm(head.wk) == pytest.approx(1.0, abs=1e-12)
                 np.testing.assert_array_equal(head.wq, head.wk)
 
@@ -325,7 +338,7 @@ class TestOptimizer:
         assert trace == [diversity.OPTIMIZER_TOL]
         assert len(values) == 1
         start = np.random.default_rng(0).standard_normal((8, 2))
-        np.testing.assert_array_equal(proj.heads[0].wk, start / np.linalg.norm(start))
+        np.testing.assert_array_equal(proj[0].wk, start / np.linalg.norm(start))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(99)
@@ -363,7 +376,7 @@ class TestWeightFile:
             {"p": 6, "d_k": 2, "data": frame[:, 2:].ravel().tolist()},
         ]}
         proj = load_weight_file(self._write(tmp_path, doc))
-        assert proj.H == 2 and proj.p == 6 and proj.d_k == 2
+        assert len(proj) == 2 and proj[0].p == 6 and proj[0].d_k == 2
         literal, normalized = hdi(proj)
         assert normalized == pytest.approx(1.0, abs=1e-12)
 
@@ -384,6 +397,15 @@ class TestWeightFile:
         ]}
         with pytest.raises(WeightFileError, match="head 1"):
             load_weight_file(self._write(tmp_path, doc))
+
+    def test_mixed_shapes_checked_before_the_frame(self, tmp_path):
+        # head 1 is also of rank 0: its shape is what the message names
+        doc = {"heads": [{"p": 3, "d_k": 1, "data": [1.0, 0.0, 0.0]},
+                         {"p": 3, "d_k": 2, "data": [0.0] * 6}]}
+        path = self._write(tmp_path, doc)
+        with pytest.raises(WeightFileError) as excinfo:
+            load_weight_file(path)
+        assert str(excinfo.value) == f"weight file {path}: head 1 has shape 3x2, expected 3x1"
 
     def test_non_finite_rejected(self, tmp_path):
         for value in (float("nan"), float("inf"), None):   # NaN, Infinity, null
@@ -416,3 +438,22 @@ class TestWeightFile:
         doc = {"heads": [{"p": 2, "data": [1.0, 0.0]}]}
         with pytest.raises(WeightFileError, match="d_k"):
             load_weight_file(self._write(tmp_path, doc))
+
+
+class TestHeadTuple:
+    """Every producer of a head set returns a plain tuple of HeadConfig."""
+
+    @pytest.mark.parametrize("producer", [
+        lambda: make_projection_family(8, 2, 4, mix=0.5, seed=1),
+        lambda: make_projection_family(4, 2, 4, mix=0.0, seed=1),
+        lambda: optimize_projections(8, 2, 4, seed=1)[0],
+        lambda: load_weight_file(FIXTURES / "weights_orthogonal.json"),
+        lambda: ExperimentPlan(
+            task=make_task("quadratic", 8, 0.0, "gaussian"),
+            projection=FamilySpec(p=8, d_k=2, H=4), weights=make_weights("uniform", 4),
+            n=10, R=2, Q=1, master_seed=1).resolve_projection(),
+    ], ids=["family", "family-shared-frame", "optimizer", "weight-file", "plan"])
+    def test_a_tuple_of_heads(self, producer):
+        heads = producer()
+        assert type(heads) is tuple and len(heads) in (2, 4)
+        assert all(type(head) is HeadConfig for head in heads)

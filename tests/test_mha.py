@@ -2,25 +2,7 @@ import numpy as np
 import pytest
 
 from mha_nw_lab.errors import ShapeMismatch
-from mha_nw_lab.mha import ProjectionSet, make_weights, weight_vector
-from mha_nw_lab.nw_attention import HeadConfig
-from mha_nw_lab.tensor_core import Matrix
-
-
-def head(p, d_k, seed):
-    rng = np.random.default_rng(seed)
-    wk = Matrix(rng.standard_normal((p, d_k)))
-    return HeadConfig(wq=wk, wk=wk, wv=rng.standard_normal(p))
-
-
-class TestProjectionSet:
-    def test_requires_uniform_shapes(self):
-        with pytest.raises(ShapeMismatch):
-            ProjectionSet(heads=(head(3, 2, 0), head(3, 1, 1)))
-
-    def test_shape_properties(self):
-        proj = ProjectionSet(heads=(head(6, 2, 0), head(6, 2, 1), head(6, 2, 2)))
-        assert (proj.H, proj.p, proj.d_k) == (3, 6, 2)
+from mha_nw_lab.mha import make_weights, weight_vector
 
 
 class TestMakeWeights:

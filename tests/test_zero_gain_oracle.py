@@ -40,7 +40,7 @@ def run(request):
     plan = ExperimentPlan(task=task, projection=PROJECTIONS[request.param],
                           weights=make_weights("geometric", H, rho=0.5),
                           n=N, R=R, Q=Q, master_seed=20261020)
-    W = np.array([head.wv for head in plan.resolve_projection().heads])
+    W = np.array([head.wv for head in plan.resolve_projection()])
     return plan, W @ W.T / N, mc_decompose(plan)
 
 
