@@ -51,9 +51,9 @@ from .decomposition import (
     worker_count,
 )
 from .diversity import load_weight_file, make_diversity_report, optimize_projections
-from .errors import ConfigError, Infeasible, LabError
-from .mha import make_weights
-from .synthetic import make_task
+from .errors import ConfigError, Infeasible, LabError, NeedsTwoHeads, ShapeMismatch, WeightFileError
+from .mha import WEIGHT_KINDS, make_weights
+from .synthetic import FAMILIES, INPUT_LAWS, make_task
 
 # gate tolerances; weights-compare's is decomposition.WEIGHTING_SIGMA
 RESIDUAL_SIGMA = 4.0        # identity residual vs propagated stderr
@@ -68,8 +68,13 @@ _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 def _checked(value, field: str, kind):
     """``value`` as ``kind``: int, str, float (ints accepted, must be finite),
-    or a one-item list such as ``[float]`` for a list of them.  JSON booleans
-    are not numbers; any mismatch raises a ConfigError naming ``field``."""
+    a tuple of the strings it may be, or a one-item list such as ``[float]`` for
+    a list of them.  JSON booleans are not numbers; any mismatch raises a
+    ConfigError naming ``field``."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config field {field} must be one of {kind}, got {value!r}")
+        return value
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"config field {field} must be a list, got {value!r}")
@@ -162,32 +167,42 @@ def _count(config: Config, field: str) -> int:
 def _build_task(config: Config):
     # noiseless: heads average projected inputs, never responses; the radial
     # family draws no parameters, so it leaves task.param_seed unread
-    family = config.read("task.family", str)
+    family = config.read("task.family", FAMILIES)
     return make_task(
         family=family, p=_count(config, "task.p"), sigma=0.0,
-        input_law=config.read("task.input_law", str),
+        input_law=config.read("task.input_law", INPUT_LAWS),
         param_seed=0 if family == "radial" else config.read("task.param_seed", int, 0),
     )
 
 
 def _build_weights(config: Config, H: int):
-    kind = config.read("weights.kind", str, "uniform")
+    kind = config.read("weights.kind", WEIGHT_KINDS, "uniform")
     rho = config.read("weights.rho", float) if kind == "geometric" else None
     alphas = config.read("weights.alphas", [float]) if kind == "custom" else None
     if alphas is not None and len(alphas) != H:
         raise ConfigError(f"config field weights.alphas has {len(alphas)} entries for "
                           f"projection.H = {H} heads")
-    return make_weights(kind, H, rho=rho, custom=alphas)
+    try:   # make_weights checks rho, and weight_vector the custom vector's sum
+        return make_weights(kind, H, rho=rho, custom=alphas)
+    except ShapeMismatch as exc:
+        field = "weights.rho" if kind == "geometric" else "weights.alphas"
+        raise ConfigError(f"config field {field}: {exc}") from None
 
 
 def _build_plan(config: Config, reads_mix: bool = True,
                 reads_weights: bool = True) -> ExperimentPlan:
     """A command that sweeps its own mixes or weights does not read them."""
     task = _build_task(config)
+    d_k, H = _count(config, "projection.d_k"), _count(config, "projection.H")
     noise_scales = config.read("projection.noise_scales", [float], None)
+    if noise_scales is not None and len(noise_scales) != H:
+        raise ConfigError(f"config field projection.noise_scales has {len(noise_scales)} "
+                          f"entries for projection.H = {H} heads")
+    mix = config.read("projection.mix", float, 1.0) if reads_mix else 1.0
+    if not 0.0 <= mix <= 1.0:
+        raise ConfigError(f"config field projection.mix must lie in [0, 1], got {mix}")
     projection = FamilySpec(
-        p=task.p, d_k=_count(config, "projection.d_k"), H=_count(config, "projection.H"),
-        mix=config.read("projection.mix", float, 1.0) if reads_mix else 1.0,
+        p=task.p, d_k=d_k, H=H, mix=mix,
         query_gain=config.read("projection.query_gain", float, 1.0),
         noise_scales=None if noise_scales is None else tuple(noise_scales),
     )
@@ -404,7 +419,10 @@ def cmd_decompose(config: Config, out: Path) -> int:
 
 def cmd_hdi(weight_file: str, out: Path | None) -> int:
     heads = load_weight_file(weight_file)
-    report = make_diversity_report(heads)
+    try:
+        report = make_diversity_report(heads)
+    except NeedsTwoHeads as exc:
+        raise WeightFileError(f"weight file {weight_file}: {exc}") from None
     H, p, d_k = len(heads), heads[0].p, heads[0].d_k
     pairs = sorted(report.principal_angles.items())
     lines = [f"heads: {H}  p: {p}  d_k: {d_k}"]

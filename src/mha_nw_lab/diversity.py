@@ -105,9 +105,11 @@ def derive_child(seed: int) -> int:
     return (int(seed) ^ 0x9E3779B97F4A7C15) & ((1 << 63) - 1)
 
 
-def _check_heads(H: int, d_k: int) -> None:
+def _check_heads(p: int, d_k: int, H: int) -> None:
     if H < 1 or d_k < 1:
         raise ShapeMismatch(f"need H >= 1 and d_k >= 1, got H={H}, d_k={d_k}")
+    if H * d_k > p:
+        raise Infeasible(f"orthogonal construction needs H*d_k <= p, got {H}*{d_k} > {p}")
 
 
 def make_projection_family(
@@ -126,7 +128,8 @@ def make_projection_family(
     head linearly between the two and re-orthonormalize, which makes the
     normalized diversity index strictly increasing in mix.
 
-    The shared frame is the balanced combination of the orthogonal blocks
+    Every mix blends the same H orthogonal blocks, so it needs H * d_k <= p
+    (else Infeasible).  The shared frame is the blocks' balanced combination
     and the value vector carries equal mass in every block, so the family's
     endpoints are symmetric across heads.
     ``query_gain`` scales wq relative to wk (query_gain = 1 ties wq = wk);
@@ -139,26 +142,12 @@ def make_projection_family(
     """
     if not (0.0 <= mix <= 1.0):
         raise ShapeMismatch(f"mix must lie in [0, 1], got {mix}")
-    _check_heads(H, d_k)
+    _check_heads(p, d_k, H)
     if noise_scales is not None and len(noise_scales) != H:
         raise ShapeMismatch(
             f"noise_scales has {len(noise_scales)} entries for H = {H} heads"
         )
     rng = np.random.default_rng(int(seed))
-
-    if H * d_k > p:
-        if mix > 0.0:
-            raise Infeasible(
-                f"orthogonal construction needs H*d_k <= p, got {H}*{d_k} > {p}"
-            )
-        if noise_scales is not None:
-            raise Infeasible("noise_scales needs spare dimensions, but H*d_k > p")
-        shared = qr_orthonormalize(rng.standard_normal((p, d_k)))
-        wv = rng.standard_normal(p)
-        wv /= np.linalg.norm(wv)
-        head = HeadConfig(wq=query_gain * shared, wk=shared, wv=wv)
-        return (head,) * H
-
     frame = qr_orthonormalize(rng.standard_normal((p, H * d_k)))
     blocks = [frame[:, h * d_k:(h + 1) * d_k] for h in range(H)]
     shared = sum(blocks) / np.sqrt(H)
@@ -236,9 +225,7 @@ def optimize_projections(
     consecutive rejections with the objective still above 1e-10 raise
     OptimizationStalled.
     """
-    _check_heads(H, d_k)
-    if H * d_k > p:
-        raise Infeasible(f"optimize_projections needs H*d_k <= p, got {H}*{d_k} > {p}")
+    _check_heads(p, d_k, H)
     rng = np.random.default_rng(int(seed))
     wks = []
     for _ in range(H):

@@ -4,7 +4,7 @@ The ensemble output is sum_h alpha_h m_h(x) with positive weights summing
 to one; ``decomposition`` forms it over the Monte-Carlo head tensor.
 The weights alpha are a plain vector: ``make_weights`` returns uniform,
 geometric alpha_h ~ rho^(h-1), Fibonacci alpha_h ~ F_h (F_1 = F_2 = 1) or
-custom weights as the read-only array that ``weight_vector`` checks.
+custom weights, checked by ``weight_vector`` and never renormalised.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
-__all__ = ["make_weights", "weight_vector"]
+__all__ = ["WEIGHT_KINDS", "make_weights", "weight_vector"]
 
-_WEIGHT_KINDS = ("uniform", "geometric", "fibonacci", "custom")
+WEIGHT_KINDS = ("uniform", "geometric", "fibonacci", "custom")
 
 
 def weight_vector(alphas, H: int) -> np.ndarray:
@@ -27,7 +27,7 @@ def weight_vector(alphas, H: int) -> np.ndarray:
     if np.any(alphas <= 0.0) or not np.all(np.isfinite(alphas)):
         raise ShapeMismatch("weights must be positive and finite")
     if abs(alphas.sum() - 1.0) > 1e-12:
-        raise ShapeMismatch(f"weights sum to {alphas.sum()!r}, expected 1")
+        raise ShapeMismatch(f"weights sum to {float(alphas.sum())!r}, expected 1")
     alphas.flags.writeable = False
     return alphas
 
@@ -43,20 +43,18 @@ def make_weights(kind: str, H: int, rho: float | None = None, custom=None) -> np
     """The normalized weight vector of the given kind for H heads, read-only."""
     if H < 1:
         raise ShapeMismatch(f"make_weights needs H >= 1, got {H}")
-    if kind not in _WEIGHT_KINDS:
-        raise ShapeMismatch(f"unknown weight kind {kind!r}; expected one of {_WEIGHT_KINDS}")
+    if kind not in WEIGHT_KINDS:
+        raise ShapeMismatch(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
     if kind == "uniform":
         raw = np.ones(H)
     elif kind == "geometric":
         if rho is None or not (0.0 < rho <= 1.0):
-            raise ShapeMismatch(f"geometric weights need rho in (0, 1], got {rho!r}")
+            raise ShapeMismatch(f"geometric weights need rho in (0, 1], got {rho}")
         raw = np.power(float(rho), np.arange(H))
     elif kind == "fibonacci":
         raw = _fibonacci(H)
     else:
         if custom is None:
             raise ShapeMismatch("custom weights require an explicit weight vector")
-        raw = np.asarray(custom, dtype=np.float64)
-        if abs(raw.sum() - 1.0) > 1e-9:
-            raise ShapeMismatch(f"custom weights sum to {raw.sum()!r}, expected 1")
+        return weight_vector(custom, H)
     return weight_vector(raw / raw.sum(), H)

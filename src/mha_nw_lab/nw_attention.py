@@ -64,9 +64,9 @@ class HeadConfig:
     """Projection triple of one attention head.
 
     wq and wk are p x d_k; wv is a length-p vector producing scalar values
-    v_i = wv . x_i.  Each is held as a read-only float64 copy, checked finite
-    here (wq and wk by ``Matrix``).  Heads compare by identity: equal arrays
-    do not make two heads equal.
+    v_i = wv . x_i.  Each is held as the read-only, finite float64 copy that
+    ``Matrix`` makes (wv as a 1 x p row).  Heads compare by identity: equal
+    arrays do not make two heads equal.
     """
 
     wq: np.ndarray
@@ -74,11 +74,7 @@ class HeadConfig:
     wv: np.ndarray
 
     def __post_init__(self):
-        wq, wk = Matrix(self.wq), Matrix(self.wk)
-        wv = np.array(self.wv, dtype=np.float64, copy=True).reshape(-1)
-        if not np.all(np.isfinite(wv)):
-            raise ShapeMismatch("HeadConfig: wv entries must be finite")
-        wv.flags.writeable = False
+        wq, wk, wv = Matrix(self.wq), Matrix(self.wk), Matrix(np.reshape(self.wv, (1, -1)))[0]
         if wq.shape != wk.shape:
             raise ShapeMismatch(f"HeadConfig: wq {wq.shape} and wk {wk.shape} must agree")
         if wv.shape[0] != wk.shape[0]:

@@ -175,7 +175,7 @@ class TestConfigValidation:
         ("sweep-hdi", lambda c: c.update(mix_grid=[]), "mix_grid needs >= 2 mixes, got []"),
         ("weights-compare", lambda c: c.update(rho_grid=[]), "rho_grid needs >= 1 rho, got []"),
         ("weights-compare", lambda c: c["projection"].update(noise_scales=[]),
-         "noise_scales has 0 entries for H = 4 heads"),
+         "config field projection.noise_scales has 0 entries for projection.H = 4 heads"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.5, 0.5]),
          "mix_grid repeats a mix, got [0.5, 0.5]"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.0, 0.5, 0.5, 1.0]),
@@ -222,6 +222,21 @@ class TestConfigValidation:
          "config field projection.H must be >= 1, got 0"),
         ("decompose", lambda c: c.update(weights={"kind": "custom", "alphas": [0.5, 0.5]}),
          "config field weights.alphas has 2 entries for projection.H = 4 heads"),
+        ("decompose", lambda c: c["projection"].update(noise_scales=[0, 1]),
+         "config field projection.noise_scales has 2 entries for projection.H = 4 heads"),
+        ("decompose", lambda c: c["projection"].update(mix=1.5),
+         "config field projection.mix must lie in [0, 1], got 1.5"),
+        ("decompose", lambda c: c.update(weights={"kind": "geometric", "rho": 1.5}),
+         "config field weights.rho: geometric weights need rho in (0, 1], got 1.5"),
+        ("decompose", lambda c: c.update(weights={"kind": "custom", "alphas": [0.3] * 4}),
+         "config field weights.alphas: weights sum to 1.2, expected 1"),
+        ("decompose", lambda c: c["weights"].update(kind="harmonic"),
+         "config field weights.kind must be one of ('uniform', 'geometric', 'fibonacci', "
+         "'custom'), got 'harmonic'"),
+        ("sweep-arch", lambda c: c["task"].update(family="cubic"),
+         "config field task.family must be one of"),
+        ("weights-compare", lambda c: c["task"].update(input_law="laplace"),
+         "config field task.input_law must be one of ('gaussian', 'uniform'), got 'laplace'"),
         *[(command, lambda c: c.update(copy.deepcopy(FORMER_SETTINGS)),
            f"subcommand: {FORMER_NAMES}")
           for command in ("decompose", "sweep-hdi", "weights-compare", "sweep-arch",
@@ -240,7 +255,9 @@ class TestConfigValidation:
             "arch-zero-skeleton-gaussian-radial", "radial-param-seed", "task-p-zero",
             "projection-H-zero", "projection-dk-zero", "hdi-projection-H-negative",
             "compare-projection-dk-negative", "arch-task-p-zero", "optimize-task-p-negative",
-            "optimize-projection-H-zero", "custom-alphas-too-few", "decompose-former-settings",
+            "optimize-projection-H-zero", "custom-alphas-too-few", "noise-scales-too-few",
+            "mix-above-1", "geometric-rho-above-1", "custom-alphas-sum", "unknown-weight-kind",
+            "unknown-family", "unknown-input-law", "decompose-former-settings",
             "hdi-former-settings", "compare-former-settings", "arch-former-settings",
             "optimize-former-settings"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
@@ -256,6 +273,45 @@ class TestConfigValidation:
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert not draws   # rejected before any Monte-Carlo work
+
+    @pytest.mark.parametrize("command, write, message", [
+        ("decompose", lambda tmp: write_config(tmp, [1, 2]),
+         "config {}: top level must be an object"),
+        ("decompose", lambda tmp: write_config(tmp, small_decompose_config(tmp / "out", task=5)),
+         "config section task must be an object"),
+        ("sweep-hdi", lambda tmp: write_config(tmp, dict(small_config("sweep-hdi", tmp / "out"),
+                                                         mix_grid=0.5)),
+         "config field mix_grid must be a list, got 0.5"),
+        ("decompose", lambda tmp: tmp, "config {}: [Errno 21] Is a directory: '{}'"),
+        ("decompose", lambda tmp: write_config(tmp, small_decompose_config(tmp / "out", n=0)),
+         "need n >= 1 data points, got 0"),
+        ("decompose", lambda tmp: write_config(tmp, small_decompose_config(tmp / "out", Q=0)),
+         "need Q >= 1 quadrature queries, got 0"),
+    ], ids=["top-level-list", "task-not-an-object", "mix-grid-not-a-list", "config-a-directory",
+            "n-zero", "Q-zero"])
+    def test_rejected_config_prints_one_error_line(self, tmp_path, capsys, command, write,
+                                                   message):
+        path = write(tmp_path)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path, path)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, name, H, line", [
+        ("decompose", "decompose_canonical", 5, "got 5*2 > 8"),
+        ("weights-compare", "weights_compare_homog", 7, "got 7*2 > 12"),
+    ], ids=["decompose", "weights-compare"])
+    def test_mix_0_family_needs_room_for_orthogonal_heads(self, tmp_path, capsys, monkeypatch,
+                                                          command, name, H, line):
+        draws = []
+        monkeypatch.setattr(decomposition, "sample_dataset", lambda *args: draws.append(args))
+        config = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        config["projection"].update(mix=0.0, H=H)
+        path = write_config(tmp_path, config)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: infeasible: orthogonal construction needs H*d_k <= p, {line}\n")
+        assert not (tmp_path / "out").exists()
+        assert not draws
 
     def test_missing_output_dir(self, tmp_path, capsys):
         config = small_decompose_config(tmp_path / "out")
@@ -682,6 +738,14 @@ class TestHdiCommand:
         err = capsys.readouterr().err
         assert "error: weight file" in err and "head 0" in err
         assert "Traceback" not in err
+
+    def test_one_head_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"heads": [{"p": 3, "d_k": 1, "data": [1, 0, 0]}]}))
+        assert cli.main(["hdi", "--weights", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: weight file {path}: diversity report needs H >= 2 heads, got 1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_optional_output_directory(self, tmp_path):
         out = tmp_path / "hdi_out"

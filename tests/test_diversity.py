@@ -242,13 +242,11 @@ class TestProjectionFamily:
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
         assert 0.0 < values[2] < 1.0
 
-    def test_infeasible_orthogonal_request(self):
-        with pytest.raises(Infeasible):
-            make_projection_family(4, 2, 4, mix=1.0, seed=4)
-
-    def test_infeasible_only_when_mix_positive(self):
-        proj = make_projection_family(4, 2, 4, mix=0.0, seed=5)
-        assert len(proj) == 4
+    @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
+    def test_infeasible_orthogonal_request(self, mix):
+        # one construction at every mix: mix 0 needs H*d_k <= p too
+        with pytest.raises(Infeasible, match=r"needs H\*d_k <= p, got 4\*2 > 4"):
+            make_projection_family(4, 2, 4, mix=mix, seed=5)
 
     def test_query_gain_scales_wq_only(self):
         proj = make_projection_family(8, 2, 4, mix=1.0, seed=6, query_gain=5.0)
@@ -445,7 +443,7 @@ class TestHeadTuple:
 
     @pytest.mark.parametrize("producer", [
         lambda: make_projection_family(8, 2, 4, mix=0.5, seed=1),
-        lambda: make_projection_family(4, 2, 4, mix=0.0, seed=1),
+        lambda: make_projection_family(8, 2, 4, mix=0.0, seed=1),
         lambda: optimize_projections(8, 2, 4, seed=1)[0],
         lambda: load_weight_file(FIXTURES / "weights_orthogonal.json"),
         lambda: ExperimentPlan(

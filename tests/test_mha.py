@@ -39,6 +39,12 @@ class TestMakeWeights:
         with pytest.raises(ShapeMismatch):
             make_weights("custom", 3, custom=np.array([0.5, -0.1, 0.6]))
 
+    def test_custom_is_checked_as_given_and_never_renormalised(self):
+        near = [0.25, 0.25, 0.5 + 4e-13]
+        np.testing.assert_array_equal(make_weights("custom", 3, custom=near), near)
+        with pytest.raises(ShapeMismatch, match="sum to"):
+            make_weights("custom", 3, custom=[0.25, 0.25, 0.5 + 1e-10])
+
     def test_weights_always_positive_and_normalized(self):
         for kind in ("uniform", "fibonacci"):
             for H in (1, 2, 5, 9):
@@ -69,6 +75,11 @@ class TestWeightVector:
     def test_rejects(self, alphas):
         with pytest.raises(ShapeMismatch):
             weight_vector(alphas, 3)
+
+    def test_sum_prints_as_a_number(self):
+        with pytest.raises(ShapeMismatch) as excinfo:
+            weight_vector([0.3] * 4, 4)
+        assert str(excinfo.value) == "weights sum to 1.2, expected 1"
 
     def test_copies_read_only(self):
         source = np.array([0.25, 0.25, 0.5])

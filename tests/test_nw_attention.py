@@ -50,6 +50,8 @@ class TestHeadConfig:
     def test_non_finite_projection_rejected(self):
         with pytest.raises(ShapeMismatch, match="finite"):
             HeadConfig(wq=np.ones((3, 1)), wk=[[1.0], [np.inf], [0.0]], wv=np.ones(3))
+        with pytest.raises(ShapeMismatch, match="finite"):
+            HeadConfig(wq=np.ones((3, 1)), wk=np.ones((3, 1)), wv=[1.0, np.nan, 0.0])
 
     def test_heads_compare_by_identity(self):
         # equal arrays do not make equal heads (nor raise, as array fields would)
