@@ -156,11 +156,11 @@ def load_config(path) -> Config:
     return config
 
 
-def _count(config: Config, field: str) -> int:
-    """An int field that counts something, so must be >= 1."""
+def _count(config: Config, field: str, least: int = 1) -> int:
+    """An int field that counts something, so must be >= ``least``."""
     value = config.read(field, int)
-    if value < 1:
-        raise ConfigError(f"config field {field} must be >= 1, got {value}")
+    if value < least:
+        raise ConfigError(f"config field {field} must be >= {least}, got {value}")
     return value
 
 
@@ -210,7 +210,7 @@ def _build_plan(config: Config, reads_mix: bool = True,
                else make_weights("uniform", projection.H))
     return ExperimentPlan(
         task=task, projection=projection, weights=weights,
-        n=config.read("n", int), R=config.read("R", int), Q=config.read("Q", int),
+        n=_count(config, "n"), R=_count(config, "R", 2), Q=_count(config, "Q"),
         master_seed=config.read("master_seed", int),
     )
 
@@ -443,6 +443,9 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
 
 def cmd_sweep_hdi(config: Config, out: Path) -> int:
     plan = _build_plan(config, reads_mix=False)
+    if plan.projection.H < 2:   # the diversity index compares pairs of heads
+        raise ConfigError(f"config field projection.H must be >= 2 for sweep-hdi, "
+                          f"got {plan.projection.H}")
     mix_grid = config.read("mix_grid", [float])
     config.reject_unread()
     result = hdi_sweep(plan, mix_grid)
@@ -497,11 +500,14 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
 def cmd_sweep_arch(config: Config, out: Path) -> int:
     task = _build_task(config)
     D = config.read("budget_D", int)
-    R = config.read("R", int)
-    Q = config.read("Q", int)
+    R = _count(config, "R", 2)
+    Q = _count(config, "Q")
     seed = config.read("master_seed", int)
     query_gain = config.read("projection.query_gain", float, 9.0)
     n_grid = config.read("n_grid", [int])
+    for i, n in enumerate(n_grid):
+        if n < 1:
+            raise ConfigError(f"config field n_grid[{i}] must be >= 1, got {n}")
     config.reject_unread()
     trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
     sweeps = trend.sweeps

@@ -11,15 +11,14 @@ product: an exponential tilt toward large keys, not a local window, so
 1/sqrt(d_k) scales the logits and is not the kernel's effective bandwidth.
 ``attend_many`` runs one head on every prefix xs[:n] of a dataset in one pass
 over the column segments between sizes, merged by the online-softmax rescale
-(Milakov & Gimelshein, 2018; Dao et al., 2022), or by plain sums where neither
-side was shifted; a caller holding the projections can pass them.  A logit
-row is shifted by its max only where exp could overflow or underflow.  A
-d_k = 1 row's max is q times the largest key if q >= 0, else times the smallest,
-so it reads the ends of the keys, not the row.  One product e @ [v, 1] gives e.v
-and the row sum s as its two columns, so after exp the block is read once.  The
-largest weight is e^-gap, gap = log s + shift - max; if it is 1 - d, the entropy
-is at least h_b(d), h_b the binary entropy, so only rows whose gap is below the
-tau with h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
+(Milakov & Gimelshein, 2018; Dao et al., 2022), whose factors are exactly 1
+where neither side was shifted; a caller holding the projections can pass
+them.  A logit row is shifted by its max only where exp could overflow or
+underflow.  One product e @ [v, 1] gives e.v and the row sum s as its two
+columns, so after exp the block is read once.  The largest weight is e^-gap,
+gap = log s + shift - max; if it is 1 - d, the entropy is at least h_b(d), h_b
+the binary entropy, so only rows whose gap is below the tau with
+h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
@@ -91,6 +90,11 @@ class HeadConfig:
         return self.wk.shape[1]
 
 
+def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """q k^T, broadcast at d_k = 1, where BLAS (inner dimension 1) is ~6x slower."""
+    return q * k.T if q.shape[1] == 1 else q @ k.T
+
+
 @dataclass(frozen=True)
 class AttentionOutput:
     """Estimate plus the softmax weights that produced it."""
@@ -102,15 +106,15 @@ class AttentionOutput:
 def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None,
                 return_weights: bool = False, *, projected=None):
     """Estimates of one head at Q query points on each prefix ``data.xs[:n]``,
-    n in the ascending ``sizes``, fused as in the module doc (per segment: the
-    logit block, its row max unless d_k = 1, exp in place, and one product with
-    [v, 1] for e.v and the row sum): the (len(sizes), Q) estimates and per-size
-    counts of rows with entropy below DEGENERATE_ENTROPY_NATS.  Without ``sizes``
-    (n = data.n), the (Q,) estimates and an int, then the Q x n weights e / s if
-    ``return_weights`` (for ``attend``).  ``projected`` = (q, keys, values) are
-    the Q x d_k queries wq^T x / sqrt(d_k), the data.n x d_k keys and the
-    data.n x 2 operand [v, 1]; without it each segment's keys and values are
-    projected here, so a first prefix rounds as a one-size call does.
+    n in the ascending ``sizes`` (data.n without them), fused as in the module
+    doc (per segment: the logit block, its row max, exp in place, and one
+    product with [v, 1] for e.v and the row sum): the (len(sizes), Q) estimates
+    and per-size counts of rows with entropy below DEGENERATE_ENTROPY_NATS, then,
+    if ``return_weights`` on a one-size call, the Q x n weights e / s (for
+    ``attend``).  ``projected`` = (q, keys, values) are the Q x d_k queries
+    wq^T x / sqrt(d_k), the data.n x d_k keys and the data.n x 2 operand
+    [v, 1]; without it each segment's keys and values are projected here, so a
+    first prefix rounds as a one-size call does.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != head.p or data.p != head.p:
@@ -137,27 +141,17 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
         if projected is None:
             np.matmul(data.xs[start:stop], head.wk, out=k[start:stop])
             np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
-        k_j = k[start:stop]
-        if head.d_k == 1:
-            # BLAS with inner dimension 1 is ~6x slower than broadcasting; rounding
-            # is monotone, so a row's max is q times the key at the matching end
-            e = q * k_j.T
-            top_j = np.where(q[:, 0] >= 0.0, q[:, 0] * k_j.max(), q[:, 0] * k_j.min())
-        else:
-            e = q @ k_j.T
-            top_j = e.max(axis=1)
+        e = _logits(q, k[start:stop])
+        top_j = e.max(axis=1)
         far = np.abs(top_j) > _RAW_LOGIT_MAX
-        shift_j = 0.0
+        shift_j = np.where(far, top_j, 0.0)
         if far.any():
-            shift_j = np.where(far, top_j, 0.0)
             e[far] -= top_j[far, None]
         np.exp(e, out=e)
         ev_j, s_j = (e @ vs[start:stop]).T
         if j == 0:
             shift, s, ev, top = shift_j, s_j, ev_j, top_j
-        elif np.isscalar(shift) and np.isscalar(shift_j):   # neither side shifted
-            s, ev, top = s + s_j, ev + ev_j, np.maximum(top, top_j)
-        else:   # rescale to the larger shift
+        else:   # rescale to the larger shift: exp(0) = 1 where neither side shifted
             new = np.maximum(shift, shift_j)
             old, add = np.exp(shift - new), np.exp(shift_j - new)
             shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
@@ -165,14 +159,12 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
         estimates[j] = ev / s
         sharp = np.flatnonzero(np.log(s) - top < _SCREEN_GAP - shift)
         if sharp.size:   # exact entropy over the prefix, only for the screened rows
-            w = q[sharp] * k[:stop].T if head.d_k == 1 else q[sharp] @ k[:stop].T
+            w = _logits(q[sharp], k[:stop])
             w = np.exp(w - w.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
             degenerate[j] = np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
-    if sizes is None:
-        return (estimates[0], int(degenerate[0])) + ((e / s[:, None],) if return_weights else ())
-    return estimates, degenerate
+    return (estimates, degenerate) + ((e / s[:, None],) if return_weights else ())
 
 
 def attend(head: HeadConfig, query_x: np.ndarray, data: Dataset) -> AttentionOutput:
@@ -183,7 +175,7 @@ def attend(head: HeadConfig, query_x: np.ndarray, data: Dataset) -> AttentionOut
     """
     query_x = np.asarray(query_x, dtype=np.float64).reshape(1, -1)
     estimates, _, weights = attend_many(head, query_x, data, return_weights=True)
-    return AttentionOutput(estimate=float(estimates[0]), weights=weights[0])
+    return AttentionOutput(estimate=float(estimates[0, 0]), weights=weights[0])
 
 
 def nw_reference(kernel_logits: np.ndarray, values: np.ndarray) -> float:

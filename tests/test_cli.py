@@ -237,6 +237,11 @@ class TestConfigValidation:
          "config field task.family must be one of"),
         ("weights-compare", lambda c: c["task"].update(input_law="laplace"),
          "config field task.input_law must be one of ('gaussian', 'uniform'), got 'laplace'"),
+        ("decompose", lambda c: c.update(R=1), "config field R must be >= 2, got 1"),
+        ("sweep-arch", lambda c: c.update(n_grid=[0, 1000, 4000]),
+         "config field n_grid[0] must be >= 1, got 0"),
+        ("sweep-hdi", lambda c: c["projection"].update(H=1),
+         "config field projection.H must be >= 2 for sweep-hdi, got 1"),
         *[(command, lambda c: c.update(copy.deepcopy(FORMER_SETTINGS)),
            f"subcommand: {FORMER_NAMES}")
           for command in ("decompose", "sweep-hdi", "weights-compare", "sweep-arch",
@@ -257,7 +262,8 @@ class TestConfigValidation:
             "compare-projection-dk-negative", "arch-task-p-zero", "optimize-task-p-negative",
             "optimize-projection-H-zero", "custom-alphas-too-few", "noise-scales-too-few",
             "mix-above-1", "geometric-rho-above-1", "custom-alphas-sum", "unknown-weight-kind",
-            "unknown-family", "unknown-input-law", "decompose-former-settings",
+            "unknown-family", "unknown-input-law", "R-one", "arch-n-grid-entry-zero",
+            "hdi-projection-H-one", "decompose-former-settings",
             "hdi-former-settings", "compare-former-settings", "arch-former-settings",
             "optimize-former-settings"])
     def test_field_that_cannot_count_exits_1_before_any_output(self, tmp_path, capsys,
@@ -284,9 +290,9 @@ class TestConfigValidation:
          "config field mix_grid must be a list, got 0.5"),
         ("decompose", lambda tmp: tmp, "config {}: [Errno 21] Is a directory: '{}'"),
         ("decompose", lambda tmp: write_config(tmp, small_decompose_config(tmp / "out", n=0)),
-         "need n >= 1 data points, got 0"),
+         "config field n must be >= 1, got 0"),
         ("decompose", lambda tmp: write_config(tmp, small_decompose_config(tmp / "out", Q=0)),
-         "need Q >= 1 quadrature queries, got 0"),
+         "config field Q must be >= 1, got 0"),
     ], ids=["top-level-list", "task-not-an-object", "mix-grid-not-a-list", "config-a-directory",
             "n-zero", "Q-zero"])
     def test_rejected_config_prints_one_error_line(self, tmp_path, capsys, command, write,

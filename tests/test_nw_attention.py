@@ -143,7 +143,7 @@ class TestAttend:
         head = make_head(4, 2, seed=7)
         data = make_data(rng.standard_normal((30, 4)))
         queries = rng.standard_normal((5, 4))
-        batched, _ = attend_many(head, queries, data)
+        batched = attend_many(head, queries, data)[0][0]
         singles = np.array([attend(head, q, data).estimate for q in queries])
         # gemv vs gemm accumulation can differ in the last bit
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
@@ -169,7 +169,7 @@ class TestFusedKernel:
             xs = rng.standard_normal((int(rng.integers(1, 60)), p))
             queries = rng.standard_normal((16, p))
             entropy = full_entropy(head, queries, xs)
-            _, degenerate = attend_many(head, queries, make_data(xs))
+            degenerate = attend_many(head, queries, make_data(xs))[1][0]
             assert degenerate == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
             entropies.append(entropy)
         entropy = np.concatenate(entropies)
@@ -195,7 +195,7 @@ class TestFusedKernel:
             for j, n in enumerate(sizes):
                 entropy = full_entropy(head, queries, xs[:n])
                 assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
-                alone, _ = attend_many(head, queries, make_data(xs[:n]))
+                alone = attend_many(head, queries, make_data(xs[:n]))[0][0]
                 if j == 0:   # the first prefix is the one-size pass itself
                     np.testing.assert_array_equal(estimates[j], alone)
                 else:
@@ -206,6 +206,28 @@ class TestFusedKernel:
         assert np.count_nonzero(entropy > 1.0) > 100
         near = (entropy >= DEGENERATE_ENTROPY_NATS) & (entropy < 2 * DEGENERATE_ENTROPY_NATS)
         assert np.count_nonzero(near) > 0
+
+    @pytest.mark.parametrize("d_k", [1, 2, 3])
+    def test_prefixes_are_left_to_right_sums_of_the_segments(self, d_k):
+        # no logit reaches +-600, so no row is shifted and each prefix's e.v and s
+        # are, bit for bit, the segments' exp(q k^T) @ [v, 1] summed left to right
+        rng = np.random.default_rng(53 + d_k)
+        p, n, sizes = 5, 120, [7, 30, 31, 90, 120]
+        head = make_head(p, d_k, seed=d_k, query_gain=3.0)
+        xs = rng.standard_normal((n, p))
+        queries = rng.standard_normal((16, p))
+        estimates, _ = attend_many(head, queries, make_data(xs), sizes)
+        q = (queries @ head.wq) / np.sqrt(d_k)
+        vs = np.ones((n, 2), order="F")   # [v, 1], as the kernel lays it out
+        ev = s = 0.0
+        for j, (start, stop) in enumerate(zip([0] + sizes, sizes)):
+            k = xs[start:stop] @ head.wk
+            vs[start:stop, 0] = xs[start:stop] @ head.wv
+            logits = q * k.T if d_k == 1 else q @ k.T
+            assert np.abs(logits).max() < 600.0
+            ev_j, s_j = (np.exp(logits) @ vs[start:stop]).T
+            ev, s = ev + ev_j, s + s_j
+            np.testing.assert_array_equal(estimates[j], ev / s)
 
     @staticmethod
     def offset_head(rng, p=5, d_k=3):
@@ -270,7 +292,7 @@ class TestFusedKernel:
         xs = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
         queries = np.column_stack([np.full(8, shift * np.sqrt(d_k)),
                                    rng.standard_normal((8, p - 1))])
-        estimates, _ = attend_many(head, queries, make_data(xs))
+        estimates = attend_many(head, queries, make_data(xs))[0][0]
         rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
         # the oracle's raw exp() overflows beyond ~700; there it gets the
         # unshifted logits, which define the same estimator
@@ -317,7 +339,7 @@ class TestFusedKernel:
         # through the kernel: logits 0 and -delta give the gap log(1 + e^-delta)
         head = HeadConfig(wq=Matrix([[1.0]]), wk=Matrix([[1.0]]), wv=np.ones(1))
         for tail, count in ((np.expm1(1.01 * _SCREEN_GAP), 0), (DEGENERATE_ENTROPY_NATS / 40, 1)):
-            _, degenerate = attend_many(head, np.ones((1, 1)), make_data([[0.0], [np.log(tail)]]))
+            degenerate = attend_many(head, np.ones((1, 1)), make_data([[0.0], [np.log(tail)]]))[1][0]
             assert degenerate == count
 
     def test_attend_weights_are_a_distribution(self):
