@@ -51,7 +51,8 @@ from .decomposition import (
     worker_count,
 )
 from .diversity import load_weight_file, make_diversity_report, optimize_projections
-from .errors import ConfigError, Infeasible, LabError, NeedsTwoHeads, ShapeMismatch, WeightFileError
+from .errors import (ConfigError, EmptySweep, Infeasible, LabError, NeedsTwoHeads, ShapeMismatch,
+                     WeightFileError)
 from .mha import WEIGHT_KINDS, make_weights
 from .synthetic import FAMILIES, INPUT_LAWS, make_task
 
@@ -66,11 +67,13 @@ _REQUIRED = object()
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _checked(value, field: str, kind):
+def _checked(value, field: str, kind, least=None, heads=None):
     """``value`` as ``kind``: int, str, float (ints accepted, must be finite),
     a tuple of the strings it may be, or a one-item list such as ``[float]`` for
-    a list of them.  JSON booleans are not numbers; any mismatch raises a
-    ConfigError naming ``field``."""
+    a list of them.  When given, ``least`` bounds a number or each list entry
+    (``field[i]``) from below, and ``heads`` fixes a list's length at one entry
+    per head.  JSON booleans are not numbers; any mismatch raises a ConfigError
+    naming the field."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ConfigError(f"config field {field} must be one of {kind}, got {value!r}")
@@ -78,7 +81,11 @@ def _checked(value, field: str, kind):
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"config field {field} must be a list, got {value!r}")
-        return [_checked(v, f"{field}[{i}]", kind[0]) for i, v in enumerate(value)]
+        entries = [_checked(v, f"{field}[{i}]", kind[0], least) for i, v in enumerate(value)]
+        if heads is not None and len(entries) != heads:
+            raise ConfigError(f"config field {field} has {len(entries)} "
+                              f"entries for projection.H = {heads} heads")
+        return entries
     if kind is str:
         ok = isinstance(value, str)
     elif kind is int:
@@ -90,6 +97,8 @@ def _checked(value, field: str, kind):
             ok = False
     if not ok:
         raise ConfigError(f"config field {field} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"config field {field} must be >= {least}, got {value}")
     return kind(value)
 
 
@@ -104,8 +113,9 @@ class Config(dict):
         super().__init__(data)
         self.fields_read: set[str] = set()
 
-    def read(self, field: str, kind, default=_REQUIRED):
-        """The value at dotted ``field`` (``"task.p"``) checked as ``kind``."""
+    def read(self, field: str, kind, default=_REQUIRED, least=None, heads=None):
+        """The value at dotted ``field`` (``"task.p"``) checked as ``kind``,
+        ``least`` and ``heads`` by ``_checked``, or ``default`` if it is absent."""
         *sections, key = field.split(".")
         section, where = self, ""
         for name in sections:
@@ -116,7 +126,7 @@ class Config(dict):
             self.fields_read.add(where)
         self.fields_read.add(field)
         if key in section:
-            return _checked(section[key], field, kind)
+            return _checked(section[key], field, kind, least, heads)
         if default is not _REQUIRED:
             return default
         # list what the section does set, such as a key no subcommand reads
@@ -156,20 +166,12 @@ def load_config(path) -> Config:
     return config
 
 
-def _count(config: Config, field: str, least: int = 1) -> int:
-    """An int field that counts something, so must be >= ``least``."""
-    value = config.read(field, int)
-    if value < least:
-        raise ConfigError(f"config field {field} must be >= {least}, got {value}")
-    return value
-
-
 def _build_task(config: Config):
     # noiseless: heads average projected inputs, never responses; the radial
     # family draws no parameters, so it leaves task.param_seed unread
     family = config.read("task.family", FAMILIES)
     return make_task(
-        family=family, p=_count(config, "task.p"), sigma=0.0,
+        family=family, p=config.read("task.p", int, least=1), sigma=0.0,
         input_law=config.read("task.input_law", INPUT_LAWS),
         param_seed=0 if family == "radial" else config.read("task.param_seed", int, 0),
     )
@@ -178,10 +180,7 @@ def _build_task(config: Config):
 def _build_weights(config: Config, H: int):
     kind = config.read("weights.kind", WEIGHT_KINDS, "uniform")
     rho = config.read("weights.rho", float) if kind == "geometric" else None
-    alphas = config.read("weights.alphas", [float]) if kind == "custom" else None
-    if alphas is not None and len(alphas) != H:
-        raise ConfigError(f"config field weights.alphas has {len(alphas)} entries for "
-                          f"projection.H = {H} heads")
+    alphas = config.read("weights.alphas", [float], heads=H) if kind == "custom" else None
     try:   # make_weights checks rho, and weight_vector the custom vector's sum
         return make_weights(kind, H, rho=rho, custom=alphas)
     except ShapeMismatch as exc:
@@ -193,11 +192,9 @@ def _build_plan(config: Config, reads_mix: bool = True,
                 reads_weights: bool = True) -> ExperimentPlan:
     """A command that sweeps its own mixes or weights does not read them."""
     task = _build_task(config)
-    d_k, H = _count(config, "projection.d_k"), _count(config, "projection.H")
-    noise_scales = config.read("projection.noise_scales", [float], None)
-    if noise_scales is not None and len(noise_scales) != H:
-        raise ConfigError(f"config field projection.noise_scales has {len(noise_scales)} "
-                          f"entries for projection.H = {H} heads")
+    d_k = config.read("projection.d_k", int, least=1)
+    H = config.read("projection.H", int, least=1)
+    noise_scales = config.read("projection.noise_scales", [float], None, heads=H)
     mix = config.read("projection.mix", float, 1.0) if reads_mix else 1.0
     if not 0.0 <= mix <= 1.0:
         raise ConfigError(f"config field projection.mix must lie in [0, 1], got {mix}")
@@ -210,8 +207,8 @@ def _build_plan(config: Config, reads_mix: bool = True,
                else make_weights("uniform", projection.H))
     return ExperimentPlan(
         task=task, projection=projection, weights=weights,
-        n=_count(config, "n"), R=_count(config, "R", 2), Q=_count(config, "Q"),
-        master_seed=config.read("master_seed", int),
+        n=config.read("n", int, least=1), R=config.read("R", int, least=2),
+        Q=config.read("Q", int, least=1), master_seed=config.read("master_seed", int),
     )
 
 
@@ -443,9 +440,7 @@ def cmd_hdi(weight_file: str, out: Path | None) -> int:
 
 def cmd_sweep_hdi(config: Config, out: Path) -> int:
     plan = _build_plan(config, reads_mix=False)
-    if plan.projection.H < 2:   # the diversity index compares pairs of heads
-        raise ConfigError(f"config field projection.H must be >= 2 for sweep-hdi, "
-                          f"got {plan.projection.H}")
+    config.read("projection.H", int, least=2)   # the diversity index compares pairs of heads
     mix_grid = config.read("mix_grid", [float])
     config.reject_unread()
     result = hdi_sweep(plan, mix_grid)
@@ -463,6 +458,7 @@ def cmd_sweep_hdi(config: Config, out: Path) -> int:
 
 def cmd_weights_compare(config: Config, out: Path) -> int:
     plan = _build_plan(config, reads_weights=False)
+    config.read("projection.H", int, least=2)   # one head has one weighting, [1]
     rho_grid = config.read("rho_grid", [float])
     config.reject_unread()
     # expected verdict follows the construction: heads of unequal value
@@ -499,17 +495,17 @@ def cmd_weights_compare(config: Config, out: Path) -> int:
 
 def cmd_sweep_arch(config: Config, out: Path) -> int:
     task = _build_task(config)
-    D = config.read("budget_D", int)
-    R = _count(config, "R", 2)
-    Q = _count(config, "Q")
+    D = config.read("budget_D", int, least=2)   # budget 1 has one allocation, (1, 1)
+    R = config.read("R", int, least=2)
+    Q = config.read("Q", int, least=1)
     seed = config.read("master_seed", int)
     query_gain = config.read("projection.query_gain", float, 9.0)
-    n_grid = config.read("n_grid", [int])
-    for i, n in enumerate(n_grid):
-        if n < 1:
-            raise ConfigError(f"config field n_grid[{i}] must be >= 1, got {n}")
+    n_grid = config.read("n_grid", [int], least=1)
     config.reject_unread()
-    trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
+    try:
+        trend = scaling_trend(task, D, n_grid, R, Q, seed, query_gain=query_gain)
+    except EmptySweep as exc:   # raised only for a budget above task.p
+        raise ConfigError(f"config field budget_D: {exc}") from None
     sweeps = trend.sweeps
     rows = [[n, row.H, row.d_k, row.mse, row.stderr, row.bias_sq, row.var_term]
             for n, sweep in sweeps.items() for row in sweep.rows]
@@ -529,13 +525,11 @@ def cmd_sweep_arch(config: Config, out: Path) -> int:
 
 
 def cmd_optimize_proj(config: Config, out: Path) -> int:
-    p = _count(config, "task.p")
-    d_k = _count(config, "projection.d_k")
-    H = _count(config, "projection.H")
-    seed = config.read("master_seed", int)
-    if seed < 0:   # seeds the generator directly, not through derive_seed
-        raise ConfigError(f"config field master_seed must be nonnegative for optimize-proj, "
-                          f"got {seed}")
+    p = config.read("task.p", int, least=1)
+    d_k = config.read("projection.d_k", int, least=1)
+    H = config.read("projection.H", int, least=1)
+    # seeds the generator directly, not through derive_seed
+    seed = config.read("master_seed", int, least=0)
     config.reject_unread()
     _, trace = optimize_projections(p=p, d_k=d_k, H=H, seed=seed)
     final = trace[-1]
@@ -605,8 +599,9 @@ def main(argv=None) -> int:
                 "optimize-proj": cmd_optimize_proj,
             }[args.command]
             return handler(config, Path(out))
-        except Infeasible as exc:
-            print(f"error: infeasible: {exc}", file=sys.stderr)
+        except Infeasible as exc:   # only config subcommands build head families
+            print(f"error: config fields projection.H, projection.d_k and task.p: "
+                  f"infeasible: {exc}", file=sys.stderr)
             return 1
         except LabError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -508,6 +508,10 @@ def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
         raise ShapeMismatch("rho_grid needs >= 1 rho, got []")
     if any(not 0.0 < r <= 1.0 for r in rho_grid):
         raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
+    if min(rho_grid) == 1.0:   # geometric weights at rho = 1 are the uniform ones
+        raise ShapeMismatch(f"rho_grid needs a rho < 1, got {rho_grid}")
+    if plan.projection.H < 2:
+        raise NeedsTwoHeads(f"weighting_compare needs H >= 2 heads, got {plan.projection.H}")
     heads = plan.resolve_projection()
     H = len(heads)
     uniform = make_weights("uniform", H)

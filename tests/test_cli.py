@@ -163,14 +163,15 @@ class TestConfigValidation:
         ("sweep-hdi", lambda c: c["projection"].update(mix=1.0),
          "subcommand: projection.mix"),
         ("optimize-proj", lambda c: c["task"].update(sigma=1.0), "subcommand: task.sigma"),
-        ("sweep-arch", lambda c: c.update(budget_D=0), "budget_D must be >= 1, got 0"),
-        ("sweep-arch", lambda c: c.update(budget_D=-4), "budget_D must be >= 1, got -4"),
+        ("sweep-arch", lambda c: c.update(budget_D=0), "config field budget_D must be >= 2, got 0"),
+        ("sweep-arch", lambda c: c.update(budget_D=-4),
+         "config field budget_D must be >= 2, got -4"),
         ("sweep-arch", lambda c: c.update(n_grid=[50, 50, 70]),
          "n_grid must be strictly ascending, got [50, 50, 70]"),
         ("sweep-arch", lambda c: c.update(n_grid=[50, 100]),
          "n_grid needs >= 3 sample sizes, got 2"),
         ("optimize-proj", lambda c: c.update(master_seed=-1),
-         "master_seed must be nonnegative"),
+         "config field master_seed must be >= 0, got -1"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.5]), "mix_grid needs >= 2 mixes, got [0.5]"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[]), "mix_grid needs >= 2 mixes, got []"),
         ("weights-compare", lambda c: c.update(rho_grid=[]), "rho_grid needs >= 1 rho, got []"),
@@ -241,7 +242,7 @@ class TestConfigValidation:
         ("sweep-arch", lambda c: c.update(n_grid=[0, 1000, 4000]),
          "config field n_grid[0] must be >= 1, got 0"),
         ("sweep-hdi", lambda c: c["projection"].update(H=1),
-         "config field projection.H must be >= 2 for sweep-hdi, got 1"),
+         "config field projection.H must be >= 2, got 1"),
         *[(command, lambda c: c.update(copy.deepcopy(FORMER_SETTINGS)),
            f"subcommand: {FORMER_NAMES}")
           for command in ("decompose", "sweep-hdi", "weights-compare", "sweep-arch",
@@ -315,7 +316,35 @@ class TestConfigValidation:
         path = write_config(tmp_path, config)
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            f"error: infeasible: orthogonal construction needs H*d_k <= p, {line}\n")
+            "error: config fields projection.H, projection.d_k and task.p: infeasible: "
+            f"orthogonal construction needs H*d_k <= p, {line}\n")
+        assert not (tmp_path / "out").exists()
+        assert not draws
+
+    @pytest.mark.parametrize("command, edit, message", [
+        ("weights-compare", lambda c: c["projection"].update(H=1),
+         "config field projection.H must be >= 2, got 1"),
+        ("sweep-arch", lambda c: c.update(budget_D=1), "config field budget_D must be >= 2, got 1"),
+        ("weights-compare", lambda c: c.update(rho_grid=[1.0]),
+         "rho_grid needs a rho < 1, got [1.0]"),
+        ("sweep-arch", lambda c: c.update(budget_D=9),
+         "config field budget_D: no feasible allocation for budget_D = 9: H * d_k = D exceeds "
+         "the input dimension p = 8"),
+        ("weights-compare", lambda c: c["projection"].update(mix=1.0, noise_scales=[0, 1, 2, 3]),
+         "config fields projection.H, projection.d_k and task.p: infeasible: noise_scales needs "
+         "p >= H*d_k + H = 12, got p = 8"),
+    ], ids=["compare-one-head", "arch-budget-one", "compare-rho-grid-all-uniform",
+            "arch-budget-above-p", "compare-noise-scales-without-room"])
+    def test_gate_without_a_contrast_or_infeasible_plan_exits_1_naming_fields(
+            self, tmp_path, capsys, monkeypatch, command, edit, message):
+        # one head, budget 1 or rho 1 alone would let the gate compare a result with itself
+        draws = []
+        monkeypatch.setattr(decomposition, "sample_dataset", lambda *args: draws.append(args))
+        config = small_config(command, tmp_path / "out")
+        edit(config)
+        path = write_config(tmp_path, config)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
         assert not draws
 
@@ -799,7 +828,7 @@ class TestOtherCommands:
         assert report["final_objective"] <= 1e-8
 
     @pytest.mark.parametrize("budget, allocations", [
-        (7, [("7", "1"), ("1", "7")]), (1, [("1", "1")])], ids=["prime", "one"])
+        (7, [("7", "1"), ("1", "7")])], ids=["prime"])
     def test_sweep_arch_budget_without_interior_runs_one_gate(self, tmp_path, capsys, budget,
                                                               allocations):
         # no divisor strictly between 1 and budget_D, so no allocation is interior
@@ -843,7 +872,7 @@ class TestOtherCommands:
     def test_optimize_proj_negative_seed_flag_exit_1(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config("optimize-proj", tmp_path / "out"))
         assert cli.main(["optimize-proj", "--config", str(path), "--seed", "-1"]) == 1
-        assert "master_seed must be nonnegative" in capsys.readouterr().err
+        assert "config field master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_weights_compare_requires_rho_grid(self, tmp_path, capsys):

@@ -846,6 +846,19 @@ class TestWeightingCompare:
         with pytest.raises(ShapeMismatch):
             weighting_compare(plan, [0.5, 1.2])
 
+    def test_rho_grid_needs_a_rho_below_1(self, radial_task):
+        # geometric weights at rho = 1 are uniform: every row would be the uniform row
+        plan = quick_plan(radial_task, p=12, n=50, R=10, Q=4, master=1)
+        with pytest.raises(ShapeMismatch, match=r"rho_grid needs a rho < 1, got \[1.0, 1.0\]"):
+            weighting_compare(plan, [1.0, 1.0])
+
+    def test_rejects_single_head(self, radial_task):
+        # one head has one weight vector, [1], so no scheme can differ from uniform
+        plan = quick_plan(radial_task, p=12, H=1, d_k=2, n=50, R=10, Q=4, master=1,
+                          weights=make_weights("uniform", 1))
+        with pytest.raises(NeedsTwoHeads, match="weighting_compare needs H >= 2 heads, got 1"):
+            weighting_compare(plan, [0.5, 1.0])
+
 
 class TestSpearman:
     def test_perfect_monotone(self):
