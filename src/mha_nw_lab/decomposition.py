@@ -36,16 +36,18 @@ propagated conservatively as the quadrature sum of the four terms' errors.
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
 input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
 it projects the queries once per distinct head; each replicate draws its
-inputs once, at the call's largest n, and nothing else (heads read no
-responses, so the true mean is evaluated only at the queries), projects them
-once for all heads, and runs each distinct head on that in one
-``attend_many`` pass over every n it is held at (a smaller n reads a prefix
-of the inputs), writing the estimates into every set's tensor that holds the
-(n, head) pair; ``_decompose_tensor`` reduces each tensor once for all the
-set's weight vectors.  The replicates run as contiguous blocks, one per
-worker process (MHA_NW_LAB_THREADS caps them, 0 = auto): the caller runs the
-first block and forked children the others, writing into tensors in shared
-memory; a child leaves once the caller dies.  Rows are indexed by replicate,
+inputs once, at the call's largest n = N, and nothing else (heads read no
+responses, so the true mean is evaluated only at the queries), and projects
+them once for all heads.  In batches of B = max(1, BATCH_BYTES // (Q N 8))
+replicates, so that a (B, Q, N) logit block fits BATCH_BYTES, each distinct
+head runs in one ``attend_many`` pass over every n it is held at (a smaller
+n reads a prefix of the inputs), writing the estimates into every set's
+tensor that holds the (n, head) pair; ``_decompose_tensor`` reduces each
+tensor once for all the set's weight vectors.  The replicates run as
+contiguous blocks, one per worker process (MHA_NW_LAB_THREADS caps them,
+0 = auto): the caller runs the first block and forked children the others,
+writing into tensors in shared memory; a child leaves once the caller dies,
+at its next draw.  Rows are indexed by replicate,
 so the outputs are bit-identical for every worker count.  They are the one
 channel a failure takes: once every block is done, ``_reports`` scans and
 reduces one set's tensor at a time, so the caller holds its own rows of every
@@ -56,6 +58,7 @@ finishes all its replicates before it fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -89,6 +92,8 @@ __all__ = [
 
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+#: bytes a (B, Q, N) logit block may take: the engine batches B >= 1 replicates per kernel call
+BATCH_BYTES = 1 << 20
 
 
 def noise_floor(x: float) -> float:
@@ -182,9 +187,10 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     """The shared quadrature queries, and one (E[r, h, q], degenerate count
     per head) per ``(n, heads)`` set.  Each replicate draws one dataset, at the
     largest n; its first n inputs are those a draw at a smaller n makes, and
-    heads read only inputs.  Heads with equal wq, wk and wv run once, in one
-    pass over every n they are held at, on projections made by one product per
-    replicate: column-major, so that a head's keys and its [v, 1] are slices.
+    heads read only inputs.  Heads with equal wq, wk and wv run once per batch
+    of replicates, in one pass over every n they are held at, on projections
+    made by one product per replicate into the batch's buffer: a head's keys
+    and its [v, 1] are slices of it, with the replicates on the leading axis.
     Unscanned: the caller has mapped only the rows its own block wrote."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
@@ -208,20 +214,26 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     N = max(n for n, _ in head_sets)
     Es = [_shared((R, len(heads), Q), np.float64) for _, heads in head_sets]
     degenerate = [_shared((R, len(heads)), np.int64) for _, heads in head_sets]
+    B = max(1, BATCH_BYTES // (Q * N * 8))
 
     def run_replicates(block) -> None:
-        for r in block:
-            data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
-            xw = (weights @ data.xs.T).T   # N x columns, column-major
-            xw[:, ones] = 1.0
+        block = iter(block)
+        proj = np.empty((B, len(weights), N))   # each replicate's columns x N product
+        while batch := list(itertools.islice(block, B)):
+            for b, r in enumerate(batch):
+                data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
+                np.matmul(weights, data.xs.T, out=proj[b])
+            xw = proj[:len(batch)].swapaxes(1, 2)   # batch x N x columns
+            xw[..., ones] = 1.0
+            rs = slice(batch[0], batch[-1] + 1)
             for head, by_n, q, keys, values in runs:
                 sizes = sorted(by_n)
                 est, counts = attend_many(head, queries, data, sizes,
-                                          projected=(q, xw[:, keys], xw[:, values]))
-                for n, est_n, count in zip(sizes, est, counts):
+                                          projected=(q, xw[..., keys], xw[..., values]))
+                for j, n in enumerate(sizes):
                     for s, h in by_n[n]:
-                        Es[s][r, h] = est_n
-                        degenerate[s][r, h] = count
+                        Es[s][rs, h] = est[:, j]
+                        degenerate[s][rs, h] = counts[:, j]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _run_in_blocks(run_replicates, R)
@@ -510,6 +522,8 @@ def weighting_compare(plan: ExperimentPlan, rho_grid) -> WeightingCompareResult:
         raise ShapeMismatch(f"rho_grid must lie in (0, 1], got {rho_grid}")
     if min(rho_grid) == 1.0:   # geometric weights at rho = 1 are the uniform ones
         raise ShapeMismatch(f"rho_grid needs a rho < 1, got {rho_grid}")
+    if len(set(rho_grid)) < len(rho_grid):   # a repeated rho writes its row twice
+        raise ShapeMismatch(f"rho_grid repeats a rho, got {rho_grid}")
     if plan.projection.H < 2:
         raise NeedsTwoHeads(f"weighting_compare needs H >= 2 heads, got {plan.projection.H}")
     heads = plan.resolve_projection()

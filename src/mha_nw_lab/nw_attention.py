@@ -13,7 +13,8 @@ product: an exponential tilt toward large keys, not a local window, so
 over the column segments between sizes, merged by the online-softmax rescale
 (Milakov & Gimelshein, 2018; Dao et al., 2022), whose factors are exactly 1
 where neither side was shifted; a caller holding the projections can pass
-them.  A logit row is shifted by its max only where exp could overflow or
+them, stacked over leading replicate axes that every step broadcasts over.
+A logit row is shifted by its max only where exp could overflow or
 underflow.  One product e @ [v, 1] gives e.v and the row sum s as its two
 columns, so after exp the block is read once.  The largest weight is e^-gap,
 gap = log s + shift - max; if it is 1 - d, the entropy is at least h_b(d), h_b
@@ -91,8 +92,9 @@ class HeadConfig:
 
 
 def _logits(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """q k^T, broadcast at d_k = 1, where BLAS (inner dimension 1) is ~6x slower."""
-    return q * k.T if q.shape[1] == 1 else q @ k.T
+    """q k^T per leading index of k, broadcast at d_k = 1, where BLAS is ~6x slower."""
+    kt = k.swapaxes(-1, -2)
+    return q * kt if q.shape[1] == 1 else q @ kt
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,12 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
     and per-size counts of rows with entropy below DEGENERATE_ENTROPY_NATS, then,
     if ``return_weights`` on a one-size call, the Q x n weights e / s (for
     ``attend``).  ``projected`` = (q, keys, values) are the Q x d_k queries
-    wq^T x / sqrt(d_k), the data.n x d_k keys and the data.n x 2 operand
-    [v, 1]; without it each segment's keys and values are projected here, so a
-    first prefix rounds as a one-size call does.
+    wq^T x / sqrt(d_k), the (..., data.n, d_k) keys and the (..., data.n, 2)
+    operand [v, 1], whose leading axes are replicates that each get the bits
+    of their own 2-D call, in (..., len(sizes), Q) estimates and
+    (..., len(sizes)) counts; ``data`` then gives only the n and p the shapes
+    are checked against.  Without it each segment's keys and values are
+    projected here, so a first prefix rounds as a one-size call does.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != head.p or data.p != head.p:
@@ -133,22 +138,25 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
         k, vs = np.empty((bounds[-1], head.d_k)), np.ones((bounds[-1], 2), order="F")
     else:
         q, k, vs = projected
-        if (q.shape, k.shape, vs.shape) != ((len(queries), head.d_k), (data.n, head.d_k), (data.n, 2)):
+        if (q.shape, k.shape[-2:], vs.shape) != ((len(queries), head.d_k), (data.n, head.d_k),
+                                                   k.shape[:-2] + (data.n, 2)):
             raise ShapeMismatch(f"attend: projected shapes {q.shape}, {k.shape}, {vs.shape} do not "
                                 f"fit Q = {len(queries)}, d_k = {head.d_k} and n = {data.n}")
-    estimates, degenerate = np.empty((len(bounds), q.shape[0])), np.zeros(len(bounds), int)
+    estimates = np.empty(k.shape[:-2] + (len(bounds), len(q)))   # leading axes: replicates
+    degenerate = np.zeros(estimates.shape[:-1], int)
     for j, (start, stop) in enumerate(zip([0] + bounds, bounds)):
         if projected is None:
             np.matmul(data.xs[start:stop], head.wk, out=k[start:stop])
             np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
-        e = _logits(q, k[start:stop])
-        top_j = e.max(axis=1)
+        e = _logits(q, k[..., start:stop, :])
+        top_j = e.max(axis=-1)
         far = np.abs(top_j) > _RAW_LOGIT_MAX
         shift_j = np.where(far, top_j, 0.0)
         if far.any():
             e[far] -= top_j[far, None]
         np.exp(e, out=e)
-        ev_j, s_j = (e @ vs[start:stop]).T
+        evs = e @ vs[..., start:stop, :]
+        ev_j, s_j = evs[..., 0], evs[..., 1]
         if j == 0:
             shift, s, ev, top = shift_j, s_j, ev_j, top_j
         else:   # rescale to the larger shift: exp(0) = 1 where neither side shifted
@@ -156,14 +164,17 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
             old, add = np.exp(shift - new), np.exp(shift_j - new)
             shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
             top = np.maximum(top, top_j)
-        estimates[j] = ev / s
-        sharp = np.flatnonzero(np.log(s) - top < _SCREEN_GAP - shift)
-        if sharp.size:   # exact entropy over the prefix, only for the screened rows
-            w = _logits(q[sharp], k[:stop])
+        estimates[..., j, :] = ev / s
+        screened = (np.log(s) - top < _SCREEN_GAP - shift).reshape(-1, len(q))
+        # exact entropy over the prefix, for each replicate the screen caught rows of
+        for b in screened.any(axis=1).nonzero()[0].tolist():
+            i = np.unravel_index(b, estimates.shape[:-2])
+            sharp = screened[b].nonzero()[0]
+            w = _logits(q[sharp], k[i][:stop])
             w = np.exp(w - w.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
             entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
-            degenerate[j] = np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+            degenerate[i + (j,)] = np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
     return (estimates, degenerate) + ((e / s[:, None],) if return_weights else ())
 
 

@@ -175,6 +175,8 @@ class TestConfigValidation:
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.5]), "mix_grid needs >= 2 mixes, got [0.5]"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[]), "mix_grid needs >= 2 mixes, got []"),
         ("weights-compare", lambda c: c.update(rho_grid=[]), "rho_grid needs >= 1 rho, got []"),
+        ("weights-compare", lambda c: c.update(rho_grid=[0.5, 0.5]),
+         "rho_grid repeats a rho, got [0.5, 0.5]"),
         ("weights-compare", lambda c: c["projection"].update(noise_scales=[]),
          "config field projection.noise_scales has 0 entries for projection.H = 4 heads"),
         ("sweep-hdi", lambda c: c.update(mix_grid=[0.5, 0.5]),
@@ -253,7 +255,7 @@ class TestConfigValidation:
             "hdi-projection-mix", "optimize-task-sigma", "arch-budget-zero",
             "arch-budget-negative", "arch-n-grid-repeat", "arch-n-grid-two-sizes",
             "optimize-negative-seed", "mix-grid-one", "mix-grid-empty", "rho-grid-empty",
-            "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
+            "rho-grid-repeat", "noise-scales-empty", "mix-grid-repeat", "mix-grid-inner-repeat",
             "mix-grid-no-endpoints", "mix-grid-no-mix-1", "compare-no-gate",
             "compare-equal-scales-mix-1", "task-sigma", "task-heteroscedastic",
             "arch-zero-skeleton",

@@ -376,13 +376,41 @@ class TestReplicateEngine:
         assert task is quad_task
         np.testing.assert_array_equal(points, sample_queries(quad_task, 8, derive_seed(21, "query")))
 
-    def test_identical_heads_run_once_per_replicate(self, quad_task, monkeypatch):
+    @pytest.mark.parametrize("batch_bytes, carried", [(None, [6]), (4 * 8 * 60 * 8, [4, 2])],
+                             ids=["shipped-bound", "batches-of-4"])
+    def test_identical_heads_run_once_per_replicate(self, quad_task, monkeypatch,
+                                                    batch_bytes, carried):
+        # the calls' leading axes carry each replicate once, one call per batch
         heads = self.head_sets(quad_task)[0]
-        evals = self.counting(monkeypatch, "attend_many", attend_many)
+        if batch_bytes is not None:
+            monkeypatch.setattr(decomposition, "BATCH_BYTES", batch_bytes)
+        calls = []
+
+        def kernel(*args, projected):
+            calls.append(len(projected[1]))
+            return attend_many(*args, projected=projected)
+
+        self.counting(monkeypatch, "attend_many", kernel)
         _, [(E, _)] = _head_tensor(quad_task, [(60, heads)], 6, 8, 21)
-        assert len(evals) == 6
+        assert calls == carried
         for h in range(1, 4):
             np.testing.assert_array_equal(E[:, h], E[:, 0])
+
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
+    def test_batches_equal_one_replicate_per_call(self, quad_task, monkeypatch, workers):
+        # B = 2 and R = 5: the blocks of 5, of 2 and 3, and of 1, 1, 1 and 2
+        # replicates hold partial batches; the sharp heads run at n = 40 and 60
+        identical, distinct, sharp = self.head_sets(quad_task)
+        sets = [(60, identical), (40, distinct), (60, sharp), (40, sharp)]
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 1)
+        _, single = _head_tensor(quad_task, sets, 5, 8, 21)
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 2 * 8 * 60 * 8)
+        _, batched = _head_tensor(quad_task, sets, 5, 8, 21)
+        assert single[2][1].sum() > 0 and single[3][1].sum() > 0
+        for (E, degenerate), (E_1, degenerate_1) in zip(batched, single):
+            np.testing.assert_array_equal(E, E_1)
+            np.testing.assert_array_equal(degenerate, degenerate_1)
 
     def test_estimates_equal_single_query_attend(self, quad_task):
         heads = self.head_sets(quad_task)[1]

@@ -325,6 +325,31 @@ class TestFusedKernel:
             with pytest.raises(ShapeMismatch, match="projected shapes"):
                 attend_many(head, queries, data, [5, 10], projected=bad)
 
+    @pytest.mark.parametrize("d_k", [1, 2])
+    def test_a_stack_of_replicates_equals_one_call_each(self, d_k):
+        # replicate 1 holds a key at 650 on axis 0, in the second segment: query
+        # 0's logit there is 650, a shifted row, and the queries leaning on that
+        # axis are degenerate from n = 20 on; replicates 0 and 2 have no such row
+        rng = np.random.default_rng(61 + d_k)
+        n, sizes = 30, [8, 20, 30]
+        head = make_head(3, d_k)
+        data = make_data(rng.standard_normal((n, 3)))
+        queries = rng.standard_normal((6, 3))
+        q = 0.5 * rng.standard_normal((6, d_k))
+        q[0, 0] = 1.0
+        keys = rng.standard_normal((3, n, d_k))
+        keys[1, 12, 0] = 650.0
+        values = np.ones((3, n, 2))
+        values[..., 0] = rng.standard_normal((3, n))
+        estimates, counts = attend_many(head, queries, data, sizes, projected=(q, keys, values))
+        assert estimates.shape == (3, 3, 6) and counts.shape == (3, 3)
+        for r in range(3):
+            alone = attend_many(head, queries, data, sizes, projected=(q, keys[r], values[r]))
+            np.testing.assert_array_equal(estimates[r], alone[0])
+            np.testing.assert_array_equal(counts[r], alone[1])
+        assert (q @ keys[1].T).max() > 600.0 > np.abs(q @ keys[[0, 2]].swapaxes(1, 2)).max()
+        assert counts[1, 0] == 0 and counts[1, 1:].min() > 0 and counts[[0, 2]].sum() == 0
+
     def test_screen_gap_is_where_the_binary_entropy_bound_reaches_twice_the_threshold(self):
         # a largest weight e^-tau = 1 - d bounds the entropy below by h_b(d)
         d = -np.expm1(-_SCREEN_GAP)
