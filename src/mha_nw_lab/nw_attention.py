@@ -17,7 +17,8 @@ them, stacked over leading replicate axes that every step broadcasts over.
 A logit row is shifted by its max only where exp could overflow or
 underflow.  One product e @ [v, 1] gives e.v and the row sum s as its two
 columns, so after exp the block is read once.  The largest weight is e^-gap,
-gap = log s + shift - max; if it is 1 - d, the entropy is at least h_b(d), h_b
+gap = log s + (shift - max), exact at any max since shift - max is 0 for a
+shifted row; if it is 1 - d, the entropy is at least h_b(d), h_b
 the binary entropy, so only rows whose gap is below the tau with
 h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
@@ -54,7 +55,7 @@ def _entropy_gap(h: float) -> float:
     return hi
 
 
-#: rows whose gap log s + shift - max is below this get their entropy summed;
+#: rows whose gap log s + (shift - max) is below this get their entropy summed;
 #: any other row's entropy is at least 2 DEGENERATE_ENTROPY_NATS
 _SCREEN_GAP = _entropy_gap(2.0 * DEGENERATE_ENTROPY_NATS)
 
@@ -165,7 +166,7 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
             shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
             top = np.maximum(top, top_j)
         estimates[..., j, :] = ev / s
-        screened = (np.log(s) - top < _SCREEN_GAP - shift).reshape(-1, len(q))
+        screened = (np.log(s) + (shift - top) < _SCREEN_GAP).reshape(-1, len(q))
         # exact entropy over the prefix, for each replicate the screen caught rows of
         for b in screened.any(axis=1).nonzero()[0].tolist():
             i = np.unravel_index(b, estimates.shape[:-2])

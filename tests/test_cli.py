@@ -917,8 +917,8 @@ class TestOtherCommands:
         assert code == (0 if gates[gate] else 2)
 
     @pytest.mark.parametrize("mix, scales, gates", [
-        (0.0, None, {"identity_residual", "cov_equals_variance"}),
-        (0.0, [0.0] * 4, {"identity_residual", "cov_equals_variance"}),
+        (0.0, None, {"identity_residual"}),
+        (0.0, [0.0] * 4, {"identity_residual"}),
         (0.0, [1.0] * 4, {"identity_residual"}),
         (0.0, [0.0, 1.0, 2.0, 3.0], {"identity_residual"}),
         (1.0, [0.0, 1.0, 2.0, 3.0], {"identity_residual", "cov_vanishes"}),
@@ -926,8 +926,8 @@ class TestOtherCommands:
     ], ids=["identical", "all-zero-scales", "equal-scales", "unequal-scales",
             "orthogonal-unequal-scales", "blend"])
     def test_decompose_cov_gate_follows_the_heads(self, tmp_path, capsys, mix, scales, gates):
-        # covariance equals the per-head variance only for identical heads:
-        # value noise gives each head its own direction, even at equal scales
+        # only the orthogonal family (mix 1) gets a covariance gate; identical
+        # heads' covariance equals their variance by construction, so is not gated
         config = small_decompose_config(tmp_path / "out")
         config["task"]["p"] = 12
         config["projection"].update(mix=mix)

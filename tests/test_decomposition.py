@@ -764,6 +764,15 @@ class TestDegenerateScreen:
         assert report.degenerate_weights > 0
         assert DEGENERATE_ENTROPY_NATS == 1e-6
 
+    @pytest.mark.parametrize("gain", [1e6, 1e9, 1e10, 1e12])
+    def test_every_row_counts_at_any_query_gain(self, quad_task, gain):
+        # decompose_canonical.json's plan, shrunk: from gain 1e6 on every row is
+        # one-hot, however far past 2e9 its logits reach
+        plan = quick_plan(quad_task, n=120, R=6, Q=8, master=20260808, gain=gain)
+        with pytest.warns(RuntimeWarning, match="degenerate"):
+            report = mc_decompose(plan)
+        assert report.degenerate_weights == plan.R * plan.projection.H * plan.Q
+
     def test_degenerate_warning_names_point_and_heads(self):
         task = lab.make_task("quadratic", 4, 1.0, "gaussian")
         plan = quick_plan(task, p=4, d_k=1, H=2, n=50, R=10, Q=8, master=3, gain=200.0)

@@ -151,7 +151,11 @@ class TestAttend:
 
 def full_entropy(head, queries, xs):
     """Row entropies from the full normalised weight matrix, -(w log w).sum()."""
-    logits = (queries @ head.wq) @ (xs @ head.wk).T / np.sqrt(head.d_k)
+    return logit_entropy((queries @ head.wq) @ (xs @ head.wk).T / np.sqrt(head.d_k))
+
+
+def logit_entropy(logits):
+    """Entropy of each row of softmax(logits), shifted by the row max."""
     w = np.exp(logits - logits.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     return -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
@@ -349,6 +353,47 @@ class TestFusedKernel:
             np.testing.assert_array_equal(counts[r], alone[1])
         assert (q @ keys[1].T).max() > 600.0 > np.abs(q @ keys[[0, 2]].swapaxes(1, 2)).max()
         assert counts[1, 0] == 0 and counts[1, 1:].min() > 0 and counts[[0, 2]].sum() == 0
+
+    #: 1-D keys in [1, 2]: at sizes [2, 5, 7] the smallest is in the first
+    #: segment and the largest in the second
+    SCREEN_KEYS = np.array([1.0, 1.5, 1.25, 1.75, 2.0, 1.125, 1.0625])
+    #: q = x, k = x, v = 1 at p = d_k = 1
+    SCREEN_HEAD = HeadConfig(wq=Matrix([[1.0]]), wk=Matrix([[1.0]]), wv=np.ones(1))
+
+    def screen_queries(self, top):
+        """Query top / max(k) (top > 0) or top / min(k) (top < 0), whose logits
+        over SCREEN_KEYS peak at top, then queries 0 and 0.5."""
+        keys = self.SCREEN_KEYS
+        return np.array([[top / (keys.max() if top > 0 else keys.min())], [0.0], [0.5]])
+
+    @pytest.mark.parametrize("sizes", [None, [2, 5, 7]], ids=["one-size", "three-sizes"])
+    @pytest.mark.parametrize("top", [2e3, 2e9, 1e12, 1e100, -1e12])
+    def test_screen_counts_one_hot_rows_at_any_row_max(self, top, sizes):
+        # on every prefix the first query's other logits lie at least |top| / 16
+        # below its row max: a one-hot row, shifted since |top| > 600, whose gap
+        # log s + (shift - max) is 0; queries 0 and 0.5 give rows of high entropy
+        head, keys, queries = self.SCREEN_HEAD, self.SCREEN_KEYS[:, None], self.screen_queries(top)
+        degenerate = attend_many(head, queries, make_data(keys), sizes)[1]
+        for j, m in enumerate(sizes or [len(keys)]):
+            entropy = full_entropy(head, queries, keys[:m])
+            assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS) == 1
+
+    @pytest.mark.parametrize("sizes", [None, [2, 5, 7]], ids=["one-size", "three-sizes"])
+    @pytest.mark.parametrize("top", [2e3, 2e9, 1e12, 1e100, -1e12])
+    def test_screen_counts_one_hot_rows_of_stacked_replicates(self, top, sizes):
+        # replicate 0 holds the keys above, replicate 1 the same keys reversed,
+        # which moves the smallest to the last segment, and replicate 2 equal
+        # keys, whose rows are all uniform
+        keys = np.stack([self.SCREEN_KEYS, self.SCREEN_KEYS[::-1], np.ones(7)])
+        n, q = keys.shape[1], self.screen_queries(top)
+        counts = attend_many(self.SCREEN_HEAD, q, make_data(np.zeros((n, 1))), sizes,
+                             projected=(q, keys[..., None], np.ones((3, n, 2))))[1]
+        assert counts.shape == (3, len(sizes or [n]))
+        for r in range(3):
+            for j, m in enumerate(sizes or [n]):
+                entropy = logit_entropy(q @ keys[r, None, :m])
+                assert counts[r, j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+        assert counts[:2].min() == 1 and counts[2].max() == 0
 
     def test_screen_gap_is_where_the_binary_entropy_bound_reaches_twice_the_threshold(self):
         # a largest weight e^-tau = 1 - d bounds the entropy below by h_b(d)
