@@ -32,7 +32,8 @@ from .diversity import (
     optimize_projections,
 )
 from .mha import make_weights
-from .nw_attention import AttentionOutput, HeadConfig, attend, attend_many, nw_reference
+from .nw_attention import (AttentionOutput, HeadConfig, attend, attend_many, kernel_operands,
+                           nw_reference)
 from .synthetic import (
     Dataset,
     RegressionTask,
@@ -49,7 +50,7 @@ __all__ = [
     "Matrix", "qr_orthonormalize",
     "RegressionTask", "Dataset", "make_task", "sample_dataset",
     "sample_labels", "sample_queries", "derive_seed",
-    "HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference",
+    "HeadConfig", "AttentionOutput", "attend", "attend_many", "kernel_operands", "nw_reference",
     "make_weights",
     "hdi", "make_diversity_report",
     "make_projection_family", "optimize_projections", "load_weight_file",

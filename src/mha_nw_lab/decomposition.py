@@ -35,25 +35,25 @@ propagated conservatively as the quadrature sum of the four terms' errors.
 ``mc_decompose`` and every sweep hand ``_reports`` their ``(n, heads,
 alpha_sets)`` sets and get one ``DecompositionReport`` per weight vector, in
 input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
-it projects the queries once per distinct head; each replicate draws its
-inputs once, at the call's largest n = N, and nothing else (heads read no
-responses, so the true mean is evaluated only at the queries), and projects
-them once for all heads.  In batches of B = max(1, BATCH_BYTES // (Q N 8))
-replicates, so that a (B, Q, N) logit block fits BATCH_BYTES, each distinct
-head runs in one ``attend_many`` pass over every n it is held at (a smaller
-n reads a prefix of the inputs), writing the estimates into every set's
-tensor that holds the (n, head) pair; ``_decompose_tensor`` reduces each
-tensor once for all the set's weight vectors.  The replicates run as
-contiguous blocks, one per worker process (MHA_NW_LAB_THREADS caps them,
-0 = auto): the caller runs the first block and forked children the others,
-writing into tensors in shared memory; a child leaves once the caller dies,
-at its next draw.  Rows are indexed by replicate,
-so the outputs are bit-identical for every worker count.  They are the one
-channel a failure takes: once every block is done, ``_reports`` scans and
-reduces one set's tensor at a time, so the caller holds its own rows of every
-set and one whole set; the first non-finite estimate (by replicate, then set,
-head and query) raises ReplicateFailure, so a run whose estimates overflow
-finishes all its replicates before it fails.
+each replicate draws its inputs once, at the call's largest n = N, and
+nothing else (heads read no responses, so the true mean is evaluated only at
+the queries); ``kernel_operands`` projects the queries once per distinct head
+and each replicate's inputs by one product for all heads.  In batches of
+B = max(1, BATCH_BYTES // (Q N 8)) replicates, so that a (B, Q, N) logit
+block fits BATCH_BYTES, each distinct head runs in one ``attend_many`` pass
+over every n it is held at (a smaller n reads a prefix of the inputs),
+writing the estimates into every set's tensor that holds the (n, head) pair;
+``_decompose_tensor`` reduces each tensor once for all the set's weight
+vectors.  The replicates run as contiguous blocks, one per worker process
+(MHA_NW_LAB_THREADS caps them, 0 = auto): the caller runs the first block and
+forked children the others, writing into tensors in shared memory; a child
+leaves once the caller dies, at its next draw.  Rows are indexed by
+replicate, so the outputs are bit-identical for every worker count.  They
+are the one channel a failure takes: once every block is done, ``_reports``
+scans and reduces one set's tensor at a time, so the caller holds its own
+rows of every set and one whole set; the first non-finite estimate (by
+replicate, then set, head and query) raises ReplicateFailure, so a run whose
+estimates overflow finishes all its replicates before it fails.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .diversity import hdi as hdi_indices
 from .diversity import make_projection_family
 from .errors import ConfigError, LabError, NeedsTwoHeads, ReplicateFailure, ShapeMismatch
 from .mha import make_weights, weight_vector
-from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many
+from .nw_attention import DEGENERATE_ENTROPY_NATS, HeadConfig, attend_many, kernel_operands
 from .synthetic import RegressionTask, derive_seed, sample_dataset, sample_queries
 
 __all__ = [
@@ -185,12 +185,9 @@ class DecompositionReport:
 
 def _head_tensor(task, head_sets, R, Q, master_seed):
     """The shared quadrature queries, and one (E[r, h, q], degenerate count
-    per head) per ``(n, heads)`` set.  Each replicate draws one dataset, at the
-    largest n; its first n inputs are those a draw at a smaller n makes, and
-    heads read only inputs.  Heads with equal wq, wk and wv run once per batch
-    of replicates, in one pass over every n they are held at, on projections
-    made by one product per replicate into the batch's buffer: a head's keys
-    and its [v, 1] are slices of it, with the replicates on the leading axis.
+    per head) per ``(n, heads)`` set, by the engine of the module doc: heads
+    with equal wq, wk and wv run once per batch of replicates, in one pass over
+    every n they are held at, on ``kernel_operands`` of the batch's datasets.
     Unscanned: the caller has mapped only the rows its own block wrote."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
@@ -198,19 +195,6 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
         for h, head in enumerate(heads):
             key = (head.wq.shape, head.wq.tobytes(), head.wk.tobytes(), head.wv.tobytes())
             slots.setdefault(key, (head, {}))[1].setdefault(n, []).append((s, h))
-    # the columns of one product per replicate: every distinct key column, then
-    # each distinct value vector beside a zero column that becomes the 1s of [v, 1]
-    distinct = [head for head, _ in slots.values()]
-    columns = {w.tobytes(): w for head in distinct for w in head.wk.T}
-    ones = slice(len(columns) + 1, None, 2)
-    columns.update({(head.wv.tobytes(), i): head.wv * (1 - i) for head in distinct for i in (0, 1)})
-    at = {key: c for c, key in enumerate(columns)}
-    runs = []   # (head, by_n, its projected queries, its key columns, its [v, 1] columns)
-    for head, by_n in slots.values():
-        k, v = [at[w.tobytes()] for w in head.wk.T], at[head.wv.tobytes(), 0]
-        keys = slice(k[0], k[0] + len(k)) if k == list(range(k[0], k[0] + len(k))) else k
-        runs.append((head, by_n, (queries @ head.wq) / np.sqrt(head.d_k), keys, slice(v, v + 2)))
-    weights = np.array(list(columns.values()))
     N = max(n for n, _ in head_sets)
     Es = [_shared((R, len(heads), Q), np.float64) for _, heads in head_sets]
     degenerate = [_shared((R, len(heads)), np.int64) for _, heads in head_sets]
@@ -218,18 +202,13 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
 
     def run_replicates(block) -> None:
         block = iter(block)
-        proj = np.empty((B, len(weights), N))   # each replicate's columns x N product
+        project = kernel_operands([head for head, _ in slots.values()], queries, N, min(B, R))
         while batch := list(itertools.islice(block, B)):
-            for b, r in enumerate(batch):
-                data = sample_dataset(task, N, derive_seed(master_seed, "data", r))
-                np.matmul(weights, data.xs.T, out=proj[b])
-            xw = proj[:len(batch)].swapaxes(1, 2)   # batch x N x columns
-            xw[..., ones] = 1.0
+            datasets = [sample_dataset(task, N, derive_seed(master_seed, "data", r)) for r in batch]
             rs = slice(batch[0], batch[-1] + 1)
-            for head, by_n, q, keys, values in runs:
+            for (head, by_n), projected in zip(slots.values(), project(datasets)):
                 sizes = sorted(by_n)
-                est, counts = attend_many(head, queries, data, sizes,
-                                          projected=(q, xw[..., keys], xw[..., values]))
+                est, counts = attend_many(head, queries, datasets[-1], sizes, projected=projected)
                 for j, n in enumerate(sizes):
                     for s, h in by_n[n]:
                         Es[s][rs, h] = est[:, j]

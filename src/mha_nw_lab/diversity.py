@@ -138,7 +138,8 @@ def make_projection_family(
     ``noise_scales`` (one entry per head) builds a heterogeneous-quality
     ensemble: head h's value vector gains scale_h times a unit direction
     orthogonal to every key subspace, which inflates that head's variance
-    without moving its bias.  Requires p >= H * d_k + H spare dimensions.
+    without moving its bias.  Requires p >= H * d_k + H spare dimensions,
+    unless every scale is 0: those heads are the unset ones, drawn alike.
     """
     if not (0.0 <= mix <= 1.0):
         raise ShapeMismatch(f"mix must lie in [0, 1], got {mix}")
@@ -156,7 +157,7 @@ def make_projection_family(
     wv = sum(block @ coeff for block in blocks) / np.sqrt(H)
 
     extras = [np.zeros(p)] * H
-    if noise_scales is not None:
+    if noise_scales is not None and any(noise_scales):
         if p < H * d_k + H:
             raise Infeasible(
                 f"noise_scales needs p >= H*d_k + H = {H * d_k + H}, got p = {p}"

@@ -9,18 +9,18 @@ space and kernel-averages the projected values:
 a Nadaraya-Watson estimator whose kernel is the exponential of a scaled dot
 product: an exponential tilt toward large keys, not a local window, so
 1/sqrt(d_k) scales the logits and is not the kernel's effective bandwidth.
-``attend_many`` runs one head on every prefix xs[:n] of a dataset in one pass
-over the column segments between sizes, merged by the online-softmax rescale
-(Milakov & Gimelshein, 2018; Dao et al., 2022), whose factors are exactly 1
-where neither side was shifted; a caller holding the projections can pass
-them, stacked over leading replicate axes that every step broadcasts over.
-A logit row is shifted by its max only where exp could overflow or
-underflow.  One product e @ [v, 1] gives e.v and the row sum s as its two
-columns, so after exp the block is read once.  The largest weight is e^-gap,
-gap = log s + (shift - max), exact at any max since shift - max is 0 for a
-shifted row; if it is 1 - d, the entropy is at least h_b(d), h_b
-the binary entropy, so only rows whose gap is below the tau with
-h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
+``kernel_operands`` builds each head's queries wq^T x / sqrt(d_k), keys and
+[v, 1] from one product per dataset for all heads.  ``attend_many`` reads only
+those, stacked over leading replicate axes, and runs a head on every prefix
+xs[:n] in one pass over the segments between sizes, merged by the
+online-softmax rescale (Milakov & Gimelshein, 2018; Dao et al., 2022), whose
+factors are exactly 1 where neither side was shifted.  A logit row is shifted
+by its max only where exp could overflow or underflow.  One product e @ [v, 1]
+gives e.v and the row sum s as its two columns, so after exp the block is read
+once.  The largest weight is e^-gap, gap = log s + (shift - max), exact at any
+max since shift - max is 0 for a shifted row; if it is 1 - d, the entropy is at
+least h_b(d), h_b the binary entropy, so only rows whose gap is below the tau
+with h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
@@ -35,7 +35,8 @@ from .errors import DegenerateKernel, ShapeMismatch
 from .synthetic import Dataset
 from .tensor_core import Matrix
 
-__all__ = ["HeadConfig", "AttentionOutput", "attend", "attend_many", "nw_reference"]
+__all__ = ["HeadConfig", "AttentionOutput", "attend", "attend_many", "kernel_operands",
+           "nw_reference"]
 
 #: softmax weight vectors with entropy below this many nats count as degenerate
 DEGENERATE_ENTROPY_NATS = 1e-6
@@ -106,49 +107,65 @@ class AttentionOutput:
     weights: np.ndarray
 
 
-def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None,
-                return_weights: bool = False, *, projected=None):
-    """Estimates of one head at Q query points on each prefix ``data.xs[:n]``,
-    n in the ascending ``sizes`` (data.n without them), fused as in the module
-    doc (per segment: the logit block, its row max, exp in place, and one
-    product with [v, 1] for e.v and the row sum): the (len(sizes), Q) estimates
-    and per-size counts of rows with entropy below DEGENERATE_ENTROPY_NATS, then,
-    if ``return_weights`` on a one-size call, the Q x n weights e / s (for
-    ``attend``).  ``projected`` = (q, keys, values) are the Q x d_k queries
-    wq^T x / sqrt(d_k), the (..., data.n, d_k) keys and the (..., data.n, 2)
-    operand [v, 1], whose leading axes are replicates that each get the bits
-    of their own 2-D call, in (..., len(sizes), Q) estimates and
-    (..., len(sizes)) counts; ``data`` then gives only the n and p the shapes
-    are checked against.  Without it each segment's keys and values are
-    projected here, so a first prefix rounds as a one-size call does.
-    """
+def kernel_operands(heads, queries: np.ndarray, n: int, replicates: int = 1):
+    """``project(datasets)``: each head's (q, keys, values) for ``attend_many`` on
+    up to ``replicates`` datasets of n points, the queries wq^T x / sqrt(d_k) and
+    (len(datasets), n, ...) keys and [v, 1] from one product per dataset,
+    ``weights @ data.xs.T``, whose rows are every distinct key column, then each
+    distinct value vector beside a zero row whose product row is set to 1s.
+    [v, 1], and keys whose columns are adjacent, are views of that product, one
+    buffer that each call overwrites."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[1] != head.p or data.p != head.p:
-        raise ShapeMismatch(
-            f"attend: head expects R^{head.p}, got query dim {queries.shape[1]} "
-            f"and data dim {data.p}"
-        )
+    if {head.p for head in heads} != {queries.shape[1]}:
+        raise ShapeMismatch(f"attend: heads in R^{heads[0].p}, queries in R^{queries.shape[1]}")
+    columns = {w.tobytes(): w for head in heads for w in head.wk.T}
+    ones = slice(len(columns) + 1, None, 2)
+    columns.update({(head.wv.tobytes(), i): head.wv * (1 - i) for head in heads for i in (0, 1)})
+    at = {key: c for c, key in enumerate(columns)}
+    weights = np.array(list(columns.values()))
+    layout = []   # each head's queries, its key columns and its [v, 1] columns
+    for head in heads:
+        k, v = [at[w.tobytes()] for w in head.wk.T], at[head.wv.tobytes(), 0]
+        keys = slice(k[0], k[0] + len(k)) if k == list(range(k[0], k[0] + len(k))) else k
+        layout.append(((queries @ head.wq) / np.sqrt(head.d_k), keys, slice(v, v + 2)))
+    product = np.empty((replicates, len(weights), n))
+
+    def project(datasets):
+        if (dims := {data.p for data in datasets}) != {queries.shape[1]}:
+            raise ShapeMismatch(f"attend: heads in R^{heads[0].p}, data dims {sorted(dims)}")
+        for b, data in enumerate(datasets):
+            np.matmul(weights, data.xs.T, out=product[b])
+        xw = product[:len(datasets)].swapaxes(1, 2)   # datasets x n x columns
+        xw[..., ones] = 1.0
+        return [(q, xw[..., keys], xw[..., values]) for q, keys, values in layout]
+
+    return project
+
+
+def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None,
+                return_weights: bool = False, *, projected):
+    """Estimates of one head at Q query points on each prefix xs[:n] of its data,
+    n in the ascending ``sizes`` (data.n without them), fused as in the module
+    doc, from its ``projected`` operands (q, keys, values) as ``kernel_operands``
+    gives them, whose leading axes are replicates that each get the bits of their
+    own call: the (..., len(sizes), Q) estimates and (..., len(sizes)) counts of
+    rows with entropy below DEGENERATE_ENTROPY_NATS, then, if ``return_weights``
+    on a one-size call, the (..., Q, n) weights e / s.  ``queries`` and ``data``
+    give only the Q and n that the shapes are checked against."""
+    Q = len(np.atleast_2d(queries))
     if return_weights and sizes is not None:
         raise ShapeMismatch(f"attend: return_weights needs a one-size call, got sizes {sizes}")
     bounds = [data.n] if sizes is None else [int(n) for n in sizes]
     if bounds != sorted(set(bounds)) or not 1 <= bounds[0] <= bounds[-1] <= data.n:
         raise ShapeMismatch(f"attend: sizes must ascend within 1..{data.n}, got {bounds}")
-    if projected is None:
-        q = (queries @ head.wq) / np.sqrt(head.d_k)  # Q x d_k, 1/sqrt(d_k) folded in
-        # a segment's values fill column 0 of [v, 1], so e @ [v, 1] is (e.v, s) at once
-        k, vs = np.empty((bounds[-1], head.d_k)), np.ones((bounds[-1], 2), order="F")
-    else:
-        q, k, vs = projected
-        if (q.shape, k.shape[-2:], vs.shape) != ((len(queries), head.d_k), (data.n, head.d_k),
-                                                   k.shape[:-2] + (data.n, 2)):
-            raise ShapeMismatch(f"attend: projected shapes {q.shape}, {k.shape}, {vs.shape} do not "
-                                f"fit Q = {len(queries)}, d_k = {head.d_k} and n = {data.n}")
-    estimates = np.empty(k.shape[:-2] + (len(bounds), len(q)))   # leading axes: replicates
+    q, k, vs = projected
+    if (q.shape, k.shape[-2:], vs.shape) != ((Q, head.d_k), (data.n, head.d_k),
+                                               k.shape[:-2] + (data.n, 2)):
+        raise ShapeMismatch(f"attend: projected shapes {q.shape}, {k.shape}, {vs.shape} do not "
+                            f"fit Q = {Q}, d_k = {head.d_k} and n = {data.n}")
+    estimates = np.empty(k.shape[:-2] + (len(bounds), Q))   # leading axes: replicates
     degenerate = np.zeros(estimates.shape[:-1], int)
     for j, (start, stop) in enumerate(zip([0] + bounds, bounds)):
-        if projected is None:
-            np.matmul(data.xs[start:stop], head.wk, out=k[start:stop])
-            np.matmul(data.xs[start:stop], head.wv, out=vs[start:stop, 0])
         e = _logits(q, k[..., start:stop, :])
         top_j = e.max(axis=-1)
         far = np.abs(top_j) > _RAW_LOGIT_MAX
@@ -166,7 +183,7 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
             shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
             top = np.maximum(top, top_j)
         estimates[..., j, :] = ev / s
-        screened = (np.log(s) + (shift - top) < _SCREEN_GAP).reshape(-1, len(q))
+        screened = (np.log(s) + (shift - top) < _SCREEN_GAP).reshape(-1, Q)
         # exact entropy over the prefix, for each replicate the screen caught rows of
         for b in screened.any(axis=1).nonzero()[0].tolist():
             i = np.unravel_index(b, estimates.shape[:-2])
@@ -176,18 +193,19 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
             w /= w.sum(axis=1, keepdims=True)
             entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
             degenerate[i + (j,)] = np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
-    return (estimates, degenerate) + ((e / s[:, None],) if return_weights else ())
+    return (estimates, degenerate) + ((e / s[..., None],) if return_weights else ())
 
 
 def attend(head: HeadConfig, query_x: np.ndarray, data: Dataset) -> AttentionOutput:
-    """Softmax attention at a single query point.
+    """Softmax attention at a single query point, as one ``attend_many`` call.
 
     The weights are nonnegative and sum to one, so the estimate is a convex
     combination of the projected values.
     """
-    query_x = np.asarray(query_x, dtype=np.float64).reshape(1, -1)
-    estimates, _, weights = attend_many(head, query_x, data, return_weights=True)
-    return AttentionOutput(estimate=float(estimates[0, 0]), weights=weights[0])
+    [projected] = kernel_operands([head], query_x, data.n)([data])
+    estimates, _, weights = attend_many(head, query_x, data, return_weights=True,
+                                        projected=projected)
+    return AttentionOutput(estimate=float(estimates[0, 0, 0]), weights=weights[0, 0])
 
 
 def nw_reference(kernel_logits: np.ndarray, values: np.ndarray) -> float:

@@ -939,6 +939,20 @@ class TestOtherCommands:
         assert set(printed) == gates
         assert code == (0 if all(printed.values()) else 2)
 
+    def test_all_zero_scales_need_no_spare_dimensions(self, tmp_path, capsys):
+        # at p = 8 = H*d_k there is no spare dimension; all-zero scales need
+        # none, run, and write the table of the unset scales' identical heads
+        tables = []
+        for name, scales in (("unset", None), ("all-zero", [0, 0, 0, 0])):
+            config = small_decompose_config(tmp_path / name, R=8, n=60, Q=6)
+            config["projection"].update(mix=0.0)
+            if scales is not None:
+                config["projection"].update(noise_scales=scales)
+            path = write_config(tmp_path, config, f"{name}.json")
+            assert cli.main(["decompose", "--config", str(path)]) == 0, capsys.readouterr().err
+            tables.append((tmp_path / name / "table.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_stalled_optimizer_exits_1_with_no_output(self, tmp_path, capsys, monkeypatch):
         # every candidate scores worse than the last, so each step is rejected
         calls = iter(range(1, 1000))

@@ -275,6 +275,17 @@ class TestProjectionFamily:
         with pytest.raises(Infeasible):
             make_projection_family(8, 2, 4, mix=1.0, seed=9, noise_scales=(0, 1, 2, 3))
 
+    @pytest.mark.parametrize("mix", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("p", [8, 12])
+    def test_all_zero_noise_scales_are_the_unset_family(self, p, mix):
+        # all-zero scales add nothing, so they need no spare dimensions, which
+        # p = 8 lacks at H = 4 and d_k = 2
+        unset = make_projection_family(p, 2, 4, mix=mix, seed=9)
+        zero = make_projection_family(p, 2, 4, mix=mix, seed=9, noise_scales=(0.0,) * 4)
+        for a, b in zip(unset, zero):
+            assert [w.tobytes() for w in (a.wq, a.wk, a.wv)] == \
+                [w.tobytes() for w in (b.wq, b.wk, b.wv)]
+
     def test_deterministic(self):
         a = make_projection_family(8, 2, 4, mix=0.6, seed=11)
         b = make_projection_family(8, 2, 4, mix=0.6, seed=11)

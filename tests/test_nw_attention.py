@@ -3,7 +3,8 @@ import pytest
 
 from mha_nw_lab.errors import DegenerateKernel, ShapeMismatch
 from mha_nw_lab.nw_attention import (
-    _SCREEN_GAP, DEGENERATE_ENTROPY_NATS, HeadConfig, attend, attend_many, nw_reference,
+    _SCREEN_GAP, DEGENERATE_ENTROPY_NATS, HeadConfig, attend, attend_many, kernel_operands,
+    nw_reference,
 )
 from mha_nw_lab.synthetic import Dataset, make_task, sample_dataset
 from mha_nw_lab.tensor_core import Matrix
@@ -18,6 +19,14 @@ def make_head(p, d_k, seed=0, query_gain=1.0):
 
 def make_data(xs):
     return Dataset(xs=xs)
+
+
+def one_replicate(head, queries, data, sizes=None):
+    """attend_many on the head's ``kernel_operands`` for one dataset: the
+    estimates and counts of that dataset, without the replicate axis."""
+    [projected] = kernel_operands([head], queries, data.n)([data])
+    estimates, degenerate = attend_many(head, queries, data, sizes, projected=projected)
+    return estimates[0], degenerate[0]
 
 
 def softmax_oracle(logits):
@@ -143,7 +152,7 @@ class TestAttend:
         head = make_head(4, 2, seed=7)
         data = make_data(rng.standard_normal((30, 4)))
         queries = rng.standard_normal((5, 4))
-        batched = attend_many(head, queries, data)[0][0]
+        batched = one_replicate(head, queries, data)[0][0]
         singles = np.array([attend(head, q, data).estimate for q in queries])
         # gemv vs gemm accumulation can differ in the last bit
         np.testing.assert_allclose(batched, singles, rtol=1e-12)
@@ -173,7 +182,7 @@ class TestFusedKernel:
             xs = rng.standard_normal((int(rng.integers(1, 60)), p))
             queries = rng.standard_normal((16, p))
             entropy = full_entropy(head, queries, xs)
-            degenerate = attend_many(head, queries, make_data(xs))[1][0]
+            degenerate = one_replicate(head, queries, make_data(xs))[1][0]
             assert degenerate == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
             entropies.append(entropy)
         entropy = np.concatenate(entropies)
@@ -194,12 +203,16 @@ class TestFusedKernel:
             xs = rng.standard_normal((int(rng.integers(1, 60)), p))
             sizes = np.unique(rng.integers(1, xs.shape[0] + 1, size=3))
             queries = rng.standard_normal((16, p))
-            estimates, degenerate = attend_many(head, queries, make_data(xs), sizes)
+            [(q, keys, values)] = kernel_operands([head], queries, len(xs))([make_data(xs)])
+            [estimates], [degenerate] = attend_many(head, queries, make_data(xs), sizes,
+                                                    projected=(q, keys, values))
             assert estimates.shape == (len(sizes), 16)
             for j, n in enumerate(sizes):
                 entropy = full_entropy(head, queries, xs[:n])
                 assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
-                alone = attend_many(head, queries, make_data(xs[:n]))[0][0]
+                # the one-size call reads a prefix of the same projection
+                alone = attend_many(head, queries, make_data(xs[:n]),
+                                    projected=(q, keys[:, :n], values[:, :n]))[0][0, 0]
                 if j == 0:   # the first prefix is the one-size pass itself
                     np.testing.assert_array_equal(estimates[j], alone)
                 else:
@@ -220,18 +233,17 @@ class TestFusedKernel:
         head = make_head(p, d_k, seed=d_k, query_gain=3.0)
         xs = rng.standard_normal((n, p))
         queries = rng.standard_normal((16, p))
-        estimates, _ = attend_many(head, queries, make_data(xs), sizes)
-        q = (queries @ head.wq) / np.sqrt(d_k)
-        vs = np.ones((n, 2), order="F")   # [v, 1], as the kernel lays it out
+        [(q, keys, vs)] = kernel_operands([head], queries, n)([make_data(xs)])
+        estimates, _ = attend_many(head, queries, make_data(xs), sizes, projected=(q, keys, vs))
+        keys, vs = keys[0], vs[0]   # [v, 1], as the kernel reads it
         ev = s = 0.0
         for j, (start, stop) in enumerate(zip([0] + sizes, sizes)):
-            k = xs[start:stop] @ head.wk
-            vs[start:stop, 0] = xs[start:stop] @ head.wv
+            k = keys[start:stop]
             logits = q * k.T if d_k == 1 else q @ k.T
             assert np.abs(logits).max() < 600.0
             ev_j, s_j = (np.exp(logits) @ vs[start:stop]).T
             ev, s = ev + ev_j, s + s_j
-            np.testing.assert_array_equal(estimates[j], ev / s)
+            np.testing.assert_array_equal(estimates[0, j], ev / s)
 
     @staticmethod
     def offset_head(rng, p=5, d_k=3):
@@ -253,7 +265,7 @@ class TestFusedKernel:
         xs = np.column_stack([np.ones(n), np.ones(n), rng.standard_normal((n, 3))])
         offsets = np.array([650.0, 0.0, -650.0, 300.0, 601.0, -599.0, -601.0, 599.0])
         queries = np.column_stack([offsets * np.sqrt(d_k), rng.standard_normal((8, 4))])
-        estimates, _ = attend_many(head, queries, make_data(xs), [9, 25])
+        estimates, _ = one_replicate(head, queries, make_data(xs), [9, 25])
         rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
         for j, m in enumerate([9, 25]):
             for q in range(8):
@@ -273,7 +285,7 @@ class TestFusedKernel:
         xs = np.column_stack([column, np.ones(n), 0.1 * rng.standard_normal((n, 3))])
         queries = np.column_stack([np.full(6, np.sqrt(d_k)), rng.standard_normal((6, 4))])
         sizes = [10, 25, 40]
-        estimates, _ = attend_many(head, queries, make_data(xs), sizes)
+        estimates, _ = one_replicate(head, queries, make_data(xs), sizes)
         rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
         for j, m in enumerate(sizes):
             for q in range(6):
@@ -296,7 +308,7 @@ class TestFusedKernel:
         xs = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
         queries = np.column_stack([np.full(8, shift * np.sqrt(d_k)),
                                    rng.standard_normal((8, p - 1))])
-        estimates = attend_many(head, queries, make_data(xs))[0][0]
+        estimates = one_replicate(head, queries, make_data(xs))[0][0]
         rest = (queries[:, 1:] @ wq[1:, 1:]) @ (xs[:, 1:] @ wk[1:, 1:]).T / np.sqrt(d_k)
         # the oracle's raw exp() overflows beyond ~700; there it gets the
         # unshifted logits, which define the same estimator
@@ -309,25 +321,79 @@ class TestFusedKernel:
                                                         ([0, 4], False), ([4, 9], False),
                                                         ([3, 6], True)])
     def test_bad_sizes_and_weights_of_many_sizes_are_rejected(self, sizes, return_weights):
-        data = make_data(np.random.default_rng(4).standard_normal((6, 2)))
+        head, data = make_head(2, 1), make_data(np.random.default_rng(4).standard_normal((6, 2)))
+        [projected] = kernel_operands([head], np.zeros((3, 2)), data.n)([data])
         with pytest.raises(ShapeMismatch):
-            attend_many(make_head(2, 1), np.zeros((3, 2)), data, sizes, return_weights)
+            attend_many(head, np.zeros((3, 2)), data, sizes, return_weights, projected=projected)
+
+    def test_operands_are_each_heads_projections(self):
+        # heads 0 and 1 share key column 1 and a value vector; head 2's key
+        # columns 2 and 0 are not adjacent in the product, so its keys are a copy
+        rng = np.random.default_rng(5)
+        frame, wv = rng.standard_normal((3, 3)), rng.standard_normal(3)
+        heads = [HeadConfig(wq=2.0 * frame[:, :2], wk=frame[:, :2], wv=wv),
+                 HeadConfig(wq=frame[:, 1:], wk=frame[:, 1:], wv=wv),
+                 HeadConfig(wq=frame[:, [2, 0]], wk=frame[:, [2, 0]], wv=-wv)]
+        datasets = [make_data(rng.standard_normal((10, 3))) for _ in range(2)]
+        queries = rng.standard_normal((4, 3))
+        project = kernel_operands(heads, queries, 10, replicates=2)
+        operands = project(datasets)
+        for head, (q, keys, values) in zip(heads, operands):
+            np.testing.assert_array_equal(q, queries @ head.wq / np.sqrt(2))
+            for b, data in enumerate(datasets):
+                np.testing.assert_allclose(keys[b], data.xs @ head.wk, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(values[b, :, 0], data.xs @ head.wv,
+                                           rtol=1e-12, atol=1e-15)
+                np.testing.assert_array_equal(values[b, :, 1], 1.0)
+        product = operands[0][2].base
+        assert product.shape == (2, 3 + 2 * 2, 10)   # 3 key columns, 2 (wv, 0) pairs
+        assert [np.shares_memory(keys, product) for _, keys, _ in operands] == [True, True, False]
+        assert all(values.base is product for _, _, values in operands)
+        # a later call on fewer datasets writes into the same product
+        first = [(keys.copy(), values.copy()) for _, keys, values in operands]
+        again = project(datasets[1:])
+        assert again[0][2].base is product
+        for (keys, values), (_, keys_1, values_1) in zip(first, again):
+            np.testing.assert_array_equal(keys_1[0], keys[1])
+            np.testing.assert_array_equal(values_1[0], values[1])
+        with pytest.raises(ShapeMismatch, match=r"queries in R\^2"):
+            kernel_operands(heads, queries[:, :2], 10)
+        with pytest.raises(ShapeMismatch, match="data dims"):
+            project([make_data(np.zeros((10, 2)))])
 
     def test_projected_inputs_must_fit_head_queries_and_sizes(self):
         rng = np.random.default_rng(5)
         head = make_head(3, 2, seed=5)
         data = make_data(rng.standard_normal((10, 3)))
         queries = rng.standard_normal((4, 3))
-        q = queries @ head.wq / np.sqrt(2)
-        keys = data.xs @ head.wk
-        values = np.column_stack([data.xs @ head.wv, np.ones(10)])
+        [(q, keys, values)] = kernel_operands([head], queries, data.n)([data])
+        keys, values = keys[0], values[0]
         estimates, _ = attend_many(head, queries, data, [5, 10], projected=(q, keys, values))
-        np.testing.assert_allclose(estimates, attend_many(head, queries, data, [5, 10])[0],
-                                   rtol=1e-12, atol=1e-15)
+        assert estimates.shape == (2, 4)
         for bad in [(q[:3], keys, values), (q[:, :1], keys, values), (q, keys[:5], values),
                     (q, keys[:, :1], values), (q, keys, values[:, :1]), (q, keys, values[:9])]:
             with pytest.raises(ShapeMismatch, match="projected shapes"):
                 attend_many(head, queries, data, [5, 10], projected=bad)
+        with pytest.raises(TypeError, match="projected"):
+            attend_many(head, queries, data, [5, 10])
+
+    @pytest.mark.parametrize("Q, n", [(4, 4), (3, 5)])
+    def test_weights_of_stacked_replicates_are_each_ones_own(self, Q, n):
+        # each replicate's weight rows sum to 1 and are those of its own 2-D call
+        rng = np.random.default_rng(71 + n)
+        head = make_head(3, 2, seed=7)
+        datasets = [make_data(rng.standard_normal((n, 3))) for _ in range(2)]
+        queries = rng.standard_normal((Q, 3))
+        [(q, keys, values)] = kernel_operands([head], queries, n, replicates=2)(datasets)
+        estimates, _, weights = attend_many(head, queries, datasets[0], return_weights=True,
+                                            projected=(q, keys, values))
+        assert weights.shape == (2, Q, n)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        for r in range(2):
+            alone = attend_many(head, queries, datasets[r], return_weights=True,
+                                projected=(q, keys[r], values[r]))
+            np.testing.assert_array_equal(estimates[r], alone[0])
+            np.testing.assert_array_equal(weights[r], alone[2])
 
     @pytest.mark.parametrize("d_k", [1, 2])
     def test_a_stack_of_replicates_equals_one_call_each(self, d_k):
@@ -373,7 +439,7 @@ class TestFusedKernel:
         # below its row max: a one-hot row, shifted since |top| > 600, whose gap
         # log s + (shift - max) is 0; queries 0 and 0.5 give rows of high entropy
         head, keys, queries = self.SCREEN_HEAD, self.SCREEN_KEYS[:, None], self.screen_queries(top)
-        degenerate = attend_many(head, queries, make_data(keys), sizes)[1]
+        degenerate = one_replicate(head, queries, make_data(keys), sizes)[1]
         for j, m in enumerate(sizes or [len(keys)]):
             entropy = full_entropy(head, queries, keys[:m])
             assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS) == 1
@@ -409,7 +475,8 @@ class TestFusedKernel:
         # through the kernel: logits 0 and -delta give the gap log(1 + e^-delta)
         head = HeadConfig(wq=Matrix([[1.0]]), wk=Matrix([[1.0]]), wv=np.ones(1))
         for tail, count in ((np.expm1(1.01 * _SCREEN_GAP), 0), (DEGENERATE_ENTROPY_NATS / 40, 1)):
-            degenerate = attend_many(head, np.ones((1, 1)), make_data([[0.0], [np.log(tail)]]))[1][0]
+            degenerate = one_replicate(head, np.ones((1, 1)),
+                                       make_data([[0.0], [np.log(tail)]]))[1][0]
             assert degenerate == count
 
     def test_attend_weights_are_a_distribution(self):
@@ -438,7 +505,7 @@ class TestFusedKernel:
             n = int(rng.integers(1, 300))
             xs = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
             sizes = np.unique(rng.integers(1, n + 1, size=3))
-            estimates, _ = attend_many(head, rng.standard_normal((16, p)), make_data(xs), sizes)
+            estimates, _ = one_replicate(head, rng.standard_normal((16, p)), make_data(xs), sizes)
             assert np.all(estimates == 1.0), (trial, estimates[estimates != 1.0])
             count += estimates.size
         assert count > 5000
@@ -461,7 +528,7 @@ class TestFusedKernel:
             gains = 10.0 ** rng.uniform(0.0, 2.7, size=signs.size)
             queries = np.column_stack([signs * gains, rng.standard_normal((signs.size, 2))])
             sizes = np.unique(np.append(rng.integers(1, n + 1, size=2), n))
-            estimates, degenerate = attend_many(head, queries, make_data(xs), sizes)
+            estimates, degenerate = one_replicate(head, queries, make_data(xs), sizes)
             for j, m in enumerate(sizes):
                 entropy = full_entropy(head, queries, xs[:m])
                 assert degenerate[j] == np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
