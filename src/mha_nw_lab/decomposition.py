@@ -38,27 +38,28 @@ input order.  Behind it, ``_head_tensor`` is the one replicate-major engine:
 each replicate draws its inputs once, at the call's largest n = N, and
 nothing else (heads read no responses, so the true mean is evaluated only at
 the queries); ``kernel_operands`` projects the queries once per distinct head
-and each replicate's inputs by one product for all heads.  In batches of
-B = max(1, BATCH_BYTES // (Q N 8)) replicates, so that a (B, Q, N) logit
-block fits BATCH_BYTES, each distinct head runs in one ``attend_many`` pass
-over every n it is held at (a smaller n reads a prefix of the inputs),
-writing the estimates into every set's tensor that holds the (n, head) pair;
-``_decompose_tensor`` reduces each tensor once for all the set's weight
-vectors.  The replicates run as contiguous blocks, one per worker process
-(MHA_NW_LAB_THREADS caps them, 0 = auto): the caller runs the first block and
+and each replicate's inputs by one product for all heads.  ``range(R)`` is
+cut once into batches of B = max(1, BATCH_BYTES // (Q N 8)) replicates, so
+that a (B, Q, N) logit block fits BATCH_BYTES; in each batch every distinct
+head runs in one ``attend_many`` pass over every n it is held at (a smaller n
+reads a prefix of the inputs), writing the estimates into every set's tensor
+that holds the (n, head) pair; ``_decompose_tensor`` reduces each tensor once
+for all the set's weight vectors.  The batches run as contiguous blocks of
+whole batches, one per worker process (MHA_NW_LAB_THREADS caps them, 0 =
+auto; never more than the batches): the caller runs the first block and
 forked children the others, writing into tensors in shared memory; a child
-leaves once the caller dies, at its next draw.  Rows are indexed by
-replicate, so the outputs are bit-identical for every worker count.  They
-are the one channel a failure takes: once every block is done, ``_reports``
-scans and reduces one set's tensor at a time, so the caller holds its own
-rows of every set and one whole set; the first non-finite estimate (by
+checks its parent before each batch and leaves once the caller has died.  So
+the kernel calls do not depend on the worker count, a run of one batch never
+forks, and the rows, indexed by replicate, are bit-identical for every worker
+count.  They are the one channel a failure takes: once every block is done,
+``_reports`` scans and reduces one set's tensor at a time, so the caller holds
+its own rows of every set and one whole set; the first non-finite estimate (by
 replicate, then set, head and query) raises ReplicateFailure, so a run whose
 estimates overflow finishes all its replicates before it fails.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import mmap
 import os
@@ -185,9 +186,9 @@ class DecompositionReport:
 
 def _head_tensor(task, head_sets, R, Q, master_seed):
     """The shared quadrature queries, and one (E[r, h, q], degenerate count
-    per head) per ``(n, heads)`` set, by the engine of the module doc: heads
-    with equal wq, wk and wv run once per batch of replicates, in one pass over
-    every n they are held at, on ``kernel_operands`` of the batch's datasets.
+    per head) per ``(n, heads)`` set, by the engine of the module doc: in each
+    batch, heads with equal wq, wk and wv run once, in one pass over every n
+    they are held at, on ``kernel_operands`` of the batch's datasets.
     Unscanned: the caller has mapped only the rows its own block wrote."""
     queries = sample_queries(task, Q, derive_seed(master_seed, "query"))
     slots = {}   # head bytes -> (head, {n: [(set, index in set), ...]})
@@ -199,23 +200,21 @@ def _head_tensor(task, head_sets, R, Q, master_seed):
     Es = [_shared((R, len(heads), Q), np.float64) for _, heads in head_sets]
     degenerate = [_shared((R, len(heads)), np.int64) for _, heads in head_sets]
     B = max(1, BATCH_BYTES // (Q * N * 8))
+    project = kernel_operands([head for head, _ in slots.values()], queries, N, min(B, R))
 
-    def run_replicates(block) -> None:
-        block = iter(block)
-        project = kernel_operands([head for head, _ in slots.values()], queries, N, min(B, R))
-        while batch := list(itertools.islice(block, B)):
-            datasets = [sample_dataset(task, N, derive_seed(master_seed, "data", r)) for r in batch]
-            rs = slice(batch[0], batch[-1] + 1)
-            for (head, by_n), projected in zip(slots.values(), project(datasets)):
-                sizes = sorted(by_n)
-                est, counts = attend_many(head, queries, datasets[-1], sizes, projected=projected)
-                for j, n in enumerate(sizes):
-                    for s, h in by_n[n]:
-                        Es[s][rs, h] = est[:, j]
-                        degenerate[s][rs, h] = counts[:, j]
+    def run_batch(batch: range) -> None:
+        datasets = [sample_dataset(task, N, derive_seed(master_seed, "data", r)) for r in batch]
+        rs = slice(batch.start, batch.stop)
+        for (head, by_n), projected in zip(slots.values(), project(datasets)):
+            sizes = sorted(by_n)
+            est, counts = attend_many(head, queries, datasets[-1], sizes, projected=projected)
+            for j, n in enumerate(sizes):
+                for s, h in by_n[n]:
+                    Es[s][rs, h] = est[:, j]
+                    degenerate[s][rs, h] = counts[:, j]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _run_in_blocks(run_replicates, R)
+        _run_in_blocks(run_batch, [range(r, min(r + B, R)) for r in range(0, R, B)])
     return queries, [(E, d.sum(axis=0)) for E, d in zip(Es, degenerate)]
 
 
@@ -231,17 +230,19 @@ def _shared(shape, dtype) -> np.ndarray:
     return np.frombuffer(buffer, dtype).reshape(shape)
 
 
-def _run_in_blocks(run, R: int) -> None:
-    """``run(block)`` over contiguous blocks of ``range(R)``, one per worker:
-    this process runs the first block and a forked child each later one.
-    Serial where ``os.fork`` is missing or another Python thread is running.
-    Children are reaped before this returns or raises; a child that exits
-    nonzero or dies of a signal raises LabError naming its block.  No other
-    failure ends a block early: ``run`` reports through what it writes."""
-    workers = min(worker_count(), R)
+def _run_in_blocks(run, batches) -> None:
+    """``run(batch)`` for each of ``batches``, in contiguous blocks of whole
+    batches, one per worker and never more workers than batches: this process
+    runs the first block and a forked child each later one.  Serial where
+    ``os.fork`` is missing or another Python thread is running.  Children are
+    reaped before this returns or raises; a child that exits nonzero or dies of
+    a signal raises LabError naming its block's replicates.  No other failure
+    ends a block early: ``run`` reports through what it writes."""
+    workers = min(worker_count(), len(batches))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
-    blocks = [range(R * b // workers, R * (b + 1) // workers) for b in range(workers)]
+    blocks = [batches[len(batches) * b // workers:len(batches) * (b + 1) // workers]
+              for b in range(workers)]
     pids, statuses = [], []   # children not yet reaped, and reaped ones' wait statuses
     parent = os.getpid()
     try:
@@ -250,7 +251,8 @@ def _run_in_blocks(run, R: int) -> None:
             if pid == 0:
                 _worker(run, block, parent)
             pids.append(pid)
-        run(blocks[0])
+        for batch in blocks[0]:
+            run(batch)
         while pids:
             statuses.append(os.waitpid(pids[0], 0)[1])
             pids.pop(0)
@@ -264,30 +266,28 @@ def _run_in_blocks(run, R: int) -> None:
         if code:
             how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                    else f"exited with code {code}")
-            raise LabError(f"the worker process for replicates {block.start} to "
-                           f"{block.stop - 1} {how}")
+            raise LabError(f"the worker process for replicates {block[0].start} to "
+                           f"{block[-1].stop - 1} {how}")
 
 
-def _worker(run, block: range, parent: int):
-    """A forked child's whole life: run its block and leave by ``os._exit``
-    (no inherited buffers are flushed and no exit handlers run) with 0, or with
-    1 after writing a traceback to stderr, also before any replicate once
-    ``parent`` has died, however it died: an orphan's parent pid changes."""
+def _worker(run, block, parent: int):
+    """A forked child's whole life: run its block's batches and leave by
+    ``os._exit`` (no inherited buffers are flushed and no exit handlers run)
+    with 0, or with 1 after writing a traceback to stderr, also before its next
+    batch once ``parent`` has died, however it died: an orphan's parent pid
+    changes."""
     code = 1
     try:
-        run(_while_alive(block, parent))
-        code = 0
+        for batch in block:
+            if os.getppid() != parent:
+                break
+            run(batch)
+        else:
+            code = 0
     except Exception:
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(code)
-
-
-def _while_alive(block: range, parent: int):
-    for r in block:
-        if os.getppid() != parent:
-            os._exit(1)
-        yield r
 
 
 def _mean_se(t: np.ndarray):

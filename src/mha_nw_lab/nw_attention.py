@@ -114,10 +114,14 @@ def kernel_operands(heads, queries: np.ndarray, n: int, replicates: int = 1):
     ``weights @ data.xs.T``, whose rows are every distinct key column, then each
     distinct value vector beside a zero row whose product row is set to 1s.
     [v, 1], and keys whose columns are adjacent, are views of that product, one
-    buffer that each call overwrites."""
+    buffer that each call overwrites.  ShapeMismatch, naming the sizes, for what
+    it cannot lay out."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if {head.p for head in heads} != {queries.shape[1]}:
-        raise ShapeMismatch(f"attend: heads in R^{heads[0].p}, queries in R^{queries.shape[1]}")
+    p, dims = queries.shape[1], sorted({head.p for head in heads})
+    if dims != [p] or n < 1 or replicates < 1:
+        raise ShapeMismatch(f"kernel_operands needs n >= 1, replicates >= 1 and heads in the "
+                            f"space of the queries in R^{p}, got {len(heads)} heads in "
+                            f"R^{dims}, n = {n}, replicates = {replicates}")
     columns = {w.tobytes(): w for head in heads for w in head.wk.T}
     ones = slice(len(columns) + 1, None, 2)
     columns.update({(head.wv.tobytes(), i): head.wv * (1 - i) for head in heads for i in (0, 1)})
@@ -131,8 +135,10 @@ def kernel_operands(heads, queries: np.ndarray, n: int, replicates: int = 1):
     product = np.empty((replicates, len(weights), n))
 
     def project(datasets):
-        if (dims := {data.p for data in datasets}) != {queries.shape[1]}:
-            raise ShapeMismatch(f"attend: heads in R^{heads[0].p}, data dims {sorted(dims)}")
+        shapes = sorted({data.xs.shape for data in datasets})
+        if not 1 <= len(datasets) <= replicates or shapes != [(n, p)]:
+            raise ShapeMismatch(f"kernel_operands: room for 1 to {replicates} datasets of n = {n} "
+                                f"in R^{p}, got {len(datasets)}, data dims {shapes}")
         for b, data in enumerate(datasets):
             np.matmul(weights, data.xs.T, out=product[b])
         xw = product[:len(datasets)].swapaxes(1, 2)   # datasets x n x columns

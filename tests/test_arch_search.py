@@ -178,6 +178,8 @@ class TestScalingTrend:
                                        rtol=1e-12, atol=1e-15)
 
     def test_worker_counts_give_bit_identical_trends(self, sine_task, monkeypatch):
+        # B = 2 at n = 200: three batches, so 2 and 4 workers fork
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 2 * 8 * 200 * 8)
         trends = []
         for workers in ("1", "2", "4"):
             monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)

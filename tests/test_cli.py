@@ -388,6 +388,8 @@ class TestDecomposeCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
+        # B = 4: the 40 replicates make 10 batches, so 4 workers fork
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 4 * 12 * 120 * 8)
         outs = []
         for threads, tag in (("1", "t1"), ("4", "t4")):
             monkeypatch.setenv("MHA_NW_LAB_THREADS", threads)
@@ -395,7 +397,8 @@ class TestDecomposeCommand:
             path = write_config(tmp_path, small_decompose_config(out), f"{tag}.json")
             assert cli.main(["decompose", "--config", str(path)]) == 0
             outs.append(out)
-        assert (outs[0] / "table.csv").read_bytes() == (outs[1] / "table.csv").read_bytes()
+        for name in ("table.csv", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_seed_override_echoed(self, tmp_path):
         out = tmp_path / "run"
@@ -575,6 +578,7 @@ class TestDecomposeCommand:
             return draw(task, n, seed)
 
         monkeypatch.setattr(decomposition, "sample_dataset", killed_in_workers)
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 1)   # 40 batches: a worker forks
         monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
         out = tmp_path / "run"
         path = write_config(tmp_path, small_decompose_config(out))

@@ -246,7 +246,9 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.mse_replicates, b.mse_replicates)
 
     def test_thread_counts_do_not_change_results(self, quad_task, monkeypatch):
+        # B = 3: 14 batches, the last of one replicate, so 2 and 4 workers fork
         plan = quick_plan(quad_task, n=100, R=40, Q=8, master=98)
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 3 * 8 * 100 * 8)
         monkeypatch.setenv("MHA_NW_LAB_THREADS", "1")
         a = mc_decompose(plan)
         for workers in ("2", "4"):
@@ -398,8 +400,8 @@ class TestReplicateEngine:
 
     @pytest.mark.parametrize("workers", ["1", "2", "4"])
     def test_batches_equal_one_replicate_per_call(self, quad_task, monkeypatch, workers):
-        # B = 2 and R = 5: the blocks of 5, of 2 and 3, and of 1, 1, 1 and 2
-        # replicates hold partial batches; the sharp heads run at n = 40 and 60
+        # B = 2 and R = 5: batches of 2, 2 and 1 replicates, in one, two or
+        # three blocks; the sharp heads run at n = 40 and 60
         identical, distinct, sharp = self.head_sets(quad_task)
         sets = [(60, identical), (40, distinct), (60, sharp), (40, sharp)]
         monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)
@@ -411,6 +413,28 @@ class TestReplicateEngine:
         for (E, degenerate), (E_1, degenerate_1) in zip(batched, single):
             np.testing.assert_array_equal(E, E_1)
             np.testing.assert_array_equal(degenerate, degenerate_1)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "4"])
+    def test_the_batch_plan_ignores_the_worker_count(self, quad_task, monkeypatch, workers):
+        # R = 10 and B = 4: batches of 4, 4 and 2 replicates start at replicates
+        # 0, 4 and 8 at every worker count; forked workers' records reach ``sizes``
+        replicate = {derive_seed(21, "data", r): r for r in range(10)}
+        sizes = decomposition._shared((10,), np.int64)
+
+        def operands(*args):
+            project = kernel_operands(*args)
+
+            def recorded(datasets):
+                sizes[replicate[datasets[0].seed]] = len(datasets)
+                return project(datasets)
+
+            return recorded
+
+        monkeypatch.setattr(decomposition, "kernel_operands", operands)
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 4 * 8 * 60 * 8)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", workers)
+        _head_tensor(quad_task, [(60, self.head_sets(quad_task)[1])], 10, 8, 21)
+        assert sizes.tolist() == [4, 0, 0, 0, 4, 0, 0, 0, 2, 0]
 
     def test_estimates_equal_single_query_attend(self, quad_task):
         heads = self.head_sets(quad_task)[1]
@@ -618,6 +642,11 @@ class TestWorkerProcesses:
     raise in the caller as the serial loop raises them, and no child outlives
     the call."""
 
+    @pytest.fixture(autouse=True)
+    def one_replicate_batches(self, monkeypatch):
+        # B = 1: R = 6 makes six batches, so every worker count above 1 forks
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 1)
+
     @staticmethod
     def heads(task):
         return TestReplicateEngine.head_sets(task)[1]
@@ -723,13 +752,13 @@ class TestWorkerProcesses:
             "import os, time\n"
             "from mha_nw_lab.decomposition import _run_in_blocks\n"
             "caller = os.getpid()\n"
-            "def run(block):\n"
-            "    for r in block:\n"
+            "def run(batch):\n"
+            "    for r in batch:\n"
             "        if os.getpid() != caller:\n"
             f"            with open({str(pids)!r}, 'a') as f:\n"
             "                f.write(f'{os.getpid()}\\n')\n"
             "        time.sleep(0.2)\n"
-            "_run_in_blocks(run, 40)\n")
+            "_run_in_blocks(run, [range(r, r + 1) for r in range(40)])\n")
         caller = subprocess.Popen([sys.executable, "-c", script],
                                   env=package_env(MHA_NW_LAB_THREADS="2"))
         try:

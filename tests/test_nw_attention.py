@@ -361,6 +361,25 @@ class TestFusedKernel:
         with pytest.raises(ShapeMismatch, match="data dims"):
             project([make_data(np.zeros((10, 2)))])
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda heads, q, xs: kernel_operands([], q, 10), r"got 0 heads in R\^\[\]"),
+        (lambda heads, q, xs: kernel_operands(heads, q, 10),
+         r"queries in R\^8, got 2 heads in R\^\[8, 12\]"),
+        (lambda heads, q, xs: kernel_operands(heads[:1], q, 10, replicates=2)(xs),
+         r"room for 1 to 2 datasets .* got 3"),
+        (lambda heads, q, xs: kernel_operands(heads[:1], q, 12)(xs[:1]),
+         r"datasets of n = 12 in R\^8, got 1, data dims \[\(10, 8\)\]"),
+        (lambda heads, q, xs: kernel_operands(heads[:1], q, 0)(xs[:1]),
+         r"got 1 heads in R\^\[8\], n = 0, replicates = 1"),
+    ], ids=["no-heads", "mixed-head-dims", "more-datasets-than-replicates",
+            "dataset-of-another-n", "n-zero"])
+    def test_operands_reject_what_they_cannot_lay_out(self, call, match):
+        rng = np.random.default_rng(6)
+        heads, queries = [make_head(8, 2, seed=1), make_head(12, 2, seed=2)], np.zeros((4, 8))
+        datasets = [make_data(rng.standard_normal((10, 8))) for _ in range(3)]
+        with pytest.raises(ShapeMismatch, match=match):
+            call(heads, queries, datasets)
+
     def test_projected_inputs_must_fit_head_queries_and_sizes(self):
         rng = np.random.default_rng(5)
         head = make_head(3, 2, seed=5)
