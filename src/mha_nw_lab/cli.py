@@ -52,7 +52,7 @@ from .decomposition import (
 )
 from .diversity import load_weight_file, make_diversity_report, optimize_projections
 from .errors import (ConfigError, EmptySweep, Infeasible, LabError, NeedsTwoHeads, ShapeMismatch,
-                     WeightFileError)
+                     WeightFileError, read_json)
 from .mha import WEIGHT_KINDS, make_weights
 from .synthetic import FAMILIES, INPUT_LAWS, make_task
 
@@ -150,13 +150,7 @@ class Config(dict):
 
 
 def load_config(path) -> Config:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: parse error at byte offset {exc.pos}: {exc.msg}")
-    except OSError as exc:
-        raise ConfigError(f"config {path}: {exc}")
+    config = read_json(path, ConfigError, "config")
     if not isinstance(config, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     config = Config(config)
@@ -575,14 +569,17 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             worker_count()  # reject a malformed MHA_NW_LAB_THREADS on every subcommand
+            if args.out == "":   # publishing there would write into the working directory
+                raise ConfigError("--out must be a nonempty path")
             if args.command == "hdi":
-                out = Path(args.out) if args.out else None
-                return cmd_hdi(args.weights, out)
+                return cmd_hdi(args.weights, None if args.out is None else Path(args.out))
             config = load_config(args.config)
             if args.seed is not None:
                 config["master_seed"] = int(args.seed)
             configured_out = config.read("output_dir", str, None)
-            out = args.out or configured_out
+            if configured_out == "":
+                raise ConfigError("config field output_dir must be a nonempty path")
+            out = configured_out if args.out is None else args.out
             if out is None:
                 raise ConfigError("config missing required field: output_dir (or pass --out)")
             config["output_dir"] = str(out)

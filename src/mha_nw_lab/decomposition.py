@@ -235,9 +235,10 @@ def _run_in_blocks(run, batches) -> None:
     batches, one per worker and never more workers than batches: this process
     runs the first block and a forked child each later one.  Serial where
     ``os.fork`` is missing or another Python thread is running.  Children are
-    reaped before this returns or raises; a child that exits nonzero or dies of
-    a signal raises LabError naming its block's replicates.  No other failure
-    ends a block early: ``run`` reports through what it writes."""
+    reaped before this returns or raises; a fork that fails, or a child that
+    exits nonzero or dies of a signal, raises LabError naming its block's
+    replicates.  No other failure ends a block early: ``run`` reports through
+    what it writes."""
     workers = min(worker_count(), len(batches))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
@@ -247,7 +248,11 @@ def _run_in_blocks(run, batches) -> None:
     parent = os.getpid()
     try:
         for block in blocks[1:]:
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:   # such as EAGAIN at a process limit
+                raise LabError(f"cannot start the worker process for {_replicates(block)}: "
+                               f"{exc.strerror or exc}") from exc
             if pid == 0:
                 _worker(run, block, parent)
             pids.append(pid)
@@ -266,8 +271,11 @@ def _run_in_blocks(run, batches) -> None:
         if code:
             how = (f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
                    else f"exited with code {code}")
-            raise LabError(f"the worker process for replicates {block[0].start} to "
-                           f"{block[-1].stop - 1} {how}")
+            raise LabError(f"the worker process for {_replicates(block)} {how}")
+
+
+def _replicates(block) -> str:
+    return f"replicates {block[0].start} to {block[-1].stop - 1}"
 
 
 def _worker(run, block, parent: int):

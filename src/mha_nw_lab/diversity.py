@@ -14,20 +14,19 @@ Two diversity indices are exposed:
 
 The literal index does not reach 0 for identical heads when d_k > 1
 (identical orthonormal frames give ||G||_F^2 = 1/d_k), so reports always
-carry both values.  ``make_diversity_report`` is the one pass over head
-pairs: it orthonormalizes each key frame once and forms each pair's G and
-U_h^T U_h' once; ``hdi`` returns its two indices.
+carry both values.  ``make_diversity_report`` reads every pair's G and
+U_h^T U_h' (one QR per key frame) from one product of the stacked frames, as
+the optimizer's objective and gradient do; ``hdi`` returns its two indices.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (Infeasible, LabError, NeedsTwoHeads, OptimizationStalled, ShapeMismatch,
-                     WeightFileError)
+                     WeightFileError, read_json)
 from .nw_attention import HeadConfig
 from .tensor_core import qr_orthonormalize
 
@@ -53,39 +52,56 @@ class DiversityReport:
     hdi_normalized: float
 
 
+def _cross_grams(frames: np.ndarray) -> np.ndarray:
+    """Every block frames[h]^T frames[g] of the (H, p, d) stack, as an (H, H, d, d)
+    array read from the one product W^T W of W = [frames[0] ... frames[H-1]]:
+    diagonal blocks are zero, and each block below them is the transpose of its
+    mirror above, so the whole is exactly symmetric."""
+    H, p, d = frames.shape
+    stacked = frames.transpose(1, 0, 2).reshape(p, H * d)
+    blocks = (stacked.T @ stacked).reshape(H, d, H, d).transpose(0, 2, 1, 3)
+    upper = np.where(np.triu(np.ones((H, H), dtype=bool), 1)[:, :, None, None], blocks, 0.0)
+    return upper + upper.transpose(1, 0, 3, 2)
+
+
+def _pair_masses(frames: np.ndarray, d_k: int) -> np.ndarray:
+    """||frames[h]^T frames[g] / d_k||_F^2 for each pair h < g, in triu order."""
+    g = _cross_grams(frames)[np.triu_indices(len(frames), 1)] / d_k
+    return (g * g).sum(axis=(1, 2))
+
+
+def _pair_sum(masses: np.ndarray) -> float:
+    # accumulated pair by pair, as np.sum and Python 3.12's sum() reorder; one head has no pair
+    return float(np.cumsum(masses)[-1]) if len(masses) else 0.0
+
+
 def make_diversity_report(heads: tuple[HeadConfig, ...]) -> DiversityReport:
-    """Gram masses, principal angles and both indices in one pass over h < h2;
-    both divide by one d_k, so every head's wk must have head 0's shape."""
+    """Gram masses, principal angles and both indices from the cross-Grams of
+    the key frames and of their QR frames; both divide by one d_k, so every
+    head's wk must have head 0's shape."""
     H = len(heads)
     if H < 2:
         raise NeedsTwoHeads(f"diversity report needs H >= 2 heads, got {H}")
-    wks = [head.wk for head in heads]
-    p, d_k = wks[0].shape
-    for h, wk in enumerate(wks):
-        if wk.shape != (p, d_k):
-            raise ShapeMismatch(f"head {h} has shape {wk.shape[0]}x{wk.shape[1]}, "
+    p, d_k = heads[0].wk.shape
+    for h, head in enumerate(heads):
+        if head.wk.shape != (p, d_k):
+            raise ShapeMismatch(f"head {h} has shape {head.wk.shape[0]}x{head.wk.shape[1]}, "
                                 f"expected {p}x{d_k}")
-    frames = [qr_orthonormalize(wk) for wk in wks]
+    rows, cols = np.triu_indices(H, 1)
+    literal = _pair_masses(np.stack([head.wk for head in heads]), d_k)
+    frames = np.stack([qr_orthonormalize(head.wk) for head in heads])
+    m = _cross_grams(frames)[rows, cols]
+    # clipped, as roundoff can put a singular value just above one
+    cosines = np.clip(np.linalg.svd(m, compute_uv=False), -1.0, 1.0)
+    angles = np.sort(np.arccos(cosines), axis=1)
     gram = np.zeros((H, H))
-    angles = {}
-    literal_mass = 0.0
-    normalized_mass = 0.0
-    for h in range(H):
-        for h2 in range(h + 1, H):
-            g = (wks[h].T @ wks[h2]) / d_k
-            m = frames[h].T @ frames[h2]
-            gram_sq = float((g * g).sum())
-            gram[h, h2] = gram[h2, h] = gram_sq
-            literal_mass += gram_sq
-            normalized_mass += float((m * m).sum()) / d_k
-            # clipped, as roundoff can put a singular value just above one
-            cosines = np.linalg.svd(m, compute_uv=False)
-            angles[(h, h2)] = np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
-    n_pairs = len(angles)
+    gram[rows, cols] = gram[cols, rows] = literal
+    n_pairs = len(literal)
     return DiversityReport(
-        gram_frobsq=gram, principal_angles=angles,
-        hdi=1.0 - literal_mass / n_pairs,
-        hdi_normalized=min(1.0, max(0.0, 1.0 - normalized_mass / n_pairs)),
+        gram_frobsq=gram, principal_angles=dict(zip(zip(rows.tolist(), cols.tolist()), angles)),
+        hdi=1.0 - _pair_sum(literal) / n_pairs,
+        hdi_normalized=min(1.0, max(0.0, 1.0 - _pair_sum((m * m).sum(axis=(1, 2)) / d_k)
+                                    / n_pairs)),
     )
 
 
@@ -181,27 +197,21 @@ def make_projection_family(
 # product of Frobenius spheres ||wk_h||_F = 1
 
 
-def projection_objective(wks: list[np.ndarray], d_k: int) -> float:
-    """J = sum_{h<h'} ||wk_h^T wk_h'||_F^2 / d_k^2."""
-    total = 0.0
-    for h in range(len(wks)):
-        for h2 in range(h + 1, len(wks)):
-            m = wks[h].T @ wks[h2]
-            total += float((m * m).sum())
-    return total / d_k**2
+def projection_objective(wks: list[np.ndarray] | np.ndarray, d_k: int) -> float:
+    """J = sum_{h<h'} ||wk_h^T wk_h'||_F^2 / d_k^2, which is n_pairs * (1 - hdi)."""
+    return _pair_sum(_pair_masses(np.asarray(wks), d_k))
 
 
-def projection_gradient(wks: list[np.ndarray], d_k: int) -> list[np.ndarray]:
-    """Analytic gradient of ``projection_objective`` in each wk_h."""
-    grads = []
-    for h in range(len(wks)):
-        g = np.zeros_like(wks[h])
-        for h2 in range(len(wks)):
-            if h2 == h:
-                continue
-            g += wks[h2] @ (wks[h2].T @ wks[h])
-        grads.append((2.0 / d_k**2) * g)
-    return grads
+def projection_gradient(wks: list[np.ndarray] | np.ndarray, d_k: int) -> np.ndarray:
+    """Analytic gradient of ``projection_objective``, (H, p, d_k): head h's
+    slice is (2 / d_k^2) sum_{h' != h} wk_h' wk_h'^T wk_h."""
+    frames = np.asarray(wks)
+    return (2.0 / d_k**2) * (frames[:, None] @ _cross_grams(frames)).sum(axis=0)
+
+
+def _head_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each head's <a_h, b_h>, (H, 1, 1): one dot call per head, np.vdot's bits."""
+    return a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1)
 
 
 #: step budget, first step size, and the objective at which the descent stops
@@ -228,10 +238,8 @@ def optimize_projections(
     """
     _check_heads(p, d_k, H)
     rng = np.random.default_rng(int(seed))
-    wks = []
-    for _ in range(H):
-        w = rng.standard_normal((p, d_k))
-        wks.append(w / np.linalg.norm(w))
+    wks = rng.standard_normal((H, p, d_k))
+    wks /= np.sqrt(_head_dots(wks, wks))   # unit Frobenius norm, as each step ends
 
     trace = [projection_objective(wks, d_k)]
     lr = OPTIMIZER_STEP_SIZE
@@ -241,11 +249,8 @@ def optimize_projections(
         if current <= OPTIMIZER_TOL:
             break
         grads = projection_gradient(wks, d_k)
-        candidate = []
-        for w, g in zip(wks, grads):
-            tangent = g - float(np.vdot(g, w)) * w
-            moved = w - lr * tangent
-            candidate.append(moved / np.linalg.norm(moved))
+        moved = wks - lr * (grads - _head_dots(grads, wks) * wks)   # along the tangent
+        candidate = moved / np.sqrt(_head_dots(moved, moved))
         value = projection_objective(candidate, d_k)
         if value <= current:
             wks = candidate
@@ -257,10 +262,8 @@ def optimize_projections(
             consecutive_rejects += 1
             if consecutive_rejects >= 10:
                 if current > 1e-10:
-                    raise OptimizationStalled(
-                        f"objective stuck at {current:.3e} after 10 consecutive "
-                        f"step rejections", trace=trace,
-                    )
+                    raise OptimizationStalled(f"objective stuck at {current:.3e} after 10 "
+                                              "consecutive step rejections", trace=trace)
                 break
 
     wv = rng.standard_normal(p)
@@ -279,20 +282,11 @@ def load_weight_file(path) -> tuple[HeadConfig, ...]:
     row-major numbers]}, ...]}.  Every failure is a WeightFileError naming the
     file and the head: of the document's structure, of the head's entries
     (finite), of its frame (full column rank, d_k <= p) or of its shape (that
-    of head 0).  Parse errors carry the byte offset.  The imported heads tie
+    of head 0), and every failure of ``read_json``.  The imported heads tie
     wq = wk and use a zero value vector, which is all the diversity
     diagnostics need.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise WeightFileError(
-            f"weight file {path}: parse error at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise WeightFileError(f"weight file {path}: {exc}") from exc
-
+    doc = read_json(path, WeightFileError, "weight file")
     if not isinstance(doc, dict) or "heads" not in doc:
         raise WeightFileError(f"weight file {path}: missing top-level 'heads' array")
     entries = doc["heads"]
@@ -301,35 +295,28 @@ def load_weight_file(path) -> tuple[HeadConfig, ...]:
 
     heads = []
     for i, entry in enumerate(entries):
+        where = f"weight file {path}: head {i}"
         if not isinstance(entry, dict):
-            raise WeightFileError(f"weight file {path}: head {i} is not an object")
+            raise WeightFileError(f"{where} is not an object")
         missing = {"p", "d_k", "data"} - set(entry)
         if missing:
-            raise WeightFileError(
-                f"weight file {path}: head {i} is missing fields {sorted(missing)}"
-            )
+            raise WeightFileError(f"{where} is missing fields {sorted(missing)}")
         p, d_k, data = entry["p"], entry["d_k"], entry["data"]
         # type() rather than isinstance(): JSON true/false load as bools
         if not (type(p) is int and type(d_k) is int and p >= 1 and d_k >= 1):
-            raise WeightFileError(
-                f"weight file {path}: head {i} has invalid shape fields p={p!r}, d_k={d_k!r}"
-            )
+            raise WeightFileError(f"{where} has invalid shape fields p={p!r}, d_k={d_k!r}")
         if heads and (p, d_k) != (heads[0].p, heads[0].d_k):
-            raise WeightFileError(f"weight file {path}: head {i} has shape {p}x{d_k}, "
+            raise WeightFileError(f"{where} has shape {p}x{d_k}, "
                                   f"expected {heads[0].p}x{heads[0].d_k}")
         if not (isinstance(data, list) and all(type(x) in (int, float) for x in data)):
-            raise WeightFileError(
-                f"weight file {path}: head {i} 'data' must be a flat array of numbers"
-            )
+            raise WeightFileError(f"{where} 'data' must be a flat array of numbers")
         if len(data) != p * d_k:
-            raise WeightFileError(
-                f"weight file {path}: head {i} declares {p}x{d_k} = {p * d_k} "
-                f"entries but carries {len(data)}"
-            )
+            raise WeightFileError(f"{where} declares {p}x{d_k} = {p * d_k} "
+                                  f"entries but carries {len(data)}")
         try:
             wk = np.array(data, dtype=np.float64).reshape(p, d_k)
             heads.append(HeadConfig(wq=wk, wk=wk, wv=np.zeros(p)))
             qr_orthonormalize(wk)
         except (LabError, OverflowError) as exc:
-            raise WeightFileError(f"weight file {path}: head {i}: {exc}") from exc
+            raise WeightFileError(f"{where}: {exc}") from exc
     return tuple(heads)

@@ -1,10 +1,14 @@
-"""Exception types shared across the lab.
+"""Exception types shared across the lab, and the one JSON reader.
 
 Every public operation raises one of these instead of a bare ValueError so
-batch drivers can tell a usage mistake from a numerical event.
+batch drivers can tell a usage mistake from a numerical event.  ``read_json``
+reads configs and weight files alike, mapping each way a file can fail onto
+one error of the caller's class.
 """
 
 from __future__ import annotations
+
+import json
 
 
 class LabError(Exception):
@@ -73,3 +77,29 @@ class WeightFileError(LabError):
 
 class ConfigError(LabError):
     """A run configuration is malformed; the message names the field."""
+
+
+def read_json(path, error: type[LabError], what: str):
+    """The JSON document in the UTF-8 file at ``path``.  A file that cannot be
+    read, is not UTF-8, does not parse (the message carries the byte offset)
+    or repeats a key within one object raises ``error``, naming ``what`` and
+    the path: json keeps a repeated key's last value, so its first would
+    neither act nor be rejected."""
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{what} {path}: repeated key {key!r}")
+            doc[key] = value
+        return doc
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=unique)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path}: parse error at byte offset {exc.pos}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not UTF-8 text: byte offset {exc.start}: "
+                    f"{exc.reason}") from exc
+    except OSError as exc:
+        raise error(f"{what} {path}: {exc}") from exc

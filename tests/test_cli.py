@@ -1,6 +1,7 @@
 import copy
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -114,6 +115,40 @@ class TestConfigValidation:
         path.write_text('{"version": 1, "task": ')
         assert cli.main(["decompose", "--config", str(path)]) == 1
         assert "byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["config", "weights"])
+    @pytest.mark.parametrize("text, message", [
+        (b'{"version": 1, "R": 400, "R": 7}', "repeated key 'R'"),
+        (b'{"version": 1, "\xff": 7}', "not UTF-8 text: byte offset 16: invalid start byte"),
+    ], ids=["repeated-key", "non-utf8"])
+    def test_bad_json_text_exits_1_with_one_line(self, tmp_path, capsys, reader, text,
+                                                 message):
+        # json would keep a repeated key's last value, and a byte that is not
+        # UTF-8 would escape as a UnicodeDecodeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        argv = (["decompose", "--config", str(path)] if reader == "config"
+                else ["hdi", "--weights", str(path)])
+        assert cli.main(argv) == 1
+        what = "config" if reader == "config" else "weight file"
+        assert capsys.readouterr().err == f"error: {what} {path}: {message}\n"
+
+    @pytest.mark.parametrize("argv, field", [
+        (["optimize-proj", "--config", "empty.json"], "config field output_dir"),
+        (["optimize-proj", "--config", "config.json", "--out", ""], "--out"),
+        (["hdi", "--weights", str(FIXTURES / "weights_orthogonal.json"), "--out", ""], "--out"),
+    ], ids=["output_dir", "out", "hdi-out"])
+    def test_empty_output_path_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       argv, field):
+        # an empty path would publish into the working directory, and remove
+        # any file that an older MANIFEST there lists
+        monkeypatch.chdir(tmp_path)
+        config = small_config("optimize-proj", tmp_path / "configured")
+        write_config(tmp_path, config)
+        write_config(tmp_path, dict(config, output_dir=""), "empty.json")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {field} must be a nonempty path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "empty.json"]
 
     @pytest.mark.parametrize("threads", ["abc", "-3", "2.5"])
     def test_malformed_thread_count_names_variable(self, tmp_path, capsys, monkeypatch,
@@ -587,6 +622,20 @@ class TestDecomposeCommand:
         assert not out.exists()
         with pytest.raises(ChildProcessError):   # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def no_fork():   # what a process limit gives
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(decomposition, "BATCH_BYTES", 1)   # 40 batches: a worker forks
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "2")
+        out = tmp_path / "run"
+        path = write_config(tmp_path, small_decompose_config(out))
+        assert cli.main(["decompose", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == ("error: cannot start the worker process for "
+                                           f"replicates 20 to 39: {os.strerror(errno.EAGAIN)}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("command, config_name", [("decompose", "decompose_canonical"),

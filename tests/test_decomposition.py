@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import os
 import signal
 import subprocess
@@ -729,6 +730,26 @@ class TestWorkerProcesses:
         with pytest.raises(error):
             _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
         assert time.monotonic() - start < 30
+        self.assert_no_child_left()
+
+    def test_a_failed_fork_raises_lab_error_and_reaps_the_started_child(self, quad_task,
+                                                                         monkeypatch):
+        # 3 workers: blocks 0-1, 2-3 and 4-5; the second fork, for 4-5, fails
+        # as at a process limit, after the child for 2-3 has started
+        forks, fork = [], os.fork
+
+        def second_fails():
+            forks.append(len(forks))
+            if len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        monkeypatch.setenv("MHA_NW_LAB_THREADS", "3")
+        with pytest.raises(LabError, match="^cannot start the worker process for replicates "
+                                           f"4 to 5: {os.strerror(errno.EAGAIN)}$"):
+            _head_tensor(quad_task, [(60, self.heads(quad_task))], 6, 8, 21)
+        assert forks == [0, 1]
         self.assert_no_child_left()
 
     @staticmethod

@@ -319,6 +319,10 @@ class TestOptimizer:
         with pytest.raises(Infeasible):
             optimize_projections(4, 2, 4, seed=0)
 
+    def test_one_head_has_no_pair_and_takes_no_step(self):
+        proj, trace = optimize_projections(4, 2, 1, seed=0)
+        assert trace == [0.0] and len(proj) == 1
+
     def test_every_step_rejected_stalls_with_its_trace(self, monkeypatch):
         # each candidate scores worse than the start, so every step is rejected
         values = []
@@ -370,6 +374,47 @@ class TestOptimizer:
                 denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[h])), 1e-8)
                 worst = max(worst, float((np.abs(fd - grads[h]) / denom).max()))
         assert worst <= 1e-5
+
+
+class TestSharedDefinition:
+    """The optimizer's objective and gradient read the report's cross-Grams."""
+
+    @staticmethod
+    def random_sets():
+        rng = np.random.default_rng(43)
+        for H in range(2, 6):
+            for d_k in range(1, 4):
+                p = d_k + int(rng.integers(0, 8))
+                yield [rng.standard_normal((p, d_k)) for _ in range(H)], d_k
+
+    @staticmethod
+    def pairwise_gradient(wks, d_k):
+        """The per-pair formula (2 / d_k^2) sum_{h' != h} wk_h' (wk_h'^T wk_h)."""
+        return [(2.0 / d_k**2) * sum(other @ (other.T @ wk)
+                                     for h2, other in enumerate(wks) if h2 != h)
+                for h, wk in enumerate(wks)]
+
+    def test_objective_is_n_pairs_times_one_minus_hdi(self):
+        for wks, d_k in self.random_sets():
+            n_pairs = len(wks) * (len(wks) - 1) // 2
+            report = make_diversity_report(set_from_wks(wks))
+            assert projection_objective(wks, d_k) == pytest.approx(
+                n_pairs * (1.0 - report.hdi), rel=1e-12)
+
+    def test_gradient_matches_the_pairwise_formula(self):
+        for wks, d_k in self.random_sets():
+            grads = projection_gradient(wks, d_k)
+            assert grads.shape == (len(wks), *wks[0].shape)
+            for grad, oracle in zip(grads, self.pairwise_gradient(wks, d_k)):
+                np.testing.assert_allclose(grad, oracle, rtol=1e-13, atol=0)
+
+    def test_cross_grams_exactly_symmetric_with_zero_diagonal(self):
+        for wks, _ in self.random_sets():
+            H, d = len(wks), wks[0].shape[1]
+            blocks = diversity._cross_grams(np.stack(wks))
+            gram = blocks.transpose(0, 2, 1, 3).reshape(H * d, H * d)
+            np.testing.assert_array_equal(gram, gram.T)
+            np.testing.assert_array_equal(blocks[np.arange(H), np.arange(H)], 0.0)
 
 
 class TestWeightFile:
