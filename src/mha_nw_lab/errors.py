@@ -81,10 +81,11 @@ class ConfigError(LabError):
 
 def read_json(path, error: type[LabError], what: str):
     """The JSON document in the UTF-8 file at ``path``.  A file that cannot be
-    read, is not UTF-8, does not parse (the message carries the byte offset)
-    or repeats a key within one object raises ``error``, naming ``what`` and
-    the path: json keeps a repeated key's last value, so its first would
-    neither act nor be rejected."""
+    read, is not UTF-8, does not parse (the message carries the byte offset,
+    counted in the file's bytes: the text is decoded whole, newlines kept) or
+    repeats a key within one object raises ``error``, naming ``what`` and the
+    path: json keeps a repeated key's last value, so its first would neither
+    act nor be rejected."""
     def unique(pairs):
         doc = {}
         for key, value in pairs:
@@ -94,10 +95,11 @@ def read_json(path, error: type[LabError], what: str):
         return doc
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
-        raise error(f"{what} {path}: parse error at byte offset {exc.pos}: {exc.msg}") from exc
+        offset = len(exc.doc[:exc.pos].encode("utf-8"))
+        raise error(f"{what} {path}: parse error at byte offset {offset}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path}: not UTF-8 text: byte offset {exc.start}: "
                     f"{exc.reason}") from exc

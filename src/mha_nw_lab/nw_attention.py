@@ -18,9 +18,17 @@ factors are exactly 1 where neither side was shifted.  A logit row is shifted
 by its max only where exp could overflow or underflow.  One product e @ [v, 1]
 gives e.v and the row sum s as its two columns, so after exp the block is read
 once.  The largest weight is e^-gap, gap = log s + (shift - max), exact at any
-max since shift - max is 0 for a shifted row; if it is 1 - d, the entropy is at
-least h_b(d), h_b the binary entropy, so only rows whose gap is below the tau
-with h_b(1 - e^-tau) = 2 DEGENERATE_ENTROPY_NATS get -w log w summed.
+max since shift - max is 0 for a shifted row.  If it is 1 - d, grouping the
+other n - 1 weights into one gives h_b(d) <= entropy <= h_b(d) + d log(n - 1),
+h_b the binary entropy: the rest adds d times its own entropy, at most
+log(n - 1).  A row whose gap is at least the tau with h_b(1 - e^-tau) =
+2 DEGENERATE_ENTROPY_NATS is not degenerate.  Below tau, a row counts as
+degenerate when its upper bound is under the threshold by a relative 1e-3 and
+not when its lower bound is over it by as much.  The gap rounds by a few ulps
+of the max (|max| <= 600 unshifted) and of log s, which moves a bound near the
+threshold, where d is about 5e-8, by about 1e-5 relative at most, so a decided
+row falls on the side a full w log w pass puts it; only the rows left between
+get -w log w summed, and the counts are those of that full pass.
 ``nw_reference``, the unstabilised textbook form, is the oracle for ``attend``.
 """
 
@@ -45,20 +53,29 @@ DEGENERATE_ENTROPY_NATS = 1e-6
 _RAW_LOGIT_MAX = 600.0
 
 
+def _binary_entropy(gap):
+    """(h_b(d), d) for d = max(0, 1 - e^-gap): the binary entropy in nats of a
+    largest weight e^-gap against the rest merged into one, and that rest."""
+    gap = np.maximum(gap, 0.0)
+    d = -np.expm1(-gap)
+    return gap * np.exp(-gap) - d * np.log(np.where(d > 0.0, d, 1.0)), d
+
+
 def _entropy_gap(h: float) -> float:
-    """The gap tau at which h_b(1 - e^-tau), the binary entropy in nats of a
-    largest weight e^-tau, reaches ``h``: bisection, as it rises up to tau = log 2."""
+    """The gap tau at which h_b(1 - e^-tau) reaches ``h``: bisection, as it
+    rises up to tau = log 2."""
     lo, hi = 0.0, math.log(2.0)
     for _ in range(64):
         mid = (lo + hi) / 2
-        d = -math.expm1(-mid)
-        lo, hi = (mid, hi) if mid * math.exp(-mid) - d * math.log(d) < h else (lo, mid)
+        lo, hi = (mid, hi) if _binary_entropy(mid)[0] < h else (lo, mid)
     return hi
 
 
-#: rows whose gap log s + (shift - max) is below this get their entropy summed;
+#: rows whose gap log s + (shift - max) is below this get their entropy bounded;
 #: any other row's entropy is at least 2 DEGENERATE_ENTROPY_NATS
 _SCREEN_GAP = _entropy_gap(2.0 * DEGENERATE_ENTROPY_NATS)
+#: relative room each entropy bound leaves for the rounding of its gap
+_BOUND_MARGIN = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,16 +206,31 @@ def attend_many(head: HeadConfig, queries: np.ndarray, data: Dataset, sizes=None
             shift, s, ev = new, s * old + s_j * add, ev * old + ev_j * add
             top = np.maximum(top, top_j)
         estimates[..., j, :] = ev / s
-        screened = (np.log(s) + (shift - top) < _SCREEN_GAP).reshape(-1, Q)
-        # exact entropy over the prefix, for each replicate the screen caught rows of
-        for b in screened.any(axis=1).nonzero()[0].tolist():
+        gap = np.log(s) + (shift - top)
+        screened = gap < _SCREEN_GAP
+        if not screened.any():
+            continue
+        # h_b(d) <= entropy <= h_b(d) + d log(n - 1) settles most screened rows
+        low, d = _binary_entropy(gap[screened])
+        high = low + d * math.log(max(stop - 1, 1))
+        sure, unsure = np.zeros_like(screened), np.zeros_like(screened)
+        sure[screened] = high * (1.0 + _BOUND_MARGIN) < DEGENERATE_ENTROPY_NATS
+        unsure[screened] = low * (1.0 - _BOUND_MARGIN) < DEGENERATE_ENTROPY_NATS
+        unsure &= ~sure
+        degenerate[..., j] = np.count_nonzero(sure, axis=-1)
+        unsure = unsure.reshape(-1, Q)
+        # exact entropy over the prefix, for each replicate with rows left open
+        for b in unsure.any(axis=1).nonzero()[0].tolist():
             i = np.unravel_index(b, estimates.shape[:-2])
-            sharp = screened[b].nonzero()[0]
-            w = _logits(q[sharp], k[i][:stop])
-            w = np.exp(w - w.max(axis=1, keepdims=True))
+            w = _logits(q[unsure[b]], k[i][:stop])
+            w -= w.max(axis=1, keepdims=True)
+            np.exp(w, out=w)
             w /= w.sum(axis=1, keepdims=True)
-            entropy = -(w * np.log(np.maximum(w, 1e-300))).sum(axis=1)
-            degenerate[i + (j,)] = np.count_nonzero(entropy < DEGENERATE_ENTROPY_NATS)
+            entropy = np.maximum(w, 1e-300)
+            np.log(entropy, out=entropy)
+            entropy *= w
+            degenerate[i + (j,)] += np.count_nonzero(-entropy.sum(axis=1)
+                                                     < DEGENERATE_ENTROPY_NATS)
     return (estimates, degenerate) + ((e / s[..., None],) if return_weights else ())
 
 

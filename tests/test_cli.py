@@ -120,7 +120,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("text, message", [
         (b'{"version": 1, "R": 400, "R": 7}', "repeated key 'R'"),
         (b'{"version": 1, "\xff": 7}', "not UTF-8 text: byte offset 16: invalid start byte"),
-    ], ids=["repeated-key", "non-utf8"])
+        # the offset counts bytes: a two-byte character, and a CRLF line end
+        # that text mode would read as one character, each move it
+        ('{"version": 1, "task": {"family": "ééé",\n x}}'.encode(),
+         "parse error at byte offset 45: Expecting property name enclosed in double quotes"),
+        (b'{\r\n"version": 1,\r\n x}',
+         "parse error at byte offset 19: Expecting property name enclosed in double quotes"),
+    ], ids=["repeated-key", "non-utf8", "multibyte-offset", "crlf-offset"])
     def test_bad_json_text_exits_1_with_one_line(self, tmp_path, capsys, reader, text,
                                                  message):
         # json would keep a repeated key's last value, and a byte that is not

@@ -498,6 +498,72 @@ class TestFusedKernel:
                                        make_data([[0.0], [np.log(tail)]]))[1][0]
             assert degenerate == count
 
+    #: entropies as multiples of the threshold: far off, inside the bounds'
+    #: 1e-3 margin, and within the rounding of a gap formed beside a row max of 599
+    BOUND_RATIOS = (0.5, 0.9, 0.99, 0.9995, 1 - 1e-5, 1 - 1e-6, 1 - 3e-7, 1 - 1e-7,
+                    1 + 1e-7, 1 + 3e-7, 1 + 1e-6, 1 + 1e-5, 1.0005, 1.01, 1.1, 1.3, 1.9)
+
+    @staticmethod
+    def row_entropy(logits):
+        """Entropy in nats of softmax(logits) as log Z - sum_i p_i a_i, a = logits
+        - max, with log Z = log1p of the mass beside one largest logit: no term
+        cancels, so it holds its digits where the entropy is near 1e-6."""
+        a = np.delete(logits - logits.max(), np.argmax(logits))
+        e = np.exp(a)
+        return np.log1p(e.sum()) - (e @ a) / (1.0 + e.sum())
+
+    def bound_rows(self, top, n, supports):
+        """Key rows of n 1-D keys, one per support m in ``supports``, tail shape
+        and ratio in BOUND_RATIOS: keys [:m] hold the max ``top`` and m - 1 keys
+        at top - gap - c, c 0 (a uniform tail, where the upper bound is exact)
+        or 0 then 5s (one key carrying the tail), gap solved for the entropy
+        ratio * 1e-6; keys [m:] sit 2000 below, where exp gives 0.  The max is
+        first in even rows and last of the support in odd ones."""
+        rows = []
+        for m in supports:
+            for c in (np.zeros(m - 1), np.r_[0.0, np.full(m - 2, 5.0)]):
+                mass, tilt = np.exp(-c).sum(), (c * np.exp(-c)).sum()
+                for ratio in self.BOUND_RATIOS:
+                    lo, hi = 0.0, 200.0
+                    for _ in range(200):   # the entropy falls as the gap grows
+                        gap = (lo + hi) / 2
+                        t = np.exp(-gap) * mass
+                        h = np.log1p(t) + np.exp(-gap) * (gap * mass + tilt) / (1.0 + t)
+                        lo, hi = (gap, hi) if h > ratio * DEGENERATE_ENTROPY_NATS else (lo, gap)
+                    support = np.r_[top, top - gap - c]
+                    if len(rows) % 2:
+                        support = support[::-1]
+                    rows.append(np.r_[support, np.full(n - m, top - 2000.0)])
+        return np.array(rows)
+
+    @pytest.mark.parametrize("sizes", [None, [2, 10, 250, 4000]], ids=["one-size", "prefixes"])
+    @pytest.mark.parametrize("top", [0.0, -80.0, 599.0, 601.0, 3e9])
+    def test_entropy_bounds_count_rows_straddling_the_threshold(self, top, sizes):
+        # h_b(d) <= entropy <= h_b(d) + d log(n - 1) decides a screened row only
+        # 1e-3 clear of the threshold; the counts must be those of each row's own
+        # entropy, on rows within 1e-7 of it and at n from 2 to 4000
+        head = HeadConfig(wq=Matrix([[1.0]]), wk=Matrix([[1.0]]), wv=np.ones(1))
+        calls = ([(m, None, [m]) for m in (2, 10, 250, 4000)] if sizes is None
+                 else [(4000, sizes, (2, 10, 250, 4000))])
+        ratios = []
+        for n, call_sizes, supports in calls:
+            keys = self.bound_rows(top, n, supports)
+            datasets = [make_data(row[:, None]) for row in keys]
+            projected = kernel_operands([head], np.ones((1, 1)), n, len(keys))(datasets)[0]
+            counts = attend_many(head, np.ones((1, 1)), datasets[0], call_sizes,
+                                 projected=projected)[1]
+            for j, m in enumerate(call_sizes or [n]):
+                entropy = np.array([self.row_entropy(row[:m]) for row in keys])
+                np.testing.assert_array_equal(counts[:, j], entropy < DEGENERATE_ENTROPY_NATS)
+                ratios.append(entropy / DEGENERATE_ENTROPY_NATS)
+        ratios = np.concatenate(ratios)
+        # both sides of the threshold, inside the margin and close to it, but
+        # never so close that the kernel's exact sum could round across it
+        near = np.abs(ratios - 1.0)
+        assert np.count_nonzero((ratios < 1.0) & (near < 1e-6)) >= 8
+        assert np.count_nonzero((ratios > 1.0) & (near < 1e-6)) >= 8
+        assert near.min() > 1e-8
+
     def test_attend_weights_are_a_distribution(self):
         rng = np.random.default_rng(8)
         for trial in range(200):
